@@ -60,6 +60,19 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2.0
 
 
+def _bures_roots(s: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Root of ``s``, the cross root and the squared Bures distance of ``s`` and ``z``.
+
+    Returns ``S^{1/2}``, ``cross = (S^{1/2} Z S^{1/2})^{1/2}`` and
+    ``tr S + tr Z - 2 tr cross`` clamped at zero. Takes symmetric PSD ``s``
+    and ``z`` of one size.
+    """
+    root = psd_sqrt(s)
+    cross = psd_sqrt(_sym(root @ z @ root))
+    dist = max(float(np.trace(s) + np.trace(z) - 2.0 * np.trace(cross)), 0.0)
+    return root, cross, dist
+
+
 def bures_distance(sigma_a, sigma_b) -> float:
     """Squared Bures metric ``tr A + tr B - 2 tr((A^{1/2} B A^{1/2})^{1/2})``.
 
@@ -70,9 +83,7 @@ def bures_distance(sigma_a, sigma_b) -> float:
     b = _validate_cov(sigma_b, "sigma_b")
     if a.shape != b.shape:
         raise ValueError(f"covariance sizes differ: {a.shape} vs {b.shape}")
-    root = psd_sqrt(a)
-    cross = psd_sqrt(_sym(root @ b @ root))
-    return max(float(np.trace(a) + np.trace(b) - 2.0 * np.trace(cross)), 0.0)
+    return _bures_roots(a, b)[2]
 
 
 def _clamped_inv_sqrt(sigma: np.ndarray, name: str) -> np.ndarray:
@@ -86,7 +97,7 @@ def _clamped_inv_sqrt(sigma: np.ndarray, name: str) -> np.ndarray:
             f"{name} is rank deficient ({int(keep.sum())}/{vals.size}); "
             "using a pseudo-inverse on the clamped spectrum",
             RankDeficiencyWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
@@ -103,22 +114,30 @@ def geodesic_interpolate(sigma_star, sigma_zero, beta: float, mode: str = SQRT_B
     (pseudo-inverted on a rank-deficient spectrum, with a warning). Both
     modes return ``sigma_star`` at beta=0 and a symmetric PSD matrix always.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if mode not in INTERPOLATION_MODES:
-        raise ValueError(f"mode must be one of {INTERPOLATION_MODES}, got {mode!r}")
     s = _validate_cov(sigma_star, "sigma_star")
     z = _validate_cov(sigma_zero, "sigma_zero")
     if s.shape != z.shape:
         raise ValueError(f"covariance sizes differ: {s.shape} vs {z.shape}")
-    root = psd_sqrt(s)
-    cross = psd_sqrt(_sym(root @ z @ root))
+    return _interpolate(s, z, beta, mode)[0]
+
+
+def _interpolate(s, z, beta: float, mode: str) -> tuple[np.ndarray, float]:
+    """The ``geodesic_interpolate`` result and the squared Bures distance of ``s`` and ``z``.
+
+    Takes symmetric PSD ``s`` and ``z`` of one size; both outputs come from
+    one pair of roots.
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if mode not in INTERPOLATION_MODES:
+        raise ValueError(f"mode must be one of {INTERPOLATION_MODES}, got {mode!r}")
+    root, cross, dist = _bures_roots(s, z)
     if mode == SQRT_BLEND:
         blend = (1.0 - beta) * root + beta * cross
-        return _sym(blend @ blend)
+        return _sym(blend @ blend), dist
     inv_root = _clamped_inv_sqrt(s, "sigma_star")
     transport = (1.0 - beta) * np.eye(s.shape[0]) + beta * _sym(inv_root @ cross @ inv_root)
-    return _sym(transport @ s @ transport)
+    return _sym(transport @ s @ transport), dist
 
 
 @dataclass(frozen=True)
@@ -127,7 +146,8 @@ class RefinementResult:
 
     ``realization_gap`` is the relative Frobenius mismatch between
     ``w w^T`` and the interpolated covariance; it is zero (to round-off)
-    whenever the rotation problem has full rank.
+    whenever the rotation problem has full rank. ``bures_before`` is the
+    squared Bures distance from ``w_star w_star^T`` to ``w0 w0^T``.
     """
 
     w: np.ndarray
@@ -136,6 +156,7 @@ class RefinementResult:
     rank_deficient: bool
     degenerate: bool
     realization_gap: float
+    bures_before: float
 
 
 def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> RefinementResult:
@@ -151,7 +172,9 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
     w0_ = as_matrix(w0, "w0")
     if w_.shape != w0_.shape:
         raise ValueError(f"w_star shape {w_.shape} does not match w0 {w0_.shape}")
-    sigma_plus = geodesic_interpolate(_sym(w_ @ w_.T), _sym(w0_ @ w0_.T), beta, mode)
+    # Gram matrices of validated weights are symmetric PSD by construction,
+    # so they skip _validate_cov; psd_sqrt still rejects a negative spectrum.
+    sigma_plus, bures_before = _interpolate(_sym(w_ @ w_.T), _sym(w0_ @ w0_.T), beta, mode)
     dec = sym_eig(sigma_plus)
     vals = np.clip(dec.eigvals, 0.0, None)
     vmax = float(vals.max()) if vals.size else 0.0
@@ -163,7 +186,9 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
             RankDeficiencyWarning,
             stacklevel=2,
         )
-        return RefinementResult(np.zeros_like(w_), sigma_plus, 0, True, True, 0.0)
+        return RefinementResult(
+            np.zeros_like(w_), sigma_plus, 0, True, True, 0.0, bures_before
+        )
     factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
     k = w_.T @ factor
     sv = np.linalg.svd(k, compute_uv=False)
@@ -180,4 +205,6 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
     gap = float(
         np.linalg.norm(w_tilde @ w_tilde.T - sigma_plus) / np.linalg.norm(sigma_plus)
     )
-    return RefinementResult(w_tilde, sigma_plus, rank, rank_deficient, False, gap)
+    return RefinementResult(
+        w_tilde, sigma_plus, rank, rank_deficient, False, gap, bures_before
+    )

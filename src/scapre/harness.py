@@ -125,6 +125,35 @@ def _tokens(rng, concept, count, noise, d_in):
     return raw / np.sqrt(count)
 
 
+def _edit_inputs(rng, spec, targets, anchor, target_mode, n_neutral):
+    """Erase spec, contexts, decoupler features and labels for ``targets``.
+
+    ``spec`` supplies the noise, embedding scale and token and sample counts.
+    Draws from ``rng`` in a fixed order: every target's context tokens, then
+    every target's samples, then the neutral samples.
+    """
+    d_in, m = targets.shape
+    noise = spec.noise_scale * spec.embed_scale
+    contexts = [
+        _tokens(rng, targets[:, k], spec.tokens_per_concept, noise, d_in) for k in range(m)
+    ]
+    per = spec.samples_per_concept
+    feats, labs = [], []
+    for k in range(m):
+        feats.append(
+            targets[:, k][None, :] + noise * rng.standard_normal((per, d_in)) / np.sqrt(d_in)
+        )
+        labs.append(np.full(per, k + 1))
+    feats.append(spec.embed_scale * rng.standard_normal((n_neutral, d_in)) / np.sqrt(d_in))
+    labs.append(np.zeros(n_neutral))
+    if target_mode == solver.ZERO_TARGET:
+        erase = EraseSpec(targets, mode=solver.ZERO_TARGET)
+    else:
+        subs = np.tile(anchor[:, None], (1, m))
+        erase = EraseSpec(targets, mode=solver.SUBSTITUTE_TARGET, substitutes=subs)
+    return erase, contexts, np.vstack(feats), np.concatenate(labs).astype(np.int64)
+
+
 def generate_model(
     spec: SyntheticModelSpec, target_mode: str = solver.SUBSTITUTE_TARGET
 ) -> SyntheticModel:
@@ -143,37 +172,12 @@ def generate_model(
     anchor = spec.embed_scale * anchor_dir
     targets = concepts[:, : spec.m_targets]
     preserved = concepts[:, spec.m_targets :] if spec.m_preserved else None
-
-    noise = spec.noise_scale * spec.embed_scale
-    contexts = [
-        _tokens(rng, targets[:, k], spec.tokens_per_concept, noise, spec.d_in)
-        for k in range(spec.m_targets)
-    ]
-
-    per = spec.samples_per_concept
     n_neutral = spec.neutral_samples
     if n_neutral is None:
-        n_neutral = per * spec.m_targets
-    feats = []
-    labs = []
-    for k in range(spec.m_targets):
-        feats.append(
-            targets[:, k][None, :]
-            + noise * rng.standard_normal((per, spec.d_in)) / np.sqrt(spec.d_in)
-        )
-        labs.append(np.full(per, k + 1))
-    feats.append(
-        spec.embed_scale * rng.standard_normal((n_neutral, spec.d_in)) / np.sqrt(spec.d_in)
+        n_neutral = spec.samples_per_concept * spec.m_targets
+    erase, contexts, features, labels = _edit_inputs(
+        rng, spec, targets, anchor, target_mode, n_neutral
     )
-    labs.append(np.zeros(n_neutral))
-    features = np.vstack(feats)
-    labels = np.concatenate(labs).astype(np.int64)
-
-    if target_mode == solver.ZERO_TARGET:
-        erase = EraseSpec(targets, mode=solver.ZERO_TARGET)
-    else:
-        subs = np.tile(anchor[:, None], (1, spec.m_targets))
-        erase = EraseSpec(targets, mode=solver.SUBSTITUTE_TARGET, substitutes=subs)
     return SyntheticModel(w0, erase, contexts, preserved, features, labels, anchor)
 
 
@@ -343,43 +347,10 @@ def confuse_benchmark(
     """
     w0, targets, preserved, group_of, anchor, rng = _confuse_model(spec)
     n_targets = targets.shape[1]
-    noise = spec.noise_scale * spec.embed_scale
-    contexts = [
-        _tokens(rng, targets[:, k], spec.tokens_per_concept, noise, spec.d_in)
-        for k in range(n_targets)
-    ]
-    per = spec.samples_per_concept
-    feats, labs = [], []
-    for k in range(n_targets):
-        feats.append(
-            targets[:, k][None, :]
-            + noise * rng.standard_normal((per, spec.d_in)) / np.sqrt(spec.d_in)
-        )
-        labs.append(np.full(per, k + 1))
-    feats.append(
-        spec.embed_scale
-        * rng.standard_normal((per * n_targets, spec.d_in))
-        / np.sqrt(spec.d_in)
+    erase, contexts, features, labels = _edit_inputs(
+        rng, spec, targets, anchor, cfg.target_mode, spec.samples_per_concept * n_targets
     )
-    labs.append(np.zeros(per * n_targets))
-
-    if cfg.target_mode == solver.ZERO_TARGET:
-        erase = EraseSpec(targets, mode=solver.ZERO_TARGET)
-    else:
-        erase = EraseSpec(
-            targets,
-            mode=solver.SUBSTITUTE_TARGET,
-            substitutes=np.tile(anchor[:, None], (1, n_targets)),
-        )
-    w_edit, report = run_edit(
-        w0,
-        erase,
-        contexts,
-        np.vstack(feats),
-        np.concatenate(labs).astype(np.int64),
-        cfg,
-        preserved=preserved,
-    )
+    w_edit, report = run_edit(w0, erase, contexts, features, labels, cfg, preserved=preserved)
 
     def displacement(c):
         return float(np.linalg.norm(w_edit @ c - w0 @ c) / np.linalg.norm(w0 @ c))

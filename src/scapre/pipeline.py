@@ -68,7 +68,6 @@ class EditConfig:
     beta: float = 0.5
     interpolation_mode: str = geometry.SQRT_BLEND
     target_mode: str = solver.SUBSTITUTE_TARGET
-    kron_budget: int = 2**24
 
     def __post_init__(self):
         if self.lam is not None and not self.lam > 0.0:
@@ -91,7 +90,6 @@ class EditConfig:
             "beta": self.beta,
             "interpolation_mode": self.interpolation_mode,
             "target_mode": self.target_mode,
-            "kron_budget": self.kron_budget,
         }
 
 
@@ -199,15 +197,14 @@ def run_edit(
         sol = sylvester_solve_spectral(dec.alpha, stab, m_rhs)
 
     with _stage("geometry"):
-        sigma_zero = w0_ @ w0_.T
-        sigma_zero = (sigma_zero + sigma_zero.T) / 2.0
-        sigma_star = sol.w_star @ sol.w_star.T
-        bures_before = bures_distance((sigma_star + sigma_star.T) / 2.0, sigma_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", geometry.RankDeficiencyWarning)
             ref = refine_weights(sol.w_star, w0_, cfg.beta, cfg.interpolation_mode)
+        sigma_zero = w0_ @ w0_.T
         sigma_after = ref.w @ ref.w.T
-        bures_after = bures_distance((sigma_after + sigma_after.T) / 2.0, sigma_zero)
+        bures_after = bures_distance(
+            (sigma_after + sigma_after.T) / 2.0, (sigma_zero + sigma_zero.T) / 2.0
+        )
 
     with _stage("metrics"):
         probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved)
@@ -233,7 +230,7 @@ def run_edit(
         sylvester_residual=sol.residual,
         zero_target=zero_target,
         alpha_degenerate=dec.degenerate,
-        bures_before=bures_before,
+        bures_before=ref.bures_before,
         bures_after=bures_after,
         refinement_rank=ref.rank,
         refinement_rank_deficient=ref.rank_deficient,

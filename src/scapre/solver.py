@@ -4,7 +4,8 @@ Solves ``B W + W A = M`` for the edited projection, where ``A`` is the
 input-side stabilizer, ``B = diag(alpha)`` the channel decoupler, and
 ``M = V* C_E^T`` encodes the concepts to erase and their replacement
 outputs. Two routes are provided (eigenbasis and vectorized Kronecker)
-plus the ridge-anchored normal-equation baseline editor.
+plus the ridge-anchored normal-equation baseline editor. ``B`` is always
+diagonal and passed as its vector of entries.
 """
 
 from dataclasses import dataclass
@@ -123,15 +124,14 @@ class EditSolution:
     path: str
 
 
-def _split_b(b):
-    """Accept the decoupler as a vector (diagonal) or full symmetric matrix."""
+def _b_vector(b):
+    """Validate the decoupler as the 1-D vector of the diagonal of ``B``."""
     b_ = np.asarray(b, dtype=np.float64)
-    if b_.ndim == 1:
-        if not np.isfinite(b_).all():
-            raise ValueError("b_diag contains non-finite entries")
-        return b_, None
-    dec = sym_eig(b_)
-    return dec.eigvals, dec.eigvecs
+    if b_.ndim != 1:
+        raise ValueError(f"b_diag must be 1-D (the diagonal of B), got shape {b_.shape}")
+    if not np.isfinite(b_).all():
+        raise ValueError("b_diag contains non-finite entries")
+    return b_
 
 
 def _split_a(a):
@@ -152,9 +152,8 @@ def _check_uniqueness(b_vals: np.ndarray, a_vals: np.ndarray):
         )
 
 
-def _residual(b_vals, q_b, a_mat, w, m) -> float:
-    bw = (q_b * b_vals) @ q_b.T @ w if q_b is not None else b_vals[:, None] * w
-    num = float(np.linalg.norm(bw + w @ a_mat - m))
+def _residual(b_vals, a_mat, w, m) -> float:
+    num = float(np.linalg.norm(b_vals[:, None] * w + w @ a_mat - m))
     den = float(np.linalg.norm(m))
     return num / den if den > 0.0 else num
 
@@ -162,12 +161,10 @@ def _residual(b_vals, q_b, a_mat, w, m) -> float:
 def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     """Solve ``B W + W A = M`` in the eigenbasis of ``A``.
 
-    With diagonal ``B`` (the usual case) a single eigendecomposition of ``A``
-    suffices and the system decouples entrywise as
-    ``X[i, j] = Mhat[i, j] / (b[i] + eigval_a[j])``. A full symmetric ``B``
-    is also accepted and handled by decomposing both sides.
+    With diagonal ``B`` a single eigendecomposition of ``A`` suffices and the
+    system decouples entrywise as ``X[i, j] = Mhat[i, j] / (b[i] + eigval_a[j])``.
     """
-    b_vals, q_b = _split_b(b_diag)
+    b_vals = _b_vector(b_diag)
     a_mat, a_eig = _split_a(a)
     m_ = as_matrix(m, "m")
     d_out = b_vals.shape[0]
@@ -181,10 +178,9 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
         raise ValueError(
             f"ill-posed system: smallest eigenvalue sum {denom.min():.6e} is below 1e-12"
         )
-    m_hat = (q_b.T @ m_ if q_b is not None else m_) @ a_eig.eigvecs
-    x = m_hat / denom
-    w = (q_b @ x if q_b is not None else x) @ a_eig.eigvecs.T
-    return EditSolution(w, _residual(b_vals, q_b, a_mat, w, m_), "spectral")
+    x = (m_ @ a_eig.eigvecs) / denom
+    w = x @ a_eig.eigvecs.T
+    return EditSolution(w, _residual(b_vals, a_mat, w, m_), "spectral")
 
 
 def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSolution:
@@ -193,7 +189,7 @@ def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSo
     Assembles ``I (x) B + A^T (x) I`` densely, so it is gated by the
     Kronecker entry budget; intended for cross-checks and small systems.
     """
-    b_vals, q_b = _split_b(b_diag)
+    b_vals = _b_vector(b_diag)
     a_mat, a_eig = _split_a(a)
     m_ = as_matrix(m, "m")
     d_out = b_vals.shape[0]
@@ -201,13 +197,12 @@ def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSo
     if m_.shape != (d_out, d_in):
         raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
     _check_uniqueness(b_vals, a_eig.eigvals)
-    b_mat = np.diag(b_vals) if q_b is None else (q_b * b_vals) @ q_b.T
-    lhs = kron_assemble(np.eye(d_in), b_mat, budget) + kron_assemble(
+    lhs = kron_assemble(np.eye(d_in), np.diag(b_vals), budget) + kron_assemble(
         a_mat.T, np.eye(d_out), budget
     )
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
-    return EditSolution(w, _residual(b_vals, q_b, a_mat, w, m_), "kronecker")
+    return EditSolution(w, _residual(b_vals, a_mat, w, m_), "kronecker")
 
 
 def objective_value(w, a, b_diag, m) -> float:
@@ -219,13 +214,14 @@ def objective_value(w, a, b_diag, m) -> float:
     w_ = as_matrix(w, "w")
     a_mat = a.a if isinstance(a, StabilizerA) else as_matrix(a, "a")
     m_ = as_matrix(m, "m")
-    b_ = np.asarray(b_diag, dtype=np.float64)
+    b_ = _b_vector(b_diag)
     if w_.shape != m_.shape or w_.shape[1] != a_mat.shape[0]:
         raise ValueError(
             f"inconsistent shapes: w {w_.shape}, a {a_mat.shape}, m {m_.shape}"
         )
-    bw = b_[:, None] * w_ if b_.ndim == 1 else b_ @ w_
-    return float(np.sum((w_ @ a_mat) * w_) + np.sum(bw * w_) - 2.0 * np.sum(w_ * m_))
+    return float(
+        np.sum((w_ @ a_mat) * w_) + np.sum((b_[:, None] * w_) * w_) - 2.0 * np.sum(w_ * m_)
+    )
 
 
 def baseline_eq2(

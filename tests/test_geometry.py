@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,20 @@ class TestRefineWeights:
         assert res.rank == 1
         assert not res.rank_deficient
         assert res.realization_gap <= 1e-8
+
+    def test_bures_before_is_bures_distance(self):
+        rng = np.random.default_rng(12)
+        w0 = rng.standard_normal((6, 10))
+        full = rng.standard_normal((6, 10))
+        rank_one = np.outer(rng.standard_normal(6), rng.standard_normal(10))
+        sigma_zero = (w0 @ w0.T + (w0 @ w0.T).T) / 2.0
+        for w_star in (full, rank_one):
+            sigma_star = (w_star @ w_star.T + (w_star @ w_star.T).T) / 2.0
+            want = bures_distance(sigma_star, sigma_zero)
+            for mode in (SQRT_BLEND, BW_GEODESIC):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RankDeficiencyWarning)
+                    assert refine_weights(w_star, w0, 0.5, mode).bures_before == want
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="match"):

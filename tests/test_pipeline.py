@@ -120,6 +120,34 @@ class TestRunEdit:
         assert rep1.bures_after < rep0.bures_after  # beta=0 leaves the gap alone
         assert rep0.bures_before == pytest.approx(rep1.bures_before, rel=1e-9)
 
+    @pytest.mark.parametrize("mode, expected", [("sqrt-blend", 7), (BW_GEODESIC, 8)])
+    def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, expected):
+        # refinement builds each root once (2 eigh, one more for the bw-geodesic
+        # pseudo-inverse root, 1 for the refined factor); bures_after adds 2
+        # eigvalsh checks and 2 eigh
+        model = small_model(seed=5)
+        d_out = model.w0.shape[0]
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            kernel = getattr(np.linalg, name)
+
+            def counted(a, *args, _kernel=kernel, _name=name, **kwargs):
+                if np.shape(a)[0] == d_out:
+                    calls.append(_name)
+                return _kernel(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_edit(
+            model.w0,
+            model.erase_spec,
+            model.contexts,
+            model.features,
+            model.labels,
+            EditConfig(beta=0.5, interpolation_mode=mode),
+        )
+        assert len(calls) == expected
+        assert calls.count("eigvalsh") == 2
+
     def test_stage_error_is_tagged(self):
         model = small_model()
         bad_labels = np.ones_like(model.labels)  # no neutral samples
@@ -162,3 +190,6 @@ class TestEditConfig:
     def test_serialization(self):
         assert EditConfig(lam=2.0).to_dict()["lambda"] == 2.0
         assert EditConfig().to_dict()["lambda"] == {"relative": 0.1}
+        assert set(EditConfig().to_dict()) == {
+            "lambda", "beta", "interpolation_mode", "target_mode"
+        }
