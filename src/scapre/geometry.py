@@ -146,8 +146,9 @@ class RefinementResult:
 
     ``realization_gap`` is the relative Frobenius mismatch between
     ``w w^T`` and the interpolated covariance; it is zero (to round-off)
-    whenever the rotation problem has full rank. ``bures_before`` is the
-    squared Bures distance from ``w_star w_star^T`` to ``w0 w0^T``.
+    whenever the rotation problem has full rank. ``bures_before`` and
+    ``bures_after`` are the squared Bures distances to ``w0 w0^T`` from
+    ``w_star w_star^T`` and from the refined covariance ``w w^T``.
     """
 
     w: np.ndarray
@@ -157,6 +158,7 @@ class RefinementResult:
     degenerate: bool
     realization_gap: float
     bures_before: float
+    bures_after: float
 
 
 def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> RefinementResult:
@@ -180,6 +182,11 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
     vmax = float(vals.max()) if vals.size else 0.0
     keep = vals > _RANK_CUT * vmax
     rank = int(keep.sum())
+    factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
+    # w_tilde w_tilde^T = factor factor^T, and Bures(X X^T, Y Y^T) =
+    # |X|^2 + |Y|^2 - 2 |X^T Y|_* (Bhatia, Jain & Lim 2019): a rank-by-d_in SVD.
+    nuclear = float(np.linalg.svd(factor.T @ w0_, compute_uv=False).sum())
+    bures_after = max(float(np.vdot(factor, factor) + np.vdot(w0_, w0_)) - 2.0 * nuclear, 0.0)
     if rank == 0 or vmax == 0.0:
         warnings.warn(
             "interpolated covariance is zero; refinement degenerates to zero weights",
@@ -187,9 +194,8 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
             stacklevel=2,
         )
         return RefinementResult(
-            np.zeros_like(w_), sigma_plus, 0, True, True, 0.0, bures_before
+            np.zeros_like(w_), sigma_plus, 0, True, True, 0.0, bures_before, bures_after
         )
-    factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
     k = w_.T @ factor
     sv = np.linalg.svd(k, compute_uv=False)
     rank_deficient = bool(sv.min() <= _RANK_CUT * max(float(sv.max()), np.finfo(np.float64).tiny))
@@ -206,5 +212,5 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
         np.linalg.norm(w_tilde @ w_tilde.T - sigma_plus) / np.linalg.norm(sigma_plus)
     )
     return RefinementResult(
-        w_tilde, sigma_plus, rank, rank_deficient, False, gap, bures_before
+        w_tilde, sigma_plus, rank, rank_deficient, False, gap, bures_before, bures_after
     )

@@ -8,7 +8,6 @@ group benchmark, emitting rows under the fixed CSV schema.
 
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -235,7 +234,6 @@ def scaling_sweep(
         try:
             spec = replace(base, m_targets=m)
             model = generate_model(spec, cfg.target_mode)
-            t0 = time.perf_counter()
             _, report = run_edit(
                 model.w0,
                 model.erase_spec,
@@ -245,7 +243,6 @@ def scaling_sweep(
                 cfg,
                 preserved=model.preserved,
             )
-            report.wall_ms = (time.perf_counter() - t0) * 1e3
             return sweep_row(run_id, report)
         except Exception as exc:  # keep the sweep alive, mark the row
             print(f"sweep row m={m} failed: {exc}", file=sys.stderr)

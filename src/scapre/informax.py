@@ -65,6 +65,22 @@ def channel_mi(counts: JointCounts, base: float | None = None) -> float:
     return max(mi, 0.0)
 
 
+def _mi_table(n00, n01, n10, n11, base: float | None) -> np.ndarray:
+    """``channel_mi`` over broadcastable count arrays, term by term in its order."""
+    k = n00 + n01 + n10 + n11
+    n = ((n00, n01), (n10, n11))
+    pz = ((n00 + n01) / k, (n10 + n11) / k)
+    py = ((n00 + n10) / k, (n01 + n11) / k)
+    log_base = 1.0 if base is None else math.log(base)
+    mi = np.zeros(np.shape(k))
+    for z in (0, 1):
+        for y in (0, 1):
+            pzy = n[z][y] / k
+            ratio = np.divide(pzy, pz[z] * py[y], out=np.ones_like(pzy), where=pzy > 0.0)
+            mi += pzy * (np.log(ratio) / log_base)  # empty cells add 0 * log(1)
+    return np.maximum(mi, 0.0)
+
+
 def _validate_samples(w, features, labels):
     w_ = as_matrix(w, "w")
     f = as_matrix(features, "features")
@@ -118,28 +134,15 @@ def build_decoupler(w, features, labels, base: float | None = None) -> Decoupler
     """
     w_, f, y = _validate_samples(w, features, labels)
     acts = f @ w_.T
-    tau = channel_thresholds(w_, f, y)
-    z = acts > tau  # strict comparison: threshold ties are state 0
-    d_out = w_.shape[0]
-
-    concepts = tuple(int(k) for k in np.unique(y[y > 0]))
-    neutral = y == 0
-    per = np.zeros((d_out, len(concepts)))
-    for j, k in enumerate(concepts):
-        mask = neutral | (y == k)
-        zk = z[mask]
-        yk = y[mask] > 0
-        n11 = (zk & yk[:, None]).sum(axis=0)
-        n10 = (zk & ~yk[:, None]).sum(axis=0)
-        n01 = (~zk & yk[:, None]).sum(axis=0)
-        n00 = (~zk & ~yk[:, None]).sum(axis=0)
-        for i in range(d_out):
-            per[i, j] = channel_mi(
-                JointCounts(int(n00[i]), int(n01[i]), int(n10[i]), int(n11[i])), base=base
-            )
+    z = acts > np.median(acts, axis=0)  # strict comparison: threshold ties are state 0
+    # Active samples per (channel, label) pair; label 0 (neutral) sorts first.
+    groups, sizes = np.unique(y, return_counts=True)
+    on = np.stack([z[y == k].sum(axis=0) for k in groups], axis=1)
+    per = _mi_table(sizes[0] - on[:, :1], sizes[1:] - on[:, 1:], on[:, :1], on[:, 1:], base)
+    concepts = tuple(int(k) for k in groups[1:])
 
     mi = per.max(axis=1)
     mi_max = float(mi.max())
     if mi_max <= 0.0:
-        return DecouplerAlpha(np.zeros(d_out), mi, per, concepts, True)
+        return DecouplerAlpha(np.zeros_like(mi), mi, per, concepts, True)
     return DecouplerAlpha(mi / mi_max, mi, per, concepts, False)

@@ -15,7 +15,8 @@ from typing import Any
 import numpy as np
 
 from . import geometry, solver
-from .geometry import RefinementResult, bures_distance, refine_weights
+# Unused here since run_edit takes bures_after from refine_weights; perfbench/tracing.py patches it.
+from .geometry import RefinementResult, bures_distance, refine_weights  # noqa: F401
 from .informax import DecouplerAlpha, build_decoupler
 from .matkernel import as_matrix
 from .metrics import ProbeScores, probe_scores
@@ -200,11 +201,6 @@ def run_edit(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", geometry.RankDeficiencyWarning)
             ref = refine_weights(sol.w_star, w0_, cfg.beta, cfg.interpolation_mode)
-        sigma_zero = w0_ @ w0_.T
-        sigma_after = ref.w @ ref.w.T
-        bures_after = bures_distance(
-            (sigma_after + sigma_after.T) / 2.0, (sigma_zero + sigma_zero.T) / 2.0
-        )
 
     with _stage("metrics"):
         probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved)
@@ -231,7 +227,7 @@ def run_edit(
         zero_target=zero_target,
         alpha_degenerate=dec.degenerate,
         bures_before=ref.bures_before,
-        bures_after=bures_after,
+        bures_after=ref.bures_after,
         refinement_rank=ref.rank,
         refinement_rank_deficient=ref.rank_deficient,
         refinement_degenerate=ref.degenerate,

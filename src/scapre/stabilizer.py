@@ -52,10 +52,8 @@ def build_s(contexts) -> np.ndarray:
     ``contexts`` is one array of token vectors (rows) per concept. The result
     is symmetric PSD of size d_in-by-d_in.
     """
-    groups = validate_contexts(contexts)
-    s = np.zeros((groups[0].shape[1],) * 2)
-    for g in groups:
-        s += g.T @ g
+    g = np.vstack(validate_contexts(contexts))
+    s = g.T @ g
     return (s + s.T) / 2.0
 
 

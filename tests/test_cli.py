@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,10 +248,14 @@ class TestSweepCommand:
 
 
 class TestSubprocessEntry:
+    # the child finds the package from a bare checkout, as the demos test does
+    ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
     def test_module_invocation(self, tmp_path):
         run_gen(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "scapre", "edit", str(tmp_path / "manifest.json")],
+            env=self.ENV,
             capture_output=True,
             text=True,
         )
@@ -258,6 +264,7 @@ class TestSubprocessEntry:
     def test_usage_error_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "scapre", "solve", "--path", "bogus"],
+            env=self.ENV,
             capture_output=True,
             text=True,
         )

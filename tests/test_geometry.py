@@ -126,6 +126,7 @@ class TestRefineWeights:
             res = refine_weights(np.zeros((3, 6)), w0, 0.5, SQRT_BLEND)
         assert np.array_equal(res.w, np.zeros((3, 6)))
         assert res.degenerate and res.rank == 0
+        assert res.bures_after == np.sum(w0 * w0)  # Bures(0, W0 W0^T) = |W0|^2
 
     def test_covariance_realization(self):
         rng = np.random.default_rng(9)
@@ -175,6 +176,37 @@ class TestRefineWeights:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RankDeficiencyWarning)
                     assert refine_weights(w_star, w0, 0.5, mode).bures_before == want
+
+    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
+    def test_bures_after_rank_deficient_commuting_closed_form(self, mode):
+        # W* = Q diag(a) P^T and W0 = Q diag(b) R^T share left vectors, so at
+        # beta=0 the distance is sum (a - b)^2; a has zeros (rank-deficient edit)
+        rng = np.random.default_rng(13)
+        for rank in (1, 2, 4):
+            q = random_orthonormal(rng, 6, 6)
+            a = np.zeros(6)
+            a[:rank] = rng.uniform(0.5, 3.0, rank)
+            b = rng.uniform(0.5, 3.0, 6)
+            w_star = (q * a) @ random_orthonormal(rng, 10, 6).T
+            w0 = (q * b) @ random_orthonormal(rng, 10, 6).T
+            want = np.sum((a - b) ** 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficiencyWarning)
+                got = refine_weights(w_star, w0, 0.0, mode).bures_after
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_bures_after_matches_dense_distance(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            w_star = rng.standard_normal((6, 10))
+            w0 = rng.standard_normal((6, 10))
+            sigma_zero = (w0 @ w0.T + (w0 @ w0.T).T) / 2.0
+            for mode in (SQRT_BLEND, BW_GEODESIC):
+                res = refine_weights(w_star, w0, 0.5, mode)
+                sigma_after = (res.w @ res.w.T + (res.w @ res.w.T).T) / 2.0
+                want = bures_distance(sigma_after, sigma_zero)
+                scale = np.trace(sigma_after) + np.trace(sigma_zero)
+                assert abs(res.bures_after - want) <= 1e-10 * scale
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="match"):

@@ -118,10 +118,14 @@ class TestScalingSweep:
             scaling_sweep(base, [5, 2])
 
     def test_cost_roughly_monotone_in_concept_count(self):
-        # coarse check only: a later row may not be dramatically cheaper
+        # coarse check only: a later row may not be dramatically cheaper. Each
+        # row keeps its fastest of five sweeps, so neither the one-time warm-up
+        # of a fresh process nor a stall of a ~10 ms edit decides the outcome.
         base = SyntheticModelSpec(d_in=192, d_out=64, m_targets=1, m_preserved=2)
-        rows = scaling_sweep(base, [4, 16, 48], EditConfig(beta=0.0), threads=1)
-        walls = [row["wall_ms"] for row in rows]
+        sweeps = [
+            scaling_sweep(base, [4, 16, 48], EditConfig(beta=0.0), threads=1) for _ in range(5)
+        ]
+        walls = [min(row["wall_ms"] for row in rows) for rows in zip(*sweeps)]
         for earlier, later in zip(walls, walls[1:]):
             assert later >= earlier / 2.0
 

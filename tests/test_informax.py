@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scapre.informax import JointCounts, build_decoupler, channel_mi, channel_thresholds
+from scapre.oracle import mi_bruteforce
 
 
 def direct_mi(n00, n01, n10, n11):
@@ -169,3 +170,28 @@ class TestBuildDecoupler:
             dec = build_decoupler(w, feats, labels)
             hits += int(np.argmax(dec.alpha) == planted)
         assert hits >= 99
+
+    @pytest.mark.parametrize("base", [None, 2.0])
+    def test_cells_match_scalar_and_raw_pair_oracles(self, base):
+        # integer weights and features put many activations exactly on the
+        # median, so the strict-threshold tie rule is exercised
+        rng = np.random.default_rng(7)
+        w = rng.integers(-2, 3, (24, 5)).astype(float)
+        feats = rng.integers(-2, 3, (90, 5)).astype(float)
+        labels = np.repeat([0, 2, 3, 7], [30, 8, 19, 33])
+        rng.shuffle(labels)
+        dec = build_decoupler(w, feats, labels, base=base)
+        assert dec.concept_labels == (2, 3, 7)
+        acts = feats @ w.T
+        z = acts > np.median(acts, axis=0)
+        to_base = 1.0 if base is None else math.log(base)
+        for j, k in enumerate(dec.concept_labels):
+            rows = (labels == 0) | (labels == k)
+            for i in range(w.shape[0]):
+                pairs = [(int(zz), int(yy == k)) for zz, yy in zip(z[rows, i], labels[rows])]
+                counts = JointCounts(
+                    *(pairs.count(cell) for cell in ((0, 0), (0, 1), (1, 0), (1, 1)))
+                )
+                got = dec.per_concept_mi[i, j]
+                assert abs(got - channel_mi(counts, base=base)) <= 1e-15
+                assert abs(got - mi_bruteforce(pairs) / to_base) <= 1e-15
