@@ -6,7 +6,10 @@
 # meet. The library solves it two ways:
 #
 # - **spectral**: one eigendecomposition of `A`, then an entrywise division
-#   — the production route, linear-algebra cost `O(d_in^3)`.
+#   — the production route. Given a dense `A` as here it costs `O(d_in^3)`;
+#   `run_edit` hands it the factored stabilizer from `build_a`, whose
+#   eigenbasis is d_in x k with k = min(d_in, tokens + concepts), and never
+#   forms a d_in x d_in matrix.
 # - **kronecker**: assemble `I (x) B + A^T (x) I` and solve the vectorized
 #   system — quadratically bigger, kept as an independent cross-check.
 #

@@ -50,7 +50,7 @@ from .solver import (
     sylvester_solve_kronecker,
     sylvester_solve_spectral,
 )
-from .stabilizer import StabilizerA, assemble_a, build_r, build_s, gate_singular
+from .stabilizer import StabilizerA, assemble_a, build_a, build_r, build_s, gate_singular
 
 __all__ = [
     "BW_GEODESIC",
@@ -72,6 +72,7 @@ __all__ = [
     "assemble_a",
     "assemble_m",
     "baseline_eq2",
+    "build_a",
     "build_decoupler",
     "build_r",
     "build_s",

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import as_matrix, procrustes, psd_sqrt, sym_eig
+# refine_weights takes its polar factor from its own SVD; perfbench/tracing.py
+# patches the procrustes name here.
+from .matkernel import as_matrix, procrustes, psd_sqrt, svd, sym_eig  # noqa: F401
 
 __all__ = [
     "BW_GEODESIC",
@@ -196,8 +198,10 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
         return RefinementResult(
             np.zeros_like(w_), sigma_plus, 0, True, True, 0.0, bures_before, bures_after
         )
-    k = w_.T @ factor
-    sv = np.linalg.svd(k, compute_uv=False)
+    # One SVD of the alignment matrix serves the rank check and the polar
+    # factor U V^T (what procrustes(k) returns).
+    align = svd(w_.T @ factor)
+    sv = align.sigma
     rank_deficient = bool(sv.min() <= _RANK_CUT * max(float(sv.max()), np.finfo(np.float64).tiny))
     if rank_deficient:
         warnings.warn(
@@ -206,7 +210,7 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    q = procrustes(k)
+    q = align.u @ align.v.T
     w_tilde = factor @ q.T
     gap = float(
         np.linalg.norm(w_tilde @ w_tilde.T - sigma_plus) / np.linalg.norm(sigma_plus)

@@ -1,9 +1,9 @@
 """One complete edit, end to end.
 
-Fixed stage order: context statistics, gated concept energy, stabilizer
-assembly, channel decoupler (scored on the unedited weights), right-hand
-side, closed-form solve, geometry refinement, probe scoring. Every run
-returns the edited weights plus a self-describing report.
+Fixed stage order: stabilizer assembly from the context tokens and the
+gated concept energy, channel decoupler (scored on the unedited weights),
+right-hand side, closed-form solve, geometry refinement, probe scoring.
+Every run returns the edited weights plus a self-describing report.
 """
 
 import time
@@ -21,7 +21,9 @@ from .informax import DecouplerAlpha, build_decoupler
 from .matkernel import as_matrix
 from .metrics import ProbeScores, probe_scores
 from .solver import EraseSpec, assemble_m, sylvester_solve_spectral
-from .stabilizer import StabilizerA, assemble_a, build_r, build_s, relative_lambda
+# run_edit assembles A with build_a; the dense reference route stays importable
+# here because perfbench/tracing.py patches these names.
+from .stabilizer import StabilizerA, assemble_a, build_a, build_r, build_s, relative_lambda  # noqa: F401
 
 __all__ = [
     "EditConfig",
@@ -119,6 +121,10 @@ class EditReport:
     target_mode: str
     solver_path: str
     sylvester_residual: float
+    stabilizer_rank: int
+    a_eig_min: float
+    a_eig_max: float
+    min_denominator: float
     zero_target: bool
     alpha_degenerate: bool
     bures_before: float
@@ -177,10 +183,7 @@ def run_edit(
             raise ValueError(
                 f"{len(contexts)} context groups for {spec.n_concepts} concepts"
             )
-        s = build_s(contexts)
-        r = build_r(spec.concepts)
-        lam = cfg.lam if cfg.lam is not None else relative_lambda(s, cfg.lam_scale)
-        stab = assemble_a(lam, s, r)
+        stab = build_a(contexts, spec.concepts, cfg.lam, cfg.lam_scale)
 
     with _stage("informax"):
         dec = build_decoupler(w0_, features, labels)
@@ -217,13 +220,17 @@ def run_edit(
         m=spec.n_concepts,
         d_in=w0_.shape[1],
         d_out=w0_.shape[0],
-        lam=float(lam),
+        lam=stab.lam,
         lam_rule="absolute" if cfg.lam is not None else "relative",
         beta=cfg.beta,
         interpolation_mode=cfg.interpolation_mode,
         target_mode=cfg.target_mode,
         solver_path=sol.path,
         sylvester_residual=sol.residual,
+        stabilizer_rank=stab.rank,
+        a_eig_min=stab.eig_min,
+        a_eig_max=stab.eig_max,
+        min_denominator=sol.min_denominator,
         zero_target=zero_target,
         alpha_degenerate=dec.degenerate,
         bures_before=ref.bures_before,

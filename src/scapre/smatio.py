@@ -16,6 +16,8 @@ round trips are bit-identical, negative zeros and subnormals included.
 
 import json
 import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,11 +71,29 @@ class ManifestError(ValueError):
     """Malformed run manifest (unknown keys, bad values, missing entries)."""
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A failure part-way leaves the previous file (or no file) in place and
+    removes the temporary one, so readers never see a truncated output.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_smat(path, m) -> None:
-    """Write ``m`` to ``path`` in SMAT form."""
+    """Write ``m`` to ``path`` in SMAT form, atomically."""
     arr = np.ascontiguousarray(as_matrix(m, "matrix"), dtype="<f8")
     header = _HEADER.pack(_MAGIC, _VERSION, 0, arr.shape[0], arr.shape[1])
-    Path(path).write_bytes(header + arr.tobytes())
+    _write_atomic(path, header + arr.tobytes())
 
 
 def read_smat(path) -> np.ndarray:
@@ -243,10 +263,9 @@ def _json_safe(value):
 
 
 def write_report(path, report: dict) -> None:
-    """Write a report dict as stable, strictly valid JSON (NaN/Inf -> null)."""
-    Path(path).write_text(
-        json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    """Write a report dict as stable, strictly valid JSON (NaN/Inf -> null), atomically."""
+    text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_atomic(path, text.encode())
 
 
 def format_csv(rows) -> str:
@@ -265,4 +284,5 @@ def format_csv(rows) -> str:
 
 
 def write_csv(path, rows) -> None:
-    Path(path).write_text(format_csv(rows))
+    """Write rows under the fixed schema, atomically."""
+    _write_atomic(path, format_csv(rows).encode())

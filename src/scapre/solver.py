@@ -117,11 +117,18 @@ def assemble_m(w0, spec: EraseSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EditSolution:
-    """Solved weights with the relative equation residual and route taken."""
+    """Solved weights with the relative equation residual and route taken.
+
+    ``min_denominator`` is the smallest ``b_i + eigval_j`` over the
+    eigenvalues of ``A``, the complement's ``lam`` included: the smallest
+    divisor of the spectral route and the smallest eigenvalue of the
+    vectorized operator.
+    """
 
     w_star: np.ndarray
     residual: float
     path: str
+    min_denominator: float
 
 
 def _b_vector(b):
@@ -135,25 +142,41 @@ def _b_vector(b):
 
 
 def _split_a(a):
-    """Accept the stabilizer as a StabilizerA or a raw symmetric matrix."""
+    """The stabilizer as a ``StabilizerA`` plus its product ``w -> w @ A``.
+
+    A ``StabilizerA`` is used through its factors. A raw symmetric matrix is
+    eigendecomposed in full, so its basis has no complement and any ridge
+    represents it; its smallest eigenvalue keeps ``eig_min`` exact. Products
+    with a raw matrix stay dense, so the residual is of the equation as given.
+    """
     if isinstance(a, StabilizerA):
-        return a.a, a.eig
+        return a, a.times
     a_ = as_matrix(a, "a")
-    return a_, sym_eig(a_)
+    eig = sym_eig(a_)
+    return StabilizerA(float(eig.eigvals.min()), eig), lambda w: w @ a_
 
 
-def _check_uniqueness(b_vals: np.ndarray, a_vals: np.ndarray):
-    """Disjoint-spectra guard: B PSD and A PD keep the solve well posed."""
+def _dense_a(a) -> np.ndarray:
+    return a.a if isinstance(a, StabilizerA) else as_matrix(a, "a")
+
+
+def _check_uniqueness(b_vals: np.ndarray, stab: StabilizerA) -> float:
+    """Disjoint-spectra guard: B PSD and A PD keep the solve well posed.
+
+    Returns the smallest ``b_i + eigval_j``: every such sum pairs some
+    ``b_i`` with an eigenvalue of ``A``, so the smallest pairs the smallest.
+    """
     if b_vals.min() < 0.0:
         raise ValueError(f"b entries must be nonnegative, got min {b_vals.min():.6e}")
-    if a_vals.min() <= 0.0:
-        raise ValueError(
-            f"a must be positive definite, got min eigenvalue {a_vals.min():.6e}"
-        )
+    a_min = stab.eig_min
+    if a_min <= 0.0:
+        raise ValueError(f"a must be positive definite, got min eigenvalue {a_min:.6e}")
+    return float(b_vals.min() + a_min)
 
 
-def _residual(b_vals, a_mat, w, m) -> float:
-    num = float(np.linalg.norm(b_vals[:, None] * w + w @ a_mat - m))
+def _residual(b_vals, wa, w, m) -> float:
+    """Relative residual of ``B W + W A = M`` given the product ``wa = W A``."""
+    num = float(np.linalg.norm(b_vals[:, None] * w + wa - m))
     den = float(np.linalg.norm(m))
     return num / den if den > 0.0 else num
 
@@ -161,26 +184,30 @@ def _residual(b_vals, a_mat, w, m) -> float:
 def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     """Solve ``B W + W A = M`` in the eigenbasis of ``A``.
 
-    With diagonal ``B`` a single eigendecomposition of ``A`` suffices and the
-    system decouples entrywise as ``X[i, j] = Mhat[i, j] / (b[i] + eigval_a[j])``.
+    With diagonal ``B`` and ``A = lam*I + V diag(eigvals - lam) V^T`` the
+    system decouples entrywise:
+    ``W = ((M V) / (b + eigvals)) V^T + (M - M V V^T) / (b + lam)``, where
+    the second term is the complement of ``V`` and vanishes when ``V`` spans
+    all of d_in. ``a`` is a ``StabilizerA`` (no d_in-by-d_in array is formed)
+    or a raw symmetric matrix (eigendecomposed in full).
     """
     b_vals = _b_vector(b_diag)
-    a_mat, a_eig = _split_a(a)
+    stab, times = _split_a(a)
+    vecs, vals = stab.eig
     m_ = as_matrix(m, "m")
-    d_out = b_vals.shape[0]
-    if m_.shape != (d_out, a_mat.shape[0]):
+    d_out, d_in = b_vals.shape[0], vecs.shape[0]
+    if m_.shape != (d_out, d_in):
+        raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
+    min_denom = _check_uniqueness(b_vals, stab)
+    if min_denom < 1e-12:
         raise ValueError(
-            f"m must be {d_out}x{a_mat.shape[0]} to match b and a, got {m_.shape}"
+            f"ill-posed system: smallest eigenvalue sum {min_denom:.6e} is below 1e-12"
         )
-    _check_uniqueness(b_vals, a_eig.eigvals)
-    denom = b_vals[:, None] + a_eig.eigvals[None, :]
-    if denom.min() < 1e-12:
-        raise ValueError(
-            f"ill-posed system: smallest eigenvalue sum {denom.min():.6e} is below 1e-12"
-        )
-    x = (m_ @ a_eig.eigvecs) / denom
-    w = x @ a_eig.eigvecs.T
-    return EditSolution(w, _residual(b_vals, a_mat, w, m_), "spectral")
+    mv = m_ @ vecs
+    w = (mv / (b_vals[:, None] + vals[None, :])) @ vecs.T
+    if stab.rank < d_in:
+        w += (m_ - mv @ vecs.T) / (b_vals + stab.lam)[:, None]
+    return EditSolution(w, _residual(b_vals, times(w), w, m_), "spectral", min_denom)
 
 
 def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSolution:
@@ -190,19 +217,20 @@ def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSo
     Kronecker entry budget; intended for cross-checks and small systems.
     """
     b_vals = _b_vector(b_diag)
-    a_mat, a_eig = _split_a(a)
+    stab, _ = _split_a(a)
+    a_mat = _dense_a(a)
     m_ = as_matrix(m, "m")
     d_out = b_vals.shape[0]
     d_in = a_mat.shape[0]
     if m_.shape != (d_out, d_in):
         raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
-    _check_uniqueness(b_vals, a_eig.eigvals)
+    min_denom = _check_uniqueness(b_vals, stab)
     lhs = kron_assemble(np.eye(d_in), np.diag(b_vals), budget) + kron_assemble(
         a_mat.T, np.eye(d_out), budget
     )
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
-    return EditSolution(w, _residual(b_vals, a_mat, w, m_), "kronecker")
+    return EditSolution(w, _residual(b_vals, w @ a_mat, w, m_), "kronecker", min_denom)
 
 
 def objective_value(w, a, b_diag, m) -> float:
@@ -212,7 +240,7 @@ def objective_value(w, a, b_diag, m) -> float:
     solution of ``B W + W A = M``.
     """
     w_ = as_matrix(w, "w")
-    a_mat = a.a if isinstance(a, StabilizerA) else as_matrix(a, "a")
+    a_mat = _dense_a(a)
     m_ = as_matrix(m, "m")
     b_ = _b_vector(b_diag)
     if w_.shape != m_.shape or w_.shape[1] != a_mat.shape[0]:

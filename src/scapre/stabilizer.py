@@ -2,7 +2,9 @@
 
 Three parts make up the curvature matrix ``A = lam*I + S + R``: a ridge term,
 the second-order statistics ``S`` of the context tokens, and the gated
-concept-subspace energy ``R``.
+concept-subspace energy ``R``. ``build_a`` assembles ``A`` from the factors
+of ``S`` and ``R`` and keeps only its eigenpairs off the ridge; the dense
+``build_s``, ``build_r`` and ``assemble_a`` are its reference route.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ from .matkernel import SpectralDecomposition, as_matrix, svd, sym_eig
 __all__ = [
     "StabilizerA",
     "assemble_a",
+    "build_a",
     "build_r",
     "build_s",
     "gate_singular",
@@ -84,15 +87,8 @@ def build_r(c_e) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def relative_lambda(s, scale: float = 0.1) -> float:
-    """Ridge weight as a fraction of the mean diagonal of ``S``.
-
-    Keeps the ridge proportionate to the context energy regardless of the
-    embedding magnitude. Raises if ``S`` has nonpositive trace; pass an
-    absolute weight in that case.
-    """
-    s_ = as_matrix(s, "s")
-    lam = scale * float(np.trace(s_)) / s_.shape[0]
+def _ridge(trace: float, d_in: int, scale: float) -> float:
+    lam = scale * trace / d_in
     if lam <= 0.0:
         raise ValueError(
             "relative ridge rule needs a context matrix with positive trace; "
@@ -101,26 +97,116 @@ def relative_lambda(s, scale: float = 0.1) -> float:
     return lam
 
 
+def relative_lambda(s, scale: float = 0.1) -> float:
+    """Ridge weight as a fraction of the mean diagonal of ``S``.
+
+    Keeps the ridge proportionate to the context energy regardless of the
+    embedding magnitude. Raises if ``S`` has nonpositive trace; pass an
+    absolute weight in that case.
+    """
+    s_ = as_matrix(s, "s")
+    return _ridge(float(np.trace(s_)), s_.shape[0], scale)
+
+
 @dataclass(frozen=True)
 class StabilizerA:
-    """``a = lam*I + s + r`` together with its parts and eigendecomposition.
+    """``A = lam*I + S + R`` held as its ridge and its eigenpairs.
 
-    The eigendecomposition is computed once at assembly and reused by the
-    spectral solver path.
+    ``eig`` holds eigenpairs of ``A`` on the span of a d_in-by-k orthonormal
+    basis; on the orthogonal complement (empty when k = d_in) every
+    eigenvalue of ``A`` is ``lam``. So ``A = lam*I + V diag(eigvals - lam) V^T``
+    and the object takes O(d_in*k) memory.
     """
 
     lam: float
-    s: np.ndarray
-    r: np.ndarray
-    a: np.ndarray
     eig: SpectralDecomposition
+
+    @property
+    def rank(self) -> int:
+        """Number of eigenpairs held, k."""
+        return self.eig.eigvecs.shape[1]
+
+    @property
+    def _has_complement(self) -> bool:
+        return self.rank < self.eig.eigvecs.shape[0]
+
+    @property
+    def eig_min(self) -> float:
+        """Smallest eigenvalue of ``A``, the complement's ``lam`` included."""
+        low = float(self.eig.eigvals.min())
+        return min(low, self.lam) if self._has_complement else low
+
+    @property
+    def eig_max(self) -> float:
+        """Largest eigenvalue of ``A``, the complement's ``lam`` included."""
+        high = float(self.eig.eigvals.max())
+        return max(high, self.lam) if self._has_complement else high
+
+    def times(self, w) -> np.ndarray:
+        """``w @ A`` from the factors, without forming ``A``."""
+        vecs = self.eig.eigvecs
+        return self.lam * w + ((w @ vecs) * (self.eig.eigvals - self.lam)) @ vecs.T
+
+    @property
+    def a(self) -> np.ndarray:
+        """Dense ``A``, built on each access: d_in*d_in entries.
+
+        For the dense oracles (Kronecker route, gradient descent, objective
+        value) and tests; the edit path never calls it.
+        """
+        a = self.times(np.eye(self.eig.eigvecs.shape[0]))
+        return (a + a.T) / 2.0
+
+
+def _checked(lam: float, eig: SpectralDecomposition) -> StabilizerA:
+    """``StabilizerA`` after verifying that no eigenvalue falls below ``lam``.
+
+    ``S + R`` is PSD, so ``A``'s spectrum sits at or above ``lam`` up to
+    round-off; anything further below means the parts were not PSD.
+    """
+    tol = max(1e-8, 1e-12 * float(np.abs(eig.eigvals).max()))
+    if eig.eigvals.min() < lam - tol:
+        raise ValueError(
+            f"s + r is not positive semidefinite: assembled minimum eigenvalue "
+            f"{eig.eigvals.min():.6e} falls below lam={lam:.6e}"
+        )
+    return StabilizerA(float(lam), eig)
+
+
+def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> StabilizerA:
+    """Stabilizer ``lam*I + S + R`` from its factors, with no d_in-by-d_in array.
+
+    With ``G`` the stacked context tokens and ``F = U diag(sqrt(gate(sigma)))``
+    from the thin SVD of the concepts, ``S + R = X X^T`` for
+    ``X = [G^T, F]`` (d_in by T+m). A thin QR ``X = Q R_x`` and one k-by-k
+    eigendecomposition ``R_x R_x^T = U diag(mu) U^T`` (k = min(d_in, T+m))
+    give the basis ``V = Q U`` with eigenvalues ``lam + mu``. ``lam=None``
+    applies the relative rule ``lam_scale * |G|_F^2 / d_in``, which is
+    ``lam_scale * trace(S) / d_in``. Same result as ``assemble_a(lam,
+    build_s(contexts), build_r(c_e))`` up to round-off, in O(d_in*k) memory.
+    """
+    g = np.vstack(validate_contexts(contexts))
+    c = validate_concepts(c_e)
+    d_in = g.shape[1]
+    if c.shape[0] != d_in:
+        raise ValueError(f"concepts have length {c.shape[0]}, contexts have {d_in}")
+    if lam is None:
+        lam = _ridge(float(np.vdot(g, g)), d_in, lam_scale)
+    if not lam > 0.0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    dec = svd(c)
+    x = np.hstack([g.T, dec.u * np.sqrt(gate_singular(dec.sigma))])
+    q, r_x = np.linalg.qr(x)
+    low = sym_eig(r_x @ r_x.T)
+    return _checked(lam, SpectralDecomposition(q @ low.eigvecs, lam + low.eigvals))
 
 
 def assemble_a(lam: float, s, r) -> StabilizerA:
-    """Assemble the positive definite stabilizer ``lam*I + s + r``.
+    """Assemble the positive definite stabilizer ``lam*I + s + r`` densely.
 
-    ``lam`` must be positive and ``s``, ``r`` symmetric PSD of equal size;
-    the assembled matrix then has minimum eigenvalue at least ``lam`` up to
+    The reference route for ``build_a``: ``lam`` must be positive and ``s``,
+    ``r`` symmetric PSD of equal size; the full d_in-by-d_in
+    eigendecomposition then has minimum eigenvalue at least ``lam`` up to
     round-off, which is verified.
     """
     if not lam > 0.0:
@@ -133,12 +219,4 @@ def assemble_a(lam: float, s, r) -> StabilizerA:
         if np.linalg.norm(x - x.T) > 1e-10 * max(np.linalg.norm(x), np.finfo(np.float64).tiny):
             raise ValueError(f"{name} is not symmetric within 1e-10 relative tolerance")
     a = lam * np.eye(s_.shape[0]) + s_ + r_
-    a = (a + a.T) / 2.0
-    eig = sym_eig(a)
-    tol = max(1e-8, 1e-12 * float(np.abs(eig.eigvals).max()))
-    if eig.eigvals.min() < lam - tol:
-        raise ValueError(
-            f"s + r is not positive semidefinite: assembled minimum eigenvalue "
-            f"{eig.eigvals.min():.6e} falls below lam={lam:.6e}"
-        )
-    return StabilizerA(float(lam), s_, r_, a, eig)
+    return _checked(lam, sym_eig((a + a.T) / 2.0))

@@ -12,6 +12,7 @@ from scapre.oracle import (
     objective_perturbation_check,
 )
 from scapre.solver import sylvester_solve_spectral
+from scapre.stabilizer import build_a
 
 
 def random_spd(rng, n, lam=0.5):
@@ -45,6 +46,21 @@ class TestGdMinimize:
             tol = 1e-6 * max(1.0, float(np.linalg.norm(m)))
             w = gd_minimize(a, b, m, OracleConfig(grad_tol=tol))
             assert np.linalg.norm(w - closed) / np.linalg.norm(closed) < 1e-4
+
+    def test_matches_factored_stabilizer(self):
+        # the oracle works on the dense A the factored stabilizer builds on
+        # demand, so agreement checks the low-rank solve against plain descent
+        rng = np.random.default_rng(3)
+        for d_in, tokens in ((24, 1), (6, 3)):
+            ctx = [rng.standard_normal((tokens, d_in)) for _ in range(3)]
+            stab = build_a(ctx, 3.0 * rng.standard_normal((d_in, 3)))
+            b = rng.uniform(0, 1, 4)
+            m = rng.standard_normal((4, d_in))
+            closed = sylvester_solve_spectral(b, stab, m).w_star
+            tol = 1e-6 * max(1.0, float(np.linalg.norm(m)))
+            w = gd_minimize(stab, b, m, OracleConfig(grad_tol=tol))
+            assert np.linalg.norm(w - closed) / np.linalg.norm(closed) < 1e-4
+            assert objective_perturbation_check(closed, stab, b, m, trials=20, seed=0)
 
     def test_nonconvergence_carries_gradient_norm(self):
         rng = np.random.default_rng(1)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from scapre.geometry import BW_GEODESIC
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.pipeline import EditConfig, PipelineStageError, ZeroTargetWarning, run_edit
 from scapre.solver import SUBSTITUTE_TARGET, ZERO_TARGET, EraseSpec
+from scapre.stabilizer import assemble_a, build_r, build_s
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +34,12 @@ print(json.dumps([rep.max_erasure_err, rep.median_preserve_err]))
 def small_model(seed=0, **kw):
     spec = SyntheticModelSpec(d_in=48, d_out=24, m_targets=4, m_preserved=3, seed=seed, **kw)
     return generate_model(spec)
+
+
+def dense_reference_a(lam, model):
+    """``A`` assembled densely from the model's contexts and concepts."""
+    s = build_s(model.contexts)
+    return assemble_a(lam, s, build_r(model.erase_spec.concepts)).a
 
 
 class TestRunEdit:
@@ -119,9 +127,63 @@ class TestRunEdit:
         )
         inter = report.intermediates
         w_star = inter.w_star
-        lhs = inter.decoupler.alpha[:, None] * w_star + w_star @ inter.stabilizer.a
-        residual = np.linalg.norm(lhs - inter.m_rhs) / np.linalg.norm(inter.m_rhs)
-        assert abs(residual - report.sylvester_residual) < 1e-12
+        # the stabilizer's own dense A and the one the reference route assembles
+        for a in (inter.stabilizer.a, dense_reference_a(report.lam, model)):
+            lhs = inter.decoupler.alpha[:, None] * w_star + w_star @ a
+            residual = np.linalg.norm(lhs - inter.m_rhs) / np.linalg.norm(inter.m_rhs)
+            assert abs(residual - report.sylvester_residual) < 1e-12
+
+    @pytest.mark.parametrize("tokens", [1, 12])
+    def test_numerical_health_matches_dense_reference(self, tokens):
+        # 48 inputs: 4 concepts with 1 token each give k = 8 < d_in, with 12
+        # tokens each k = d_in and the basis has no complement
+        model = small_model(seed=4, tokens_per_concept=tokens)
+        _, report = run_edit(
+            model.w0, model.erase_spec, model.contexts, model.features, model.labels
+        )
+        vals = np.linalg.eigvalsh(dense_reference_a(report.lam, model))
+        alpha = report.intermediates.decoupler.alpha
+        assert report.stabilizer_rank == min(48, 4 * tokens + 4)
+        assert report.a_eig_min == pytest.approx(vals.min(), rel=1e-12)
+        assert report.a_eig_max == pytest.approx(vals.max(), rel=1e-12)
+        denominators = alpha[:, None] + vals[None, :]
+        assert report.min_denominator == pytest.approx(denominators.min(), rel=1e-12)
+        doc = report.to_dict()
+        assert {"stabilizer_rank", "a_eig_min", "a_eig_max", "min_denominator"} <= set(doc)
+
+    def test_no_input_sized_square_matrix(self):
+        # d_in^2 float64 entries would be 32 MB; the factored stabilizer and
+        # solve hold O(d_in * k) with k = 8 here
+        model = generate_model(SyntheticModelSpec(d_in=2048, d_out=16, m_targets=4, seed=2))
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        tracemalloc.start()
+        try:
+            run_edit(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_kernel_calls_per_edit(self, monkeypatch):
+        # one SVD of the concepts, one of the refined factor against w0 and one
+        # of the alignment matrix; the only stabilizer eigendecomposition is k x k
+        model = small_model(seed=5)
+        calls = []
+        for name in ("eigh", "svd"):
+            kernel = getattr(np.linalg, name)
+
+            def counted(a, *args, _kernel=kernel, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _kernel(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        _, report = run_edit(
+            model.w0, model.erase_spec, model.contexts, model.features, model.labels
+        )
+        assert sum(kind == "svd" for kind, _ in calls) == 3
+        k = report.stabilizer_rank
+        assert ("eigh", (k, k)) in calls
+        assert all(shape[0] != model.w0.shape[1] for kind, shape in calls if kind == "eigh")
 
     def test_bures_improves_on_bw_geodesic_full_rank(self):
         # more targets than output channels makes the edit full rank, so the

@@ -1,9 +1,11 @@
+import builtins
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from scapre import smatio
 from scapre.smatio import (
     CSV_COLUMNS,
     ManifestError,
@@ -11,6 +13,7 @@ from scapre.smatio import (
     format_csv,
     load_manifest,
     read_smat,
+    write_csv,
     write_report,
     write_smat,
 )
@@ -220,3 +223,61 @@ class TestReportAndCsv:
         row = {c: 0.0 for c in CSV_COLUMNS}
         row.update(run_id="r", m=1, d_in=1, d_out=1, mode="x", sylvester_residual=1e-300)
         assert "1e-300" in format_csv([row])
+
+
+def _csv_row():
+    row = {c: 0.0 for c in CSV_COLUMNS}
+    row.update(run_id="r", m=1, d_in=1, d_out=1, mode="x")
+    return row
+
+
+class _FailingHalfway:
+    """File handle that writes half of what it is given, then raises."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+WRITERS = {
+    "smat": (write_smat, np.ones((3, 4)), np.zeros((2, 2))),
+    "report": (write_report, {"run": 1.0}, {"run": 2.0, "more": [1, 2, 3]}),
+    "csv": (write_csv, [_csv_row()], [_csv_row(), _csv_row()]),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, kind):
+        write, old, new = WRITERS[kind]
+        path = tmp_path / f"out.{kind}"
+        write(path, old)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            smatio, "open", lambda p, mode: _FailingHalfway(builtins.open(p, mode)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            write(path, new)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_overwrite_leaves_no_temporary(self, tmp_path, kind):
+        write, old, new = WRITERS[kind]
+        path = tmp_path / f"out.{kind}"
+        write(path, old)
+        write(path, new)
+        reference = tmp_path / "reference"
+        write(reference, new)
+        assert path.read_bytes() == reference.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "reference"])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from scapre.solver import sylvester_solve_spectral
 from scapre.stabilizer import (
     assemble_a,
+    build_a,
     build_r,
     build_s,
     gate_singular,
@@ -161,3 +163,83 @@ class TestRelativeLambda:
     def test_rejects_zero_trace(self):
         with pytest.raises(ValueError, match="positive trace"):
             relative_lambda(np.zeros((3, 3)))
+
+
+def factored_case(d_in, tokens, m, d_out=5, seed=0, duplicate=False):
+    """Contexts, concepts, decoupler and right-hand side for one edit system."""
+    rng = np.random.default_rng(seed)
+    ctx = [rng.standard_normal((tokens, d_in)) for _ in range(m)]
+    if duplicate:
+        ctx = [np.vstack([g, g, g[:1]]) for g in ctx]
+    c = 3.0 * rng.standard_normal((d_in, m))
+    return ctx, c, rng.uniform(0.0, 1.0, d_out), rng.standard_normal((d_out, d_in))
+
+
+def dense_reference(ctx, c, lam=None):
+    s = build_s(ctx)
+    return assemble_a(lam if lam is not None else relative_lambda(s), s, build_r(c))
+
+
+def rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+# (d_in, tokens, m, duplicate, absolute lam): k = min(d_in, T + m) below,
+# at and above d_in, a rank-deficient token stack, and an absolute ridge.
+FACTORED_CASES = {
+    "k<d_in": (40, 2, 3, False, None),
+    "k=d_in": (12, 2, 4, False, None),
+    "k>d_in": (10, 4, 3, False, None),
+    "duplicated-tokens": (30, 2, 3, True, None),
+    "absolute-lam": (30, 2, 3, False, 0.37),
+}
+
+
+class TestBuildA:
+    @pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+    def test_solve_matches_dense_route(self, case):
+        d_in, tokens, m, duplicate, lam = FACTORED_CASES[case]
+        ctx, c, b, rhs = factored_case(d_in, tokens, m, duplicate=duplicate)
+        stab = build_a(ctx, c, lam)
+        dense = dense_reference(ctx, c, lam)
+        assert stab.rank == min(d_in, sum(g.shape[0] for g in ctx) + m)
+        assert stab.lam == pytest.approx(dense.lam, rel=1e-14)
+        assert rel(stab.a, dense.a) < 1e-12
+        got = sylvester_solve_spectral(b, stab, rhs)
+        want = sylvester_solve_spectral(b, dense, rhs)
+        assert rel(got.w_star, want.w_star) < 1e-10
+        assert got.residual < 1e-12
+        assert got.min_denominator == pytest.approx(want.min_denominator, rel=1e-12)
+
+    def test_zero_target_solves_to_zero(self):
+        ctx, c, b, rhs = factored_case(30, 2, 3)
+        sol = sylvester_solve_spectral(b, build_a(ctx, c), np.zeros_like(rhs))
+        assert np.array_equal(sol.w_star, np.zeros_like(rhs))
+        assert sol.residual == 0.0
+
+    def test_spectrum_matches_dense_eigenvalues(self):
+        for case in FACTORED_CASES.values():
+            d_in, tokens, m, duplicate, lam = case
+            ctx, c, _, _ = factored_case(d_in, tokens, m, seed=1, duplicate=duplicate)
+            stab = build_a(ctx, c, lam)
+            vals = np.linalg.eigvalsh(dense_reference(ctx, c, lam).a)
+            assert stab.eig_min == pytest.approx(vals.min(), rel=1e-12)
+            assert stab.eig_max == pytest.approx(vals.max(), rel=1e-12)
+            assert stab.eig_min >= stab.lam - 1e-8
+
+    def test_times_is_the_dense_product(self):
+        ctx, c, _, rhs = factored_case(40, 2, 3)
+        stab = build_a(ctx, c)
+        assert rel(stab.times(rhs), rhs @ dense_reference(ctx, c).a) < 1e-13
+
+    def test_rejects_zero_context_energy(self):
+        with pytest.raises(ValueError, match="positive trace"):
+            build_a([np.zeros((2, 4))], np.ones((4, 1)))
+
+    def test_rejects_nonpositive_lambda(self):
+        with pytest.raises(ValueError, match="positive"):
+            build_a([np.ones((2, 4))], np.ones((4, 1)), lam=0.0)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="length"):
+            build_a([np.ones((2, 4))], np.ones((5, 1)))
