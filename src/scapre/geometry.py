@@ -88,15 +88,19 @@ def bures_distance(sigma_a, sigma_b) -> float:
     return _bures_roots(a, b)[2]
 
 
-def _clamped_inv_sqrt(sigma: np.ndarray, name: str) -> np.ndarray:
-    """Pseudo-inverse square root on the spectrum above the rank cutoff."""
+def _clamped_inv_sqrt(sigma: np.ndarray, name: str, size: int) -> np.ndarray:
+    """Pseudo-inverse square root on the spectrum above the rank cutoff.
+
+    ``sigma`` may be the compression of a size-by-size covariance to a
+    smaller basis that holds its range; the rank is reported out of ``size``.
+    """
     dec = sym_eig(sigma)
     vals = np.clip(dec.eigvals, 0.0, None)
     vmax = float(vals.max()) if vals.size else 0.0
     keep = vals > _RANK_CUT * vmax
-    if not keep.all():
+    if int(keep.sum()) < size:
         warnings.warn(
-            f"{name} is rank deficient ({int(keep.sum())}/{vals.size}); "
+            f"{name} is rank deficient ({int(keep.sum())}/{size}); "
             "using a pseudo-inverse on the clamped spectrum",
             RankDeficiencyWarning,
             stacklevel=4,
@@ -120,14 +124,16 @@ def geodesic_interpolate(sigma_star, sigma_zero, beta: float, mode: str = SQRT_B
     z = _validate_cov(sigma_zero, "sigma_zero")
     if s.shape != z.shape:
         raise ValueError(f"covariance sizes differ: {s.shape} vs {z.shape}")
-    return _interpolate(s, z, beta, mode)[0]
+    return _interpolate(s, z, beta, mode, s.shape[0])[0]
 
 
-def _interpolate(s, z, beta: float, mode: str) -> tuple[np.ndarray, float]:
+def _interpolate(s, z, beta: float, mode: str, size: int) -> tuple[np.ndarray, float]:
     """The ``geodesic_interpolate`` result and the squared Bures distance of ``s`` and ``z``.
 
     Takes symmetric PSD ``s`` and ``z`` of one size; both outputs come from
-    one pair of roots.
+    one pair of roots. ``size`` is the dimension the pseudo-inverse's rank
+    warning counts against: the size of ``s`` itself, or the full size when
+    ``s`` and ``z`` are compressions to a basis that holds the range of ``s``.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
@@ -137,7 +143,7 @@ def _interpolate(s, z, beta: float, mode: str) -> tuple[np.ndarray, float]:
     if mode == SQRT_BLEND:
         blend = (1.0 - beta) * root + beta * cross
         return _sym(blend @ blend), dist
-    inv_root = _clamped_inv_sqrt(s, "sigma_star")
+    inv_root = _clamped_inv_sqrt(s, "sigma_star", size)
     transport = (1.0 - beta) * np.eye(s.shape[0]) + beta * _sym(inv_root @ cross @ inv_root)
     return _sym(transport @ s @ transport), dist
 
@@ -146,15 +152,19 @@ def _interpolate(s, z, beta: float, mode: str) -> tuple[np.ndarray, float]:
 class RefinementResult:
     """Refined weights plus the diagnostics the edit report carries.
 
-    ``realization_gap`` is the relative Frobenius mismatch between
-    ``w w^T`` and the interpolated covariance; it is zero (to round-off)
-    whenever the rotation problem has full rank. ``bures_before`` and
-    ``bures_after`` are the squared Bures distances to ``w0 w0^T`` from
-    ``w_star w_star^T`` and from the refined covariance ``w w^T``.
+    The interpolated covariance is held as ``sigma_q`` in the coordinates of
+    ``basis`` (d_out by q with orthonormal columns, or ``None`` for the
+    identity); ``sigma_plus`` is ``basis sigma_q basis^T``.
+    ``realization_gap`` is the relative Frobenius mismatch between ``w w^T``
+    and the interpolated covariance; it is zero (to round-off) whenever the
+    rotation problem has full rank. ``bures_before`` and ``bures_after`` are
+    the squared Bures distances to ``w0 w0^T`` from ``w_star w_star^T`` and
+    from the refined covariance ``w w^T``.
     """
 
     w: np.ndarray
-    sigma_plus: np.ndarray
+    basis: np.ndarray | None
+    sigma_q: np.ndarray
     rank: int
     rank_deficient: bool
     degenerate: bool
@@ -162,8 +172,38 @@ class RefinementResult:
     bures_before: float
     bures_after: float
 
+    @property
+    def sigma_plus(self) -> np.ndarray:
+        """Dense interpolated covariance, built on each access: d_out*d_out entries.
 
-def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> RefinementResult:
+        For the tests and demos; the edit path never calls it.
+        """
+        if self.basis is None:
+            return self.sigma_q
+        return _sym(self.basis @ self.sigma_q @ self.basis.T)
+
+
+def _column_basis(w: np.ndarray, row_span) -> np.ndarray | None:
+    """Orthonormal basis of a space holding the columns of ``w``; ``None`` for the identity.
+
+    ``row_span`` (d_in by p) spans the row space of ``w``, so ``w @ row_span``
+    spans its column space and its thin QR gives a d_out-by-p basis. With
+    p >= d_out that basis is no smaller than the identity, and neither the
+    product nor the QR is formed.
+    """
+    if row_span is None:
+        return None
+    span = as_matrix(row_span, "row_span")
+    if span.shape[0] != w.shape[1]:
+        raise ValueError(f"row_span has {span.shape[0]} rows, w_star has {w.shape[1]} columns")
+    if span.shape[1] >= w.shape[0]:
+        return None
+    return np.linalg.qr(w @ span)[0]
+
+
+def refine_weights(
+    w_star, w0, beta: float, mode: str = SQRT_BLEND, row_span=None
+) -> RefinementResult:
     """Pull edited weights toward the reference geometry without re-solving.
 
     The edited covariance ``w_star w_star^T`` is interpolated toward
@@ -171,24 +211,50 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
     is rotated by the orthonormal matrix closest to the edit (a Procrustes
     alignment), so the output keeps the interpolated covariance while staying
     as close to ``w_star`` as an orthogonal rotation allows.
+
+    ``row_span`` (d_in by p), when given, must span the row space of
+    ``w_star``. With p < d_out every covariance is then handled in a d_out-by-p
+    orthonormal basis ``Q`` that holds the column space of ``w_star``: with
+    ``S = w_star w_star^T = Q S_q Q^T`` and ``Z_q = Q^T w0 w0^T Q``, the cross
+    root is ``Q (S_q^{1/2} Z_q S_q^{1/2})^{1/2} Q^T``, the bw-geodesic
+    transport maps ``Q`` to ``Q ((1-beta) I + beta K)``, and the interpolated
+    covariance is ``Q sigma_q Q^T``; only ``tr Z - tr Z_q`` of ``bures_before``
+    lies outside ``Q``. Without ``row_span`` (or with p >= d_out) the basis is
+    the identity, which is the dense computation; both agree to round-off.
     """
     w_ = as_matrix(w_star, "w_star")
     w0_ = as_matrix(w0, "w0")
     if w_.shape != w0_.shape:
         raise ValueError(f"w_star shape {w_.shape} does not match w0 {w0_.shape}")
+    basis = _column_basis(w_, row_span)
+    if basis is None:
+        w_q, w0_q = w_, w0_
+    else:
+        w_q, w0_q = basis.T @ w_, basis.T @ w0_
+        # |w_star|^2 - |Q^T w_star|^2 is the squared norm left outside Q
+        w_sq = float(np.vdot(w_, w_))
+        if w_sq - float(np.vdot(w_q, w_q)) > 1e-8 * w_sq:
+            raise ValueError("row_span does not span the row space of w_star")
     # Gram matrices of validated weights are symmetric PSD by construction,
     # so they skip _validate_cov; psd_sqrt still rejects a negative spectrum.
-    sigma_plus, bures_before = _interpolate(_sym(w_ @ w_.T), _sym(w0_ @ w0_.T), beta, mode)
-    dec = sym_eig(sigma_plus)
+    sigma_q, bures_before = _interpolate(
+        _sym(w_q @ w_q.T), _sym(w0_q @ w0_q.T), beta, mode, w_.shape[0]
+    )
+    # tr Z - tr Z_q, the part of w0 w0^T outside the basis (0 for the identity)
+    w0_sq = float(np.vdot(w0_, w0_))
+    bures_before += w0_sq - float(np.vdot(w0_q, w0_q))
+    dec = sym_eig(sigma_q)
     vals = np.clip(dec.eigvals, 0.0, None)
     vmax = float(vals.max()) if vals.size else 0.0
     keep = vals > _RANK_CUT * vmax
     rank = int(keep.sum())
+    # factor is in basis coordinates: basis @ factor has the same norm, and
+    # its product with w0 is factor^T w0_q.
     factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
-    # w_tilde w_tilde^T = factor factor^T, and Bures(X X^T, Y Y^T) =
+    # w_tilde w_tilde^T = F F^T, and Bures(X X^T, Y Y^T) =
     # |X|^2 + |Y|^2 - 2 |X^T Y|_* (Bhatia, Jain & Lim 2019): a rank-by-d_in SVD.
-    nuclear = float(np.linalg.svd(factor.T @ w0_, compute_uv=False).sum())
-    bures_after = max(float(np.vdot(factor, factor) + np.vdot(w0_, w0_)) - 2.0 * nuclear, 0.0)
+    nuclear = float(np.linalg.svd(factor.T @ w0_q, compute_uv=False).sum())
+    bures_after = max(float(np.vdot(factor, factor) + w0_sq) - 2.0 * nuclear, 0.0)
     if rank == 0 or vmax == 0.0:
         warnings.warn(
             "interpolated covariance is zero; refinement degenerates to zero weights",
@@ -196,11 +262,11 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
             stacklevel=2,
         )
         return RefinementResult(
-            np.zeros_like(w_), sigma_plus, 0, True, True, 0.0, bures_before, bures_after
+            np.zeros_like(w_), basis, sigma_q, 0, True, True, 0.0, bures_before, bures_after
         )
     # One SVD of the alignment matrix serves the rank check and the polar
     # factor U V^T (what procrustes(k) returns).
-    align = svd(w_.T @ factor)
+    align = svd(w_q.T @ factor)
     sv = align.sigma
     rank_deficient = bool(sv.min() <= _RANK_CUT * max(float(sv.max()), np.finfo(np.float64).tiny))
     if rank_deficient:
@@ -210,11 +276,11 @@ def refine_weights(w_star, w0, beta: float, mode: str = SQRT_BLEND) -> Refinemen
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    q = align.u @ align.v.T
-    w_tilde = factor @ q.T
-    gap = float(
-        np.linalg.norm(w_tilde @ w_tilde.T - sigma_plus) / np.linalg.norm(sigma_plus)
-    )
+    rotation = align.u @ align.v.T
+    w_tilde = factor @ rotation.T
+    gap = float(np.linalg.norm(w_tilde @ w_tilde.T - sigma_q) / np.linalg.norm(sigma_q))
+    if basis is not None:
+        w_tilde = basis @ w_tilde
     return RefinementResult(
-        w_tilde, sigma_plus, rank, rank_deficient, False, gap, bures_before, bures_after
+        w_tilde, basis, sigma_q, rank, rank_deficient, False, gap, bures_before, bures_after
     )

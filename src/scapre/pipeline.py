@@ -109,7 +109,11 @@ class EditIntermediates:
 
 @dataclass
 class EditReport:
-    """Everything one run produced, numbers only (weights travel separately)."""
+    """Everything one run produced (weights travel separately).
+
+    Numbers, plus ``warnings``: the messages of the ``RankDeficiencyWarning``s
+    the geometry stage raised, recorded here instead of being shown.
+    """
 
     m: int
     d_in: int
@@ -127,12 +131,16 @@ class EditReport:
     min_denominator: float
     zero_target: bool
     alpha_degenerate: bool
+    alpha_min: float
+    alpha_median: float
+    alpha_max: float
     bures_before: float
     bures_after: float
     refinement_rank: int
     refinement_rank_deficient: bool
     refinement_degenerate: bool
     realization_gap: float
+    warnings: list[str]
     erasure_errors: list[float]
     preservation_errors: list[float] | None
     excluded_targets: list[int]
@@ -201,9 +209,18 @@ def run_edit(
         sol = sylvester_solve_spectral(dec.alpha, stab, m_rhs)
 
     with _stage("geometry"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", geometry.RankDeficiencyWarning)
-            ref = refine_weights(sol.w_star, w0_, cfg.beta, cfg.interpolation_mode)
+        # W*'s rows lie in span([V, C]): M = V* C^T, and the solve maps
+        # span([V, C]) into itself.
+        row_span = np.hstack([stab.eig.eigvecs, spec.concepts])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", geometry.RankDeficiencyWarning)
+            ref = refine_weights(sol.w_star, w0_, cfg.beta, cfg.interpolation_mode, row_span)
+        geometry_warnings = []
+        for entry in caught:
+            if issubclass(entry.category, geometry.RankDeficiencyWarning):
+                geometry_warnings.append(str(entry.message))
+            else:
+                warnings.warn_explicit(entry.message, entry.category, entry.filename, entry.lineno)
 
     with _stage("metrics"):
         probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved)
@@ -233,12 +250,16 @@ def run_edit(
         min_denominator=sol.min_denominator,
         zero_target=zero_target,
         alpha_degenerate=dec.degenerate,
+        alpha_min=float(dec.alpha.min()),
+        alpha_median=float(np.median(dec.alpha)),
+        alpha_max=float(dec.alpha.max()),
         bures_before=ref.bures_before,
         bures_after=ref.bures_after,
         refinement_rank=ref.rank,
         refinement_rank_deficient=ref.rank_deficient,
         refinement_degenerate=ref.degenerate,
         realization_gap=ref.realization_gap,
+        warnings=geometry_warnings,
         erasure_errors=[float(x) for x in probes.erasure],
         preservation_errors=(
             [float(x) for x in probes.preservation] if preserved is not None else None

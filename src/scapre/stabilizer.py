@@ -180,9 +180,10 @@ def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> 
     from the thin SVD of the concepts, ``S + R = X X^T`` for
     ``X = [G^T, F]`` (d_in by T+m). A thin QR ``X = Q R_x`` and one k-by-k
     eigendecomposition ``R_x R_x^T = U diag(mu) U^T`` (k = min(d_in, T+m))
-    give the basis ``V = Q U`` with eigenvalues ``lam + mu``. ``lam=None``
-    applies the relative rule ``lam_scale * |G|_F^2 / d_in``, which is
-    ``lam_scale * trace(S) / d_in``. Same result as ``assemble_a(lam,
+    give the basis ``V = Q U`` with eigenvalues ``lam + mu``; when
+    T+m >= d_in, ``Q`` would be square and ``X X^T = G^T G + F F^T`` is
+    eigendecomposed directly. ``lam=None`` applies the relative rule
+    ``lam_scale * |G|_F^2 / d_in``, which is ``lam_scale * trace(S) / d_in``. Same result as ``assemble_a(lam,
     build_s(contexts), build_r(c_e))`` up to round-off, in O(d_in*k) memory.
     """
     g = np.vstack(validate_contexts(contexts))
@@ -195,8 +196,14 @@ def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> 
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     dec = svd(c)
-    x = np.hstack([g.T, dec.u * np.sqrt(gate_singular(dec.sigma))])
-    q, r_x = np.linalg.qr(x)
+    f = dec.u * np.sqrt(gate_singular(dec.sigma))
+    if g.shape[0] + f.shape[1] >= d_in:
+        # Q would be square, so the identity basis does as well, without the QR
+        xxt = g.T @ g
+        xxt += f @ f.T
+        low = sym_eig(xxt)
+        return _checked(lam, SpectralDecomposition(low.eigvecs, lam + low.eigvals))
+    q, r_x = np.linalg.qr(np.hstack([g.T, f]))
     low = sym_eig(r_x @ r_x.T)
     return _checked(lam, SpectralDecomposition(q @ low.eigvecs, lam + low.eigvals))
 

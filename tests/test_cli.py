@@ -35,6 +35,8 @@ class TestEditCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["m"] == 3
         assert report["config"]["target_mode"] == "substitute-target"
+        assert isinstance(report["warnings"], list)
+        assert report["alpha_min"] <= report["alpha_median"] <= report["alpha_max"]
         csv_text = (tmp_path / "report_row.csv").read_text()
         assert csv_text.startswith("run_id,m,d_in,d_out,lambda,beta,mode,")
 

@@ -180,20 +180,25 @@ class TestRefineWeights:
     @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
     def test_bures_after_rank_deficient_commuting_closed_form(self, mode):
         # W* = Q diag(a) P^T and W0 = Q diag(b) R^T share left vectors, so at
-        # beta=0 the distance is sum (a - b)^2; a has zeros (rank-deficient edit)
+        # beta=0 the distance is sum (a - b)^2; a has zeros (rank-deficient
+        # edit). Dense, and in the column space of W* from a row span of
+        # rank + 1 < d_out columns.
         rng = np.random.default_rng(13)
         for rank in (1, 2, 4):
             q = random_orthonormal(rng, 6, 6)
             a = np.zeros(6)
             a[:rank] = rng.uniform(0.5, 3.0, rank)
             b = rng.uniform(0.5, 3.0, 6)
-            w_star = (q * a) @ random_orthonormal(rng, 10, 6).T
+            p = random_orthonormal(rng, 10, 6)
+            w_star = (q * a) @ p.T
             w0 = (q * b) @ random_orthonormal(rng, 10, 6).T
             want = np.sum((a - b) ** 2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RankDeficiencyWarning)
-                got = refine_weights(w_star, w0, 0.0, mode).bures_after
-            assert abs(got - want) <= 1e-12 * want
+            row_span = np.hstack([p[:, :rank], rng.standard_normal((10, 1))])
+            for span in (None, row_span):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RankDeficiencyWarning)
+                    got = refine_weights(w_star, w0, 0.0, mode, row_span=span).bures_after
+                assert abs(got - want) <= 1e-12 * want
 
     def test_bures_after_matches_dense_distance(self):
         rng = np.random.default_rng(14)
@@ -211,3 +216,67 @@ class TestRefineWeights:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="match"):
             refine_weights(np.ones((2, 3)), np.ones((3, 2)), 0.5)
+
+
+def spanned_edit(rng, d_out, d_in, p):
+    """A random W* whose rows lie in the span of a random d_in-by-p ``row_span``."""
+    row_span = rng.standard_normal((d_in, p))
+    return rng.standard_normal((d_out, p)) @ row_span.T, row_span
+
+
+class TestColumnSpaceRoute:
+    # (d_out, d_in, p) with p < d_out; in "tall-span-past-d_in" the span has
+    # more columns than d_in, so W* @ row_span is rank deficient
+    SHAPES = {"wide": (8, 20, 5), "tall": (12, 6, 4), "tall-span-past-d_in": (12, 6, 8)}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_matches_dense_route(self, shape, mode, beta):
+        d_out, d_in, p = self.SHAPES[shape]
+        rng = np.random.default_rng(15)
+        w_star, row_span = spanned_edit(rng, d_out, d_in, p)
+        w0 = rng.standard_normal((d_out, d_in))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            dense = refine_weights(w_star, w0, beta, mode)
+            narrow = refine_weights(w_star, w0, beta, mode, row_span=row_span)
+        assert dense.basis is None and narrow.basis.shape == (d_out, p)
+        # the dense roots take square roots of the round-off eigenvalues on
+        # the null space of W* W*^T, about sqrt(eps) = 1.5e-8 relative; the
+        # bw-geodesic pseudo-inverse clamps them away from sigma_plus
+        tol = 1e-12 if mode == BW_GEODESIC else 5e-8
+        assert rel_err(narrow.w, dense.w) < tol
+        assert rel_err(narrow.sigma_plus, dense.sigma_plus) < tol
+        scale = np.sum(w_star * w_star) + np.sum(w0 * w0)
+        assert abs(narrow.bures_before - dense.bures_before) <= 2e-8 * scale
+        assert abs(narrow.bures_after - dense.bures_after) <= tol * scale
+        assert (narrow.rank, narrow.rank_deficient) == (dense.rank, dense.rank_deficient)
+        assert narrow.realization_gap <= 1e-8
+
+    def test_span_as_wide_as_d_out_is_the_dense_route(self):
+        rng = np.random.default_rng(16)
+        w_star, row_span = spanned_edit(rng, 6, 20, 6)
+        w0 = rng.standard_normal((6, 20))
+        res = refine_weights(w_star, w0, 0.5, row_span=row_span)
+        assert res.basis is None
+        assert np.array_equal(res.w, refine_weights(w_star, w0, 0.5).w)
+
+    def test_bw_warning_counts_rank_out_of_d_out(self):
+        # the compressed covariance is 2x2 and full rank, but sigma_star
+        # itself has rank 2 of 12
+        rng = np.random.default_rng(18)
+        w_star, row_span = spanned_edit(rng, 12, 6, 2)
+        w0 = rng.standard_normal((12, 6))
+        with pytest.warns(RankDeficiencyWarning, match=r"sigma_star is rank deficient \(2/12\)"):
+            res = refine_weights(w_star, w0, 0.5, BW_GEODESIC, row_span=row_span)
+        assert res.basis.shape == (12, 2) and res.rank == 2
+
+    def test_rejects_a_span_missing_the_rows(self):
+        rng = np.random.default_rng(19)
+        w_star, row_span = spanned_edit(rng, 12, 6, 3)
+        w0 = rng.standard_normal((12, 6))
+        with pytest.raises(ValueError, match="row space"):
+            refine_weights(w_star, w0, 0.5, row_span=row_span[:, :2])
+        with pytest.raises(ValueError, match="row_span has 5 rows"):
+            refine_weights(w_star, w0, 0.5, row_span=row_span[:5])

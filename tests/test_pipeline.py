@@ -1,14 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scapre.geometry import BW_GEODESIC
+from scapre.geometry import BW_GEODESIC, RankDeficiencyWarning, refine_weights
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.pipeline import EditConfig, PipelineStageError, ZeroTargetWarning, run_edit
 from scapre.solver import SUBSTITUTE_TARGET, ZERO_TARGET, EraseSpec
@@ -206,22 +208,23 @@ class TestRunEdit:
 
     @pytest.mark.parametrize("mode, expected", [("sqrt-blend", 3), (BW_GEODESIC, 4)])
     def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, expected):
-        # refinement builds each root once (2 eigh, one more for the bw-geodesic
-        # pseudo-inverse root, 1 for the refined factor); bures_after comes from
-        # that factor, so nothing is validated or decomposed again
+        # refinement works in the column space of W*, whose rows lie in the
+        # span of the stabilizer basis and the concepts: p = k + m = 12 < 24
+        # = d_out. It builds each root once (2 eigh, one more for the
+        # bw-geodesic pseudo-inverse root, 1 for the refined factor), all of
+        # size p and none of size d_out; the only other eigh is the
+        # stabilizer's k x k
         model = small_model(seed=5)
-        d_out = model.w0.shape[0]
         calls = []
         for name in ("eigh", "eigvalsh"):
             kernel = getattr(np.linalg, name)
 
             def counted(a, *args, _kernel=kernel, _name=name, **kwargs):
-                if np.shape(a)[0] == d_out:
-                    calls.append(_name)
+                calls.append((_name, np.shape(a)[0]))
                 return _kernel(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        run_edit(
+        _, report = run_edit(
             model.w0,
             model.erase_spec,
             model.contexts,
@@ -229,8 +232,58 @@ class TestRunEdit:
             model.labels,
             EditConfig(beta=0.5, interpolation_mode=mode),
         )
-        assert len(calls) == expected
-        assert calls.count("eigvalsh") == 0
+        k = report.stabilizer_rank
+        p = k + report.m
+        assert (k, p, report.d_out) == (8, 12, 24)
+        assert sorted(calls) == sorted([("eigh", k)] + [("eigh", p)] * expected)
+
+    def test_no_output_sized_square_matrix(self):
+        # d_out^2 float64 entries would be 32 MB; the geometry stage works in
+        # a basis of k + m = 12 columns
+        model = generate_model(SyntheticModelSpec(d_in=16, d_out=2048, m_targets=4, seed=2))
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        for mode in ("sqrt-blend", BW_GEODESIC):
+            tracemalloc.start()
+            try:
+                run_edit(*args, EditConfig(interpolation_mode=mode))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+
+    def test_report_records_warnings_and_alpha_spread(self):
+        # W* has rank at most k + m = 12 of d_out = 24, so the bw-geodesic
+        # pseudo-inverse warns, with the rank counted against d_out
+        model = small_model(seed=6)
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficiencyWarning)
+            _, report = run_edit(*args, EditConfig(interpolation_mode=BW_GEODESIC))
+        found = re.match(r"sigma_star is rank deficient \((\d+)/24\)", report.warnings[0])
+        assert found and int(found[1]) <= 12
+        alpha = report.intermediates.decoupler.alpha
+        assert report.alpha_min == alpha.min() and report.alpha_max == alpha.max()
+        assert report.alpha_median == np.median(alpha)
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert doc["warnings"] == report.warnings
+        _, report = run_edit(*args, EditConfig(beta=0.5))
+        assert report.warnings == []
+
+    def test_other_geometry_warnings_still_propagate(self, monkeypatch):
+        # only RankDeficiencyWarning is recorded; anything else reaches the caller
+        model = small_model(seed=6)
+
+        def noisy_refine(*args, **kwargs):
+            warnings.warn("rank note", RankDeficiencyWarning)
+            warnings.warn("other note", RuntimeWarning)
+            return refine_weights(*args, **kwargs)
+
+        monkeypatch.setattr("scapre.pipeline.refine_weights", noisy_refine)
+        with pytest.warns(RuntimeWarning, match="other note"):
+            _, report = run_edit(
+                model.w0, model.erase_spec, model.contexts, model.features, model.labels
+            )
+        assert report.warnings == ["rank note"]
 
     def test_stage_error_is_tagged(self):
         model = small_model()
