@@ -56,7 +56,6 @@ for beta in (0.0, 0.5, 1.0):
     )
 
 # %% [markdown]
-# At beta=0 the refinement returns the edit itself (its own covariance
-# factor, rotated onto itself); at beta=1 in geodesic mode the output's
-# covariance matches the reference exactly, with the rotation keeping it
-# as close to the edit as possible.
+# At beta=0 the refinement is skipped and returns the edit itself; at
+# beta=1 in geodesic mode the output's covariance matches the reference
+# exactly, with the rotation keeping it as close to the edit as possible.

@@ -35,6 +35,11 @@ INTERPOLATION_MODES = (SQRT_BLEND, BW_GEODESIC)
 
 # Relative eigenvalue cutoff below which a covariance direction counts as null.
 _RANK_CUT = 1e-12
+# Relative floor below which an eigenvalue of W* W*^T is round-off: eigh is
+# exact only for a matrix within about eps * lambda_max of its input. Cutting
+# at _RANK_CUT instead would drop directions whose roots still count (the
+# root of a 1e-13 eigenvalue is 3e-7 of the largest).
+_ROUNDOFF_CUT = np.finfo(np.float64).eps
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -88,14 +93,13 @@ def bures_distance(sigma_a, sigma_b) -> float:
     return _bures_roots(a, b)[2]
 
 
-def _clamped_inv_sqrt(sigma: np.ndarray, name: str, size: int) -> np.ndarray:
-    """Pseudo-inverse square root on the spectrum above the rank cutoff.
+def _pinv_sqrt(vals: np.ndarray, name: str, size: int) -> np.ndarray:
+    """Reciprocal square roots of the eigenvalues above the rank cutoff, zero below.
 
-    ``sigma`` may be the compression of a size-by-size covariance to a
-    smaller basis that holds its range; the rank is reported out of ``size``.
+    ``vals`` may be the nonzero spectrum of a size-by-size covariance; the
+    rank is reported out of ``size``.
     """
-    dec = sym_eig(sigma)
-    vals = np.clip(dec.eigvals, 0.0, None)
+    vals = np.clip(vals, 0.0, None)
     vmax = float(vals.max()) if vals.size else 0.0
     keep = vals > _RANK_CUT * vmax
     if int(keep.sum()) < size:
@@ -103,11 +107,11 @@ def _clamped_inv_sqrt(sigma: np.ndarray, name: str, size: int) -> np.ndarray:
             f"{name} is rank deficient ({int(keep.sum())}/{size}); "
             "using a pseudo-inverse on the clamped spectrum",
             RankDeficiencyWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
-    return (dec.eigvecs * inv) @ dec.eigvecs.T
+    return inv
 
 
 def geodesic_interpolate(sigma_star, sigma_zero, beta: float, mode: str = SQRT_BLEND) -> np.ndarray:
@@ -119,52 +123,51 @@ def geodesic_interpolate(sigma_star, sigma_zero, beta: float, mode: str = SQRT_B
     ``C = (1-beta) I + beta * S^{-1/2} (S^{1/2} Z S^{1/2})^{1/2} S^{-1/2}``
     (pseudo-inverted on a rank-deficient spectrum, with a warning). Both
     modes return ``sigma_star`` at beta=0 and a symmetric PSD matrix always.
+    This is the dense d-by-d computation; ``refine_weights`` works in a
+    basis of the range of ``sigma_star`` instead.
     """
+    _check_beta_mode(beta, mode)
     s = _validate_cov(sigma_star, "sigma_star")
     z = _validate_cov(sigma_zero, "sigma_zero")
     if s.shape != z.shape:
         raise ValueError(f"covariance sizes differ: {s.shape} vs {z.shape}")
-    return _interpolate(s, z, beta, mode, s.shape[0])[0]
+    root, cross, _ = _bures_roots(s, z)
+    if mode == SQRT_BLEND:
+        blend = (1.0 - beta) * root + beta * cross
+        return _sym(blend @ blend)
+    dec = sym_eig(s)
+    inv_root = (dec.eigvecs * _pinv_sqrt(dec.eigvals, "sigma_star", s.shape[0])) @ dec.eigvecs.T
+    transport = (1.0 - beta) * np.eye(s.shape[0]) + beta * _sym(inv_root @ cross @ inv_root)
+    return _sym(transport @ s @ transport)
 
 
-def _interpolate(s, z, beta: float, mode: str, size: int) -> tuple[np.ndarray, float]:
-    """The ``geodesic_interpolate`` result and the squared Bures distance of ``s`` and ``z``.
-
-    Takes symmetric PSD ``s`` and ``z`` of one size; both outputs come from
-    one pair of roots. ``size`` is the dimension the pseudo-inverse's rank
-    warning counts against: the size of ``s`` itself, or the full size when
-    ``s`` and ``z`` are compressions to a basis that holds the range of ``s``.
-    """
+def _check_beta_mode(beta: float, mode: str) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     if mode not in INTERPOLATION_MODES:
         raise ValueError(f"mode must be one of {INTERPOLATION_MODES}, got {mode!r}")
-    root, cross, dist = _bures_roots(s, z)
-    if mode == SQRT_BLEND:
-        blend = (1.0 - beta) * root + beta * cross
-        return _sym(blend @ blend), dist
-    inv_root = _clamped_inv_sqrt(s, "sigma_star", size)
-    transport = (1.0 - beta) * np.eye(s.shape[0]) + beta * _sym(inv_root @ cross @ inv_root)
-    return _sym(transport @ s @ transport), dist
 
 
 @dataclass(frozen=True)
 class RefinementResult:
     """Refined weights plus the diagnostics the edit report carries.
 
-    The interpolated covariance is held as ``sigma_q`` in the coordinates of
-    ``basis`` (d_out by q with orthonormal columns, or ``None`` for the
-    identity); ``sigma_plus`` is ``basis sigma_q basis^T``.
-    ``realization_gap`` is the relative Frobenius mismatch between ``w w^T``
-    and the interpolated covariance; it is zero (to round-off) whenever the
-    rotation problem has full rank. ``bures_before`` and ``bures_after`` are
-    the squared Bures distances to ``w0 w0^T`` from ``w_star w_star^T`` and
-    from the refined covariance ``w w^T``.
+    ``basis`` (d_out by r, orthonormal columns) spans the numerical range of
+    ``w_star w_star^T``: its eigenvectors whose eigenvalues lie above the
+    round-off floor. The interpolated covariance is held as ``sigma_r`` in
+    the coordinates of that basis; ``sigma_plus`` is
+    ``basis sigma_r basis^T``. ``realization_gap`` is the relative Frobenius
+    mismatch between ``w w^T`` and the interpolated covariance; it is zero
+    (to round-off) whenever the rotation problem has full rank.
+    ``bures_before`` and ``bures_after`` are the squared Bures distances to
+    ``w0 w0^T`` from ``w_star w_star^T`` and from the refined covariance
+    ``w w^T``. ``rank`` counts the interpolated covariance's eigenvalues
+    above ``_RANK_CUT``.
     """
 
     w: np.ndarray
-    basis: np.ndarray | None
-    sigma_q: np.ndarray
+    basis: np.ndarray
+    sigma_r: np.ndarray
     rank: int
     rank_deficient: bool
     degenerate: bool
@@ -178,9 +181,7 @@ class RefinementResult:
 
         For the tests and demos; the edit path never calls it.
         """
-        if self.basis is None:
-            return self.sigma_q
-        return _sym(self.basis @ self.sigma_q @ self.basis.T)
+        return _sym(self.basis @ self.sigma_r @ self.basis.T)
 
 
 def _column_basis(w: np.ndarray, row_span) -> np.ndarray | None:
@@ -206,67 +207,89 @@ def refine_weights(
 ) -> RefinementResult:
     """Pull edited weights toward the reference geometry without re-solving.
 
-    The edited covariance ``w_star w_star^T`` is interpolated toward
-    ``w0 w0^T``; the interpolated covariance is eigen-factored and the factor
-    is rotated by the orthonormal matrix closest to the edit (a Procrustes
-    alignment), so the output keeps the interpolated covariance while staying
-    as close to ``w_star`` as an orthogonal rotation allows.
+    The edited covariance ``S = w_star w_star^T`` is interpolated toward
+    ``Z = w0 w0^T``; the interpolated covariance is eigen-factored and the
+    factor is rotated by the orthonormal matrix closest to the edit (a
+    Procrustes alignment), so the output keeps the interpolated covariance
+    while staying as close to ``w_star`` as an orthogonal rotation allows.
+    At beta=0 nothing is interpolated and ``w_star`` is returned as it is.
 
-    ``row_span`` (d_in by p), when given, must span the row space of
-    ``w_star``. With p < d_out every covariance is then handled in a d_out-by-p
-    orthonormal basis ``Q`` that holds the column space of ``w_star``: with
-    ``S = w_star w_star^T = Q S_q Q^T`` and ``Z_q = Q^T w0 w0^T Q``, the cross
-    root is ``Q (S_q^{1/2} Z_q S_q^{1/2})^{1/2} Q^T``, the bw-geodesic
-    transport maps ``Q`` to ``Q ((1-beta) I + beta K)``, and the interpolated
-    covariance is ``Q sigma_q Q^T``; only ``tr Z - tr Z_q`` of ``bures_before``
-    lies outside ``Q``. Without ``row_span`` (or with p >= d_out) the basis is
-    the identity, which is the dense computation; both agree to round-off.
+    Everything runs at the numerical rank r of ``S``. ``row_span``
+    (d_in by p), when given, must span the row space of ``w_star``; with
+    p < d_out the thin QR of ``w_star @ row_span`` gives a basis ``Q`` of its
+    column space, otherwise ``Q`` is the identity. One eigendecomposition of
+    ``(Q^T w_star)(Q^T w_star)^T``, cut at the round-off floor, gives
+    ``S = B Lam B^T`` with ``B = Q E_r`` (d_out by r). There the root of
+    ``S`` is ``Lam^{1/2}``; with ``Lam^{1/2} B^T w0 = U diag(s) V^T`` the
+    cross root ``(S^{1/2} Z S^{1/2})^{1/2}`` is ``B U diag(s) U^T B^T`` and
+    ``bures_before`` is ``|w_star|^2 + |w0|^2 - 2 sum(s)``, because
+    Bures(X X^T, Y Y^T) = |X|^2 + |Y|^2 - 2 |X^T Y|_* (Bhatia, Jain & Lim
+    2019). The interpolated covariance is ``B sigma_r B^T``.
     """
+    _check_beta_mode(beta, mode)
     w_ = as_matrix(w_star, "w_star")
     w0_ = as_matrix(w0, "w0")
     if w_.shape != w0_.shape:
         raise ValueError(f"w_star shape {w_.shape} does not match w0 {w0_.shape}")
-    basis = _column_basis(w_, row_span)
-    if basis is None:
-        w_q, w0_q = w_, w0_
+    w_sq, w0_sq = float(np.vdot(w_, w_)), float(np.vdot(w0_, w0_))
+    q = _column_basis(w_, row_span)
+    w_q = w_ if q is None else q.T @ w_
+    # |w_star|^2 - |Q^T w_star|^2 is the squared norm left outside Q
+    if q is not None and w_sq - float(np.vdot(w_q, w_q)) > 1e-8 * w_sq:
+        raise ValueError("row_span does not span the row space of w_star")
+    # a Gram matrix is symmetric PSD by construction, so it skips _validate_cov
+    dec = sym_eig(_sym(w_q @ w_q.T))
+    e = dec.eigvecs[:, dec.eigvals > _ROUNDOFF_CUT * max(float(dec.eigvals[0]), 0.0)]
+    # Rayleigh-Ritz: round-off in an ungraded Gram matrix (the identity basis)
+    # lifts some null directions above the floor; the singular values of
+    # e^T w_q resolve them to eps * sigma_max, and the same floor drops them.
+    ritz_u, ritz_s, ritz_vt = np.linalg.svd(e.T @ w_q, full_matrices=False)
+    lam = ritz_s**2
+    lam_max = float(lam[0]) if lam.size else 0.0
+    cut = lam > _ROUNDOFF_CUT * lam_max
+    lam = lam[cut]
+    e_r = e @ ritz_u[:, cut]
+    basis = e_r if q is None else q @ e_r
+    w_r = ritz_s[cut, None] * ritz_vt[cut]  # B^T w_star, with orthogonal rows
+    w0_r = basis.T @ w0_
+    root = np.sqrt(lam)
+    cross_u, cross_s, _ = np.linalg.svd(root[:, None] * w0_r, full_matrices=False)
+    bures_before = max(w_sq + w0_sq - 2.0 * float(cross_s.sum()), 0.0)
+    if beta == 0.0:
+        rank = int((lam > _RANK_CUT * lam_max).sum())
+        return RefinementResult(
+            w_, basis, np.diag(lam), rank, False, False, 0.0, bures_before, bures_before
+        )
+    cross = _sym((cross_u * cross_s) @ cross_u.T)
+    if mode == SQRT_BLEND:
+        blend = (1.0 - beta) * np.diag(root) + beta * cross
+        sigma_r = _sym(blend @ blend)
     else:
-        w_q, w0_q = basis.T @ w_, basis.T @ w0_
-        # |w_star|^2 - |Q^T w_star|^2 is the squared norm left outside Q
-        w_sq = float(np.vdot(w_, w_))
-        if w_sq - float(np.vdot(w_q, w_q)) > 1e-8 * w_sq:
-            raise ValueError("row_span does not span the row space of w_star")
-    # Gram matrices of validated weights are symmetric PSD by construction,
-    # so they skip _validate_cov; psd_sqrt still rejects a negative spectrum.
-    sigma_q, bures_before = _interpolate(
-        _sym(w_q @ w_q.T), _sym(w0_q @ w0_q.T), beta, mode, w_.shape[0]
-    )
-    # tr Z - tr Z_q, the part of w0 w0^T outside the basis (0 for the identity)
-    w0_sq = float(np.vdot(w0_, w0_))
-    bures_before += w0_sq - float(np.vdot(w0_q, w0_q))
-    dec = sym_eig(sigma_q)
-    vals = np.clip(dec.eigvals, 0.0, None)
-    vmax = float(vals.max()) if vals.size else 0.0
-    keep = vals > _RANK_CUT * vmax
-    rank = int(keep.sum())
-    # factor is in basis coordinates: basis @ factor has the same norm, and
-    # its product with w0 is factor^T w0_q.
-    factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
-    # w_tilde w_tilde^T = F F^T, and Bures(X X^T, Y Y^T) =
-    # |X|^2 + |Y|^2 - 2 |X^T Y|_* (Bhatia, Jain & Lim 2019): a rank-by-d_in SVD.
-    nuclear = float(np.linalg.svd(factor.T @ w0_q, compute_uv=False).sum())
-    bures_after = max(float(np.vdot(factor, factor) + w0_sq) - 2.0 * nuclear, 0.0)
-    if rank == 0 or vmax == 0.0:
+        inv = _pinv_sqrt(lam, "sigma_star", w_.shape[0])
+        transport = (1.0 - beta) * np.eye(lam.size) + beta * _sym(inv[:, None] * cross * inv)
+        sigma_r = _sym((transport * lam) @ transport)
+    rank, factor = 0, np.zeros((lam.size, 0))
+    if lam.size:
+        dec = sym_eig(sigma_r)
+        vals = np.clip(dec.eigvals, 0.0, None)
+        keep = vals > _RANK_CUT * float(vals[0])
+        rank = int(keep.sum())
+        factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
+    # w_tilde w_tilde^T = B F F^T B^T and (B F)^T w0 = F^T w0_r: a rank-by-d_in SVD
+    nuclear = float(np.linalg.svd(factor.T @ w0_r, compute_uv=False).sum())
+    bures_after = max(float(np.vdot(factor, factor)) + w0_sq - 2.0 * nuclear, 0.0)
+    if rank == 0:
         warnings.warn(
             "interpolated covariance is zero; refinement degenerates to zero weights",
             RankDeficiencyWarning,
             stacklevel=2,
         )
         return RefinementResult(
-            np.zeros_like(w_), basis, sigma_q, 0, True, True, 0.0, bures_before, bures_after
+            np.zeros_like(w_), basis, sigma_r, 0, True, True, 0.0, bures_before, bures_after
         )
-    # One SVD of the alignment matrix serves the rank check and the polar
-    # factor U V^T (what procrustes(k) returns).
-    align = svd(w_q.T @ factor)
+    # One SVD of the alignment matrix w_star^T B F serves the rank check and
+    # the polar factor U V^T (what procrustes(k) returns).
+    align = svd(w_r.T @ factor)
     sv = align.sigma
     rank_deficient = bool(sv.min() <= _RANK_CUT * max(float(sv.max()), np.finfo(np.float64).tiny))
     if rank_deficient:
@@ -276,11 +299,8 @@ def refine_weights(
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    rotation = align.u @ align.v.T
-    w_tilde = factor @ rotation.T
-    gap = float(np.linalg.norm(w_tilde @ w_tilde.T - sigma_q) / np.linalg.norm(sigma_q))
-    if basis is not None:
-        w_tilde = basis @ w_tilde
+    w_tilde = factor @ (align.u @ align.v.T).T
+    gap = float(np.linalg.norm(w_tilde @ w_tilde.T - sigma_r) / np.linalg.norm(sigma_r))
     return RefinementResult(
-        w_tilde, basis, sigma_q, rank, rank_deficient, False, gap, bures_before, bures_after
+        basis @ w_tilde, basis, sigma_r, rank, rank_deficient, False, gap, bures_before, bures_after
     )

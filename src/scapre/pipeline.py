@@ -48,13 +48,16 @@ class ZeroTargetWarning(UserWarning):
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, stage_ms: dict[str, float]):
+    """Tag failures of the block with ``name`` and record its wall time in ``stage_ms``."""
+    t0 = time.perf_counter()
     try:
         yield
     except PipelineStageError:
         raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
+    stage_ms[name] = (time.perf_counter() - t0) * 1e3
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ class EditConfig:
 
     ``lam`` is the absolute ridge weight; leave it ``None`` to use the
     relative rule ``lam_scale * mean diag(S)``. ``beta`` steers the geometry
-    refinement (0 disables it).
+    refinement: at 0 the refinement is skipped and the closed-form ``W*`` is
+    returned as it is (``bures_after`` equals ``bures_before``).
     """
 
     lam: float | None = None
@@ -112,7 +116,11 @@ class EditReport:
     """Everything one run produced (weights travel separately).
 
     Numbers, plus ``warnings``: the messages of the ``RankDeficiencyWarning``s
-    the geometry stage raised, recorded here instead of being shown.
+    the geometry stage raised, recorded here instead of being shown, and a
+    note when the refinement moved the covariance away from ``W0 W0^T``
+    (``refinement_moved_away``: ``bures_after > bures_before``).
+    ``w_star_rank`` is the numerical rank of ``W*`` the geometry works at,
+    and ``stage_ms`` the wall time of each stage in milliseconds.
     """
 
     m: int
@@ -136,8 +144,10 @@ class EditReport:
     alpha_max: float
     bures_before: float
     bures_after: float
+    w_star_rank: int
     refinement_rank: int
     refinement_rank_deficient: bool
+    refinement_moved_away: bool
     refinement_degenerate: bool
     realization_gap: float
     warnings: list[str]
@@ -148,6 +158,7 @@ class EditReport:
     max_erasure_err: float
     median_preserve_err: float
     wall_ms: float
+    stage_ms: dict[str, float]
     config: dict[str, Any]
     intermediates: EditIntermediates | None = field(default=None, repr=False, compare=False)
 
@@ -184,8 +195,9 @@ def run_edit(
         )
     if spec.n_concepts < 1:
         raise PipelineStageError("config", ValueError("no target concepts to erase"))
+    stage_ms: dict[str, float] = {}
 
-    with _stage("stabilizer"):
+    with _stage("stabilizer", stage_ms):
         contexts = list(contexts)
         if len(contexts) != spec.n_concepts:
             raise ValueError(
@@ -193,10 +205,10 @@ def run_edit(
             )
         stab = build_a(contexts, spec.concepts, cfg.lam, cfg.lam_scale)
 
-    with _stage("informax"):
+    with _stage("informax", stage_ms):
         dec = build_decoupler(w0_, features, labels)
 
-    with _stage("solver"):
+    with _stage("solver", stage_ms):
         m_rhs = assemble_m(w0_, spec)
         zero_target = not m_rhs.any()
         if zero_target:
@@ -208,7 +220,7 @@ def run_edit(
             )
         sol = sylvester_solve_spectral(dec.alpha, stab, m_rhs)
 
-    with _stage("geometry"):
+    with _stage("geometry", stage_ms):
         # W*'s rows lie in span([V, C]): M = V* C^T, and the solve maps
         # span([V, C]) into itself.
         row_span = np.hstack([stab.eig.eigvecs, spec.concepts])
@@ -221,8 +233,14 @@ def run_edit(
                 geometry_warnings.append(str(entry.message))
             else:
                 warnings.warn_explicit(entry.message, entry.category, entry.filename, entry.lineno)
+        moved_away = ref.bures_after > ref.bures_before
+        if moved_away:
+            geometry_warnings.append(
+                f"refinement moved the covariance away from W0 W0^T: squared Bures "
+                f"distance {ref.bures_before:.6g} -> {ref.bures_after:.6g}"
+            )
 
-    with _stage("metrics"):
+    with _stage("metrics", stage_ms):
         probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved)
         max_erasure = float(np.nanmax(probes.erasure)) if probes.erasure.size else float("nan")
         with warnings.catch_warnings():
@@ -255,8 +273,10 @@ def run_edit(
         alpha_max=float(dec.alpha.max()),
         bures_before=ref.bures_before,
         bures_after=ref.bures_after,
+        w_star_rank=ref.basis.shape[1],
         refinement_rank=ref.rank,
         refinement_rank_deficient=ref.rank_deficient,
+        refinement_moved_away=moved_away,
         refinement_degenerate=ref.degenerate,
         realization_gap=ref.realization_gap,
         warnings=geometry_warnings,
@@ -269,6 +289,7 @@ def run_edit(
         max_erasure_err=max_erasure,
         median_preserve_err=median_preserve,
         wall_ms=(time.perf_counter() - t0) * 1e3,
+        stage_ms=stage_ms,
         config=cfg.to_dict(),
         intermediates=EditIntermediates(stab, dec, m_rhs, sol.w_star, ref),
     )

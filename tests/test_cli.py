@@ -37,6 +37,9 @@ class TestEditCommand:
         assert report["config"]["target_mode"] == "substitute-target"
         assert isinstance(report["warnings"], list)
         assert report["alpha_min"] <= report["alpha_median"] <= report["alpha_max"]
+        assert sorted(report["stage_ms"]) == ["geometry", "informax", "metrics", "solver", "stabilizer"]
+        assert 1 <= report["w_star_rank"] <= 12
+        assert isinstance(report["refinement_moved_away"], bool)
         csv_text = (tmp_path / "report_row.csv").read_text()
         assert csv_text.startswith("run_id,m,d_in,d_out,lambda,beta,mode,")
 

@@ -11,6 +11,7 @@ from scapre.geometry import (
     geodesic_interpolate,
     refine_weights,
 )
+from scapre.matkernel import procrustes, sym_eig
 
 
 def rel_err(got, want):
@@ -25,6 +26,44 @@ def random_psd(rng, n, rank=None):
 def random_orthonormal(rng, p, q):
     m, _ = np.linalg.qr(rng.standard_normal((p, q)))
     return m
+
+
+def gram(w):
+    return (w @ w.T + (w @ w.T).T) / 2.0
+
+
+def factor_bures(w_star, w0):
+    """|W*|^2 + |W0|^2 - 2 |W*^T W0|_*, with a dense d_in-by-d_in SVD."""
+    nuclear = np.linalg.svd(w_star.T @ w0, compute_uv=False).sum()
+    return np.sum(w_star * w_star) + np.sum(w0 * w0) - 2.0 * nuclear
+
+
+def dense_refinement(w_star, w0, beta, mode):
+    """The refinement on d_out-by-d_out covariances: the oracle for ``refine_weights``.
+
+    Interpolates with ``geodesic_interpolate``, eigen-factors the result
+    above the 1e-12 rank cut, rotates the factor onto ``w_star`` with
+    ``procrustes`` and measures both distances with ``bures_distance``.
+    """
+    sigma_star, sigma_zero = gram(w_star), gram(w0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        sigma_plus = geodesic_interpolate(sigma_star, sigma_zero, beta, mode)
+    dec = sym_eig(sigma_plus)
+    vals = np.clip(dec.eigvals, 0.0, None)
+    keep = vals > 1e-12 * vals.max()
+    factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
+    k = w_star.T @ factor
+    sv = np.linalg.svd(k, compute_uv=False)
+    w = factor @ procrustes(k).T
+    return {
+        "w": w,
+        "sigma_plus": sigma_plus,
+        "rank": int(keep.sum()),
+        "rank_deficient": bool(sv.min() <= 1e-12 * sv.max()),
+        "bures_before": bures_distance(sigma_star, sigma_zero),
+        "bures_after": bures_distance(gram(w), sigma_zero),
+    }
 
 
 class TestBuresDistance:
@@ -120,6 +159,24 @@ class TestRefineWeights:
         assert rel_err(res.w, w_star) < 1e-8
         assert not res.degenerate
 
+    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
+    def test_beta_zero_is_a_no_op(self, mode):
+        # W* of rank 2 in 12 rows: at beta > 0 bw-geodesic pseudo-inverts
+        # and warns, at beta = 0 nothing is interpolated
+        rng = np.random.default_rng(20)
+        w_star = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
+        w0 = rng.standard_normal((12, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = refine_weights(w_star, w0, 0.0, mode)
+        assert np.array_equal(res.w, w_star)
+        assert res.bures_after == res.bures_before
+        assert abs(res.bures_before - factor_bures(w_star, w0)) <= 1e-12 * res.bures_before
+        assert (res.rank, res.rank_deficient, res.degenerate) == (2, False, False)
+        assert res.realization_gap == 0.0
+        assert res.basis.shape == (12, 2)
+        assert rel_err(res.sigma_plus, gram(w_star)) < 1e-14
+
     def test_zero_edit_degenerates(self):
         w0 = np.random.default_rng(8).standard_normal((3, 6))
         with pytest.warns(RankDeficiencyWarning):
@@ -164,18 +221,24 @@ class TestRefineWeights:
         assert res.realization_gap <= 1e-8
 
     def test_bures_before_is_bures_distance(self):
+        # bures_before comes from the factor identity; the dense roots of
+        # bures_distance take square roots of the round-off spectrum on the
+        # null space of W* W*^T, so they agree only to about sqrt(eps)
         rng = np.random.default_rng(12)
         w0 = rng.standard_normal((6, 10))
         full = rng.standard_normal((6, 10))
         rank_one = np.outer(rng.standard_normal(6), rng.standard_normal(10))
-        sigma_zero = (w0 @ w0.T + (w0 @ w0.T).T) / 2.0
         for w_star in (full, rank_one):
-            sigma_star = (w_star @ w_star.T + (w_star @ w_star.T).T) / 2.0
-            want = bures_distance(sigma_star, sigma_zero)
+            want = factor_bures(w_star, w0)
+            dense = bures_distance(gram(w_star), gram(w0))
+            scale = np.sum(w_star * w_star) + np.sum(w0 * w0)
             for mode in (SQRT_BLEND, BW_GEODESIC):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RankDeficiencyWarning)
-                    assert refine_weights(w_star, w0, 0.5, mode).bures_before == want
+                for beta in (0.0, 0.5):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RankDeficiencyWarning)
+                        got = refine_weights(w_star, w0, beta, mode).bures_before
+                    assert abs(got - want) <= 1e-12 * want
+                    assert abs(got - dense) <= 2e-8 * scale
 
     @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
     def test_bures_after_rank_deficient_commuting_closed_form(self, mode):
@@ -229,6 +292,36 @@ class TestColumnSpaceRoute:
     # more columns than d_in, so W* @ row_span is rank deficient
     SHAPES = {"wide": (8, 20, 5), "tall": (12, 6, 4), "tall-span-past-d_in": (12, 6, 8)}
 
+    @staticmethod
+    def check_against_dense(w_star, w0, beta, mode, row_span, tol, bures_tol):
+        """Compare with and without ``row_span``; returns the basis width."""
+        want = dense_refinement(w_star, w0, beta, mode)
+        scale = np.sum(w_star * w_star) + np.sum(w0 * w0)
+        scale_after = np.sum(want["w"] * want["w"]) + np.sum(w0 * w0)
+        exact_before = factor_bures(w_star, w0)
+        widths = set()
+        for span in (row_span, None):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficiencyWarning)
+                got = refine_weights(w_star, w0, beta, mode, row_span=span)
+            widths.add(got.basis.shape[1])
+            if beta == 0.0:
+                assert np.array_equal(got.w, w_star)
+                assert got.bures_after == got.bures_before
+            else:
+                assert rel_err(got.w, want["w"]) < tol
+                exact_after = factor_bures(want["w"], w0)
+                assert abs(got.bures_after - exact_after) <= tol * scale_after
+            assert rel_err(got.sigma_plus, want["sigma_plus"]) < tol
+            assert abs(got.bures_before - exact_before) <= bures_tol * exact_before
+            # bures_distance's dense roots are good to about sqrt(eps) of the traces
+            assert abs(got.bures_before - want["bures_before"]) <= 2e-8 * scale
+            assert abs(got.bures_after - want["bures_after"]) <= 2e-8 * scale_after
+            assert (got.rank, got.rank_deficient) == (want["rank"], want["rank_deficient"])
+            assert got.realization_gap <= 1e-8
+        (width,) = widths
+        return width
+
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -237,29 +330,40 @@ class TestColumnSpaceRoute:
         rng = np.random.default_rng(15)
         w_star, row_span = spanned_edit(rng, d_out, d_in, p)
         w0 = rng.standard_normal((d_out, d_in))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficiencyWarning)
-            dense = refine_weights(w_star, w0, beta, mode)
-            narrow = refine_weights(w_star, w0, beta, mode, row_span=row_span)
-        assert dense.basis is None and narrow.basis.shape == (d_out, p)
         # the dense roots take square roots of the round-off eigenvalues on
         # the null space of W* W*^T, about sqrt(eps) = 1.5e-8 relative; the
         # bw-geodesic pseudo-inverse clamps them away from sigma_plus
         tol = 1e-12 if mode == BW_GEODESIC else 5e-8
-        assert rel_err(narrow.w, dense.w) < tol
-        assert rel_err(narrow.sigma_plus, dense.sigma_plus) < tol
-        scale = np.sum(w_star * w_star) + np.sum(w0 * w0)
-        assert abs(narrow.bures_before - dense.bures_before) <= 2e-8 * scale
-        assert abs(narrow.bures_after - dense.bures_after) <= tol * scale
-        assert (narrow.rank, narrow.rank_deficient) == (dense.rank, dense.rank_deficient)
-        assert narrow.realization_gap <= 1e-8
+        width = self.check_against_dense(w_star, w0, beta, mode, row_span, tol, 1e-12)
+        assert width == np.linalg.matrix_rank(w_star) == min(p, d_in)
+
+    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_wide_2048_spectrum(self, mode, beta):
+        # the singular values of W* measured on the 2048x1024, m=100 edit,
+        # relative to the largest, then round-off noise: Lam = 1, 7.9e-5 and
+        # 6.3e-14 lie above eps, the rest below
+        rng = np.random.default_rng(21)
+        d_out, d_in, p = 40, 60, 12
+        sv = np.array([1.0, 8.9e-3, 2.5e-7, 8.8e-10, 4.5e-13] + [6e-15] * (p - 5))
+        v = random_orthonormal(rng, d_in, p)
+        w_star = (random_orthonormal(rng, d_out, p) * sv) @ v.T
+        row_span = v @ rng.standard_normal((p, p))
+        w0 = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
+        # bounds as reached by the p-column route before the cut (1.9e-8 and
+        # 2.2e-12); the cut drops singular values below sqrt(eps) of the
+        # largest, whose share of |W*^T W0|_* leaves bures_before ~5e-11 off
+        tol = 2e-12 if mode == BW_GEODESIC else 2e-8
+        width = self.check_against_dense(w_star, w0, beta, mode, row_span, tol, 1e-10)
+        assert width == 3
 
     def test_span_as_wide_as_d_out_is_the_dense_route(self):
         rng = np.random.default_rng(16)
         w_star, row_span = spanned_edit(rng, 6, 20, 6)
         w0 = rng.standard_normal((6, 20))
         res = refine_weights(w_star, w0, 0.5, row_span=row_span)
-        assert res.basis is None
+        # no QR: the eigenvectors of W* W*^T itself are the basis
+        assert res.basis.shape == (6, 6)
         assert np.array_equal(res.w, refine_weights(w_star, w0, 0.5).w)
 
     def test_bw_warning_counts_rank_out_of_d_out(self):

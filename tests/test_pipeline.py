@@ -33,6 +33,10 @@ print(json.dumps([rep.max_erasure_err, rep.median_preserve_err]))
 """
 
 
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 def small_model(seed=0, **kw):
     spec = SyntheticModelSpec(d_in=48, d_out=24, m_targets=4, m_preserved=3, seed=seed, **kw)
     return generate_model(spec)
@@ -167,8 +171,10 @@ class TestRunEdit:
         assert peak < 8 * 2**20
 
     def test_kernel_calls_per_edit(self, monkeypatch):
-        # one SVD of the concepts, one of the refined factor against w0 and one
-        # of the alignment matrix; the only stabilizer eigendecomposition is k x k
+        # one SVD of the concepts, a Rayleigh-Ritz SVD of B^T W*, the SVD of
+        # Lam^(1/2) B^T W0 (bures_before and the cross root), one of the
+        # refined factor against w0 and one of the alignment matrix; the only
+        # stabilizer eigendecomposition is k x k
         model = small_model(seed=5)
         calls = []
         for name in ("eigh", "svd"):
@@ -182,7 +188,7 @@ class TestRunEdit:
         _, report = run_edit(
             model.w0, model.erase_spec, model.contexts, model.features, model.labels
         )
-        assert sum(kind == "svd" for kind, _ in calls) == 3
+        assert sum(kind == "svd" for kind, _ in calls) == 5
         k = report.stabilizer_rank
         assert ("eigh", (k, k)) in calls
         assert all(shape[0] != model.w0.shape[1] for kind, shape in calls if kind == "eigh")
@@ -206,14 +212,15 @@ class TestRunEdit:
         assert rep1.bures_after < rep0.bures_after  # beta=0 leaves the gap alone
         assert rep0.bures_before == pytest.approx(rep1.bures_before, rel=1e-9)
 
-    @pytest.mark.parametrize("mode, expected", [("sqrt-blend", 3), (BW_GEODESIC, 4)])
-    def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, expected):
-        # refinement works in the column space of W*, whose rows lie in the
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", ["sqrt-blend", BW_GEODESIC])
+    def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
+        # refinement starts in the column space of W*, whose rows lie in the
         # span of the stabilizer basis and the concepts: p = k + m = 12 < 24
-        # = d_out. It builds each root once (2 eigh, one more for the
-        # bw-geodesic pseudo-inverse root, 1 for the refined factor), all of
-        # size p and none of size d_out; the only other eigh is the
-        # stabilizer's k x k
+        # = d_out. One eigh of size p finds the numerical rank r of W*; the
+        # roots of the diagonal Lam need none, the cross root comes from an
+        # SVD, and at beta > 0 one eigh of size r factors the interpolated
+        # covariance. The only other eigh is the stabilizer's k x k
         model = small_model(seed=5)
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -230,12 +237,14 @@ class TestRunEdit:
             model.contexts,
             model.features,
             model.labels,
-            EditConfig(beta=0.5, interpolation_mode=mode),
+            EditConfig(beta=beta, interpolation_mode=mode),
         )
         k = report.stabilizer_rank
         p = k + report.m
-        assert (k, p, report.d_out) == (8, 12, 24)
-        assert sorted(calls) == sorted([("eigh", k)] + [("eigh", p)] * expected)
+        r = report.w_star_rank
+        assert (k, p, report.d_out) == (8, 12, 24) and r < p
+        refined = [("eigh", r)] if beta > 0.0 else []
+        assert sorted(calls) == sorted([("eigh", k), ("eigh", p)] + refined)
 
     def test_no_output_sized_square_matrix(self):
         # d_out^2 float64 entries would be 32 MB; the geometry stage works in
@@ -267,7 +276,72 @@ class TestRunEdit:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["warnings"] == report.warnings
         _, report = run_edit(*args, EditConfig(beta=0.5))
-        assert report.warnings == []
+        assert report.refinement_moved_away == (report.bures_after > report.bures_before)
+        moved = [w for w in report.warnings if w.startswith("refinement moved")]
+        assert report.warnings == moved and len(moved) == report.refinement_moved_away
+
+    def test_report_stage_times_rank_and_moved_away(self):
+        model = small_model(seed=6)
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        for cfg in (EditConfig(beta=0.0), EditConfig(beta=1.0)):
+            _, report = run_edit(*args, cfg)
+            stages = ["stabilizer", "informax", "solver", "geometry", "metrics"]
+            assert list(report.stage_ms) == stages
+            assert all(t >= 0.0 for t in report.stage_ms.values())
+            assert sum(report.stage_ms.values()) <= report.wall_ms
+            ref = report.intermediates.refinement
+            assert report.w_star_rank == ref.basis.shape[1]
+            # the eigenvalues of W* W*^T above its round-off floor, eps * lambda_max
+            sv = np.linalg.svd(report.intermediates.w_star, compute_uv=False)
+            assert report.w_star_rank == np.sum(sv**2 > np.finfo(float).eps * sv[0] ** 2)
+            doc = json.loads(json.dumps(report.to_dict()))
+            assert doc["stage_ms"] == report.stage_ms
+            assert doc["w_star_rank"] == report.w_star_rank
+            assert doc["refinement_moved_away"] == report.refinement_moved_away
+        # sqrt-blend at beta = 1 lands on the root-conjugated reference,
+        # further from W0 W0^T than W* here
+        assert report.refinement_moved_away and report.bures_after > report.bures_before
+        assert report.warnings == [
+            "refinement moved the covariance away from W0 W0^T: squared Bures "
+            f"distance {report.bures_before:.6g} -> {report.bures_after:.6g}"
+        ]
+
+    def test_beta_zero_returns_w_star(self):
+        model = small_model(seed=6)
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, report = run_edit(*args, EditConfig(beta=0.0, interpolation_mode=BW_GEODESIC))
+        assert np.array_equal(w, report.intermediates.w_star)
+        assert report.bures_after == report.bures_before
+        assert not report.refinement_moved_away and report.warnings == []
+        assert report.realization_gap == 0.0 and not report.refinement_rank_deficient
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            BW_GEODESIC,
+            pytest.param(
+                "sqrt-blend",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="sqrt-blend adds the cross root, a covariance root, to the "
+                    "root of W* W*^T and squares the sum, so its result depends on the "
+                    "units of W0",
+                ),
+            ),
+        ],
+    )
+    def test_scale_equivariance(self, mode):
+        # every stage is linear or scale-free in W0, so scaling W0 by c scales
+        # the edited weights by c; the relative rank cuts keep it that way
+        model = small_model(seed=8)
+        args = (model.erase_spec, model.contexts, model.features, model.labels)
+        cfg = EditConfig(beta=0.5, interpolation_mode=mode)
+        w1, _ = run_edit(model.w0, *args, cfg)
+        for c in (0.01, 100.0):
+            wc, _ = run_edit(c * model.w0, *args, cfg)
+            assert rel_err(wc, c * w1) < 1e-12, c
 
     def test_other_geometry_warnings_still_propagate(self, monkeypatch):
         # only RankDeficiencyWarning is recorded; anything else reaches the caller
@@ -283,7 +357,8 @@ class TestRunEdit:
             _, report = run_edit(
                 model.w0, model.erase_spec, model.contexts, model.features, model.labels
             )
-        assert report.warnings == ["rank note"]
+        assert report.warnings[0] == "rank note"
+        assert len(report.warnings) == 1 + report.refinement_moved_away
 
     def test_stage_error_is_tagged(self):
         model = small_model()
