@@ -58,14 +58,14 @@ print(f"covariance distance to W0: {report.bures_before:.1f}")
 # %% [markdown]
 # ## Adding the geometry refinement (beta > 0)
 #
-# The refinement interpolates the edited covariance toward `W0 W0^T` and
-# re-factors, staying as close to the edit as an orthogonal rotation allows.
-# The `bw-geodesic` mode is the standard covariance geodesic; watch the
-# covariance gap shrink as beta grows.
+# The refinement applies the optimal transport map from the edited
+# covariance to `W0 W0^T`, a fraction beta of the way, to the edited weights:
+# their covariance moves along the Bures-Wasserstein geodesic toward
+# `W0 W0^T`. Watch the covariance gap shrink as beta grows.
 
 # %%
 for beta in (0.0, 0.3, 0.6, 1.0):
-    cfg = EditConfig(beta=beta, interpolation_mode="bw-geodesic")
+    cfg = EditConfig(beta=beta)
     _, rep = run_edit(
         model.w0,
         model.erase_spec,
@@ -83,7 +83,8 @@ for beta in (0.0, 0.3, 0.6, 1.0):
 # %% [markdown]
 # The report is self-describing: every run echoes its full configuration,
 # flags degenerate situations (zero right-hand side, all-zero channel
-# information, rank-deficient refinement), and keeps the stage outputs on
+# information, a refinement that vanishes or moves away from `W0`), records
+# the geometry's rank warnings, and keeps the stage outputs on
 # `report.intermediates` for independent verification.
 
 # %%

@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     BW_GEODESIC,
-    SQRT_BLEND,
     RefinementResult,
     bures_distance,
     geodesic_interpolate,
@@ -54,7 +53,6 @@ from .stabilizer import StabilizerA, assemble_a, build_a, build_r, build_s, gate
 
 __all__ = [
     "BW_GEODESIC",
-    "SQRT_BLEND",
     "SUBSTITUTE_TARGET",
     "ZERO_TARGET",
     "ConfuseSpec",

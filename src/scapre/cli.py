@@ -278,7 +278,6 @@ def cmd_gen(args) -> int:
     manifest = {
         "lambda": {"relative": 0.1},
         "beta": args.beta,
-        "interpolation_mode": args.interpolation_mode,
         "target_mode": args.target_mode,
         "seed": spec.seed,
         "inputs": inputs,
@@ -296,13 +295,9 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     base = _model_spec_from_args(args)
     counts = [int(c) for c in args.counts.split(",")]
-    cfg = EditConfig(
-        beta=args.beta,
-        target_mode=args.target_mode,
-        interpolation_mode=args.interpolation_mode,
-    )
+    cfg = EditConfig(beta=args.beta, target_mode=args.target_mode)
     t0 = time.perf_counter()
-    rows = scaling_sweep(base, counts, cfg, threads=args.threads)
+    rows = scaling_sweep(base, counts, cfg)
     write_csv(args.out, rows)
     print(f"wrote {len(rows)} sweep rows to {args.out} in {time.perf_counter() - t0:.1f}s")
     return EXIT_OK
@@ -325,12 +320,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         choices=[ZERO_TARGET, SUBSTITUTE_TARGET],
         default=SUBSTITUTE_TARGET,
         dest="target_mode",
-    )
-    p.add_argument(
-        "--interpolation-mode",
-        choices=["sqrt-blend", "bw-geodesic"],
-        default="sqrt-blend",
-        dest="interpolation_mode",
     )
 
 
@@ -391,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scaling sweep over concept counts, CSV out")
     _add_model_flags(p)
     p.add_argument("--counts", default="5,10,25,50")
-    p.add_argument("--threads", type=int, default=None, help="0 = auto (SCAPRE_THREADS)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -1,9 +1,10 @@
 """Covariance-space alignment.
 
 The squared Bures metric compares the row-space covariances of two weight
-matrices; interpolation moves an edited covariance partway back toward the
-reference, and the refinement step re-factors the interpolated covariance
-into weights while rotating as little as possible away from the edit.
+matrices. The refinement applies the optimal transport map between the
+edited covariance and the reference, partway, to the edited weights, which
+moves their covariance along the Bures-Wasserstein geodesic toward the
+reference.
 """
 
 import warnings
@@ -11,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# refine_weights takes its polar factor from its own SVD; perfbench/tracing.py
-# patches the procrustes name here.
-from .matkernel import as_matrix, procrustes, psd_sqrt, svd, sym_eig  # noqa: F401
+# refine_weights needs no polar factor; perfbench/tracing.py patches the
+# procrustes name here.
+from .matkernel import as_matrix, procrustes, psd_sqrt, sym_eig  # noqa: F401
 
 __all__ = [
     "BW_GEODESIC",
-    "SQRT_BLEND",
     "RankDeficiencyWarning",
     "RefinementResult",
     "bures_distance",
@@ -25,13 +25,9 @@ __all__ = [
     "refine_weights",
 ]
 
-# Interpolation modes. "sqrt-blend" mixes the matrix square roots and squares
-# the result; its beta=1 endpoint is the root-conjugated reference, not the
-# reference itself. "bw-geodesic" is the standard Bures-Wasserstein geodesic,
-# whose beta=1 endpoint is the reference (for nonsingular starting points).
-SQRT_BLEND = "sqrt-blend"
+# The one interpolation: the standard Bures-Wasserstein geodesic, whose
+# beta=1 endpoint is the reference (for nonsingular starting points).
 BW_GEODESIC = "bw-geodesic"
-INTERPOLATION_MODES = (SQRT_BLEND, BW_GEODESIC)
 
 # Relative eigenvalue cutoff below which a covariance direction counts as null.
 _RANK_CUT = 1e-12
@@ -43,7 +39,7 @@ _ROUNDOFF_CUT = np.finfo(np.float64).eps
 
 
 class RankDeficiencyWarning(UserWarning):
-    """A spectrum was pseudo-inverted or a rotation choice was not unique."""
+    """A spectrum was pseudo-inverted or the refined covariance vanished."""
 
 
 def _validate_cov(x, name: str) -> np.ndarray:
@@ -114,38 +110,31 @@ def _pinv_sqrt(vals: np.ndarray, name: str, size: int) -> np.ndarray:
     return inv
 
 
-def geodesic_interpolate(sigma_star, sigma_zero, beta: float, mode: str = SQRT_BLEND) -> np.ndarray:
+def geodesic_interpolate(sigma_star, sigma_zero, beta: float) -> np.ndarray:
     """Move the covariance ``sigma_star`` a fraction ``beta`` toward ``sigma_zero``.
 
-    In ``sqrt-blend`` mode the result is
-    ``((1-beta) * S^{1/2} + beta * (S^{1/2} Z S^{1/2})^{1/2})^2``; in
-    ``bw-geodesic`` mode it is ``C S C`` with
+    The result is ``C S C`` with
     ``C = (1-beta) I + beta * S^{-1/2} (S^{1/2} Z S^{1/2})^{1/2} S^{-1/2}``
-    (pseudo-inverted on a rank-deficient spectrum, with a warning). Both
-    modes return ``sigma_star`` at beta=0 and a symmetric PSD matrix always.
-    This is the dense d-by-d computation; ``refine_weights`` works in a
-    basis of the range of ``sigma_star`` instead.
+    (pseudo-inverted on a rank-deficient spectrum, with a warning): the
+    Bures-Wasserstein geodesic. It returns ``sigma_star`` at beta=0 and a
+    symmetric PSD matrix always. This is the dense d-by-d computation;
+    ``refine_weights`` works in a basis of the range of ``sigma_star`` instead.
     """
-    _check_beta_mode(beta, mode)
+    _check_beta(beta)
     s = _validate_cov(sigma_star, "sigma_star")
     z = _validate_cov(sigma_zero, "sigma_zero")
     if s.shape != z.shape:
         raise ValueError(f"covariance sizes differ: {s.shape} vs {z.shape}")
-    root, cross, _ = _bures_roots(s, z)
-    if mode == SQRT_BLEND:
-        blend = (1.0 - beta) * root + beta * cross
-        return _sym(blend @ blend)
+    _, cross, _ = _bures_roots(s, z)
     dec = sym_eig(s)
     inv_root = (dec.eigvecs * _pinv_sqrt(dec.eigvals, "sigma_star", s.shape[0])) @ dec.eigvecs.T
     transport = (1.0 - beta) * np.eye(s.shape[0]) + beta * _sym(inv_root @ cross @ inv_root)
     return _sym(transport @ s @ transport)
 
 
-def _check_beta_mode(beta: float, mode: str) -> None:
+def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if mode not in INTERPOLATION_MODES:
-        raise ValueError(f"mode must be one of {INTERPOLATION_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +146,8 @@ class RefinementResult:
     round-off floor. The interpolated covariance is held as ``sigma_r`` in
     the coordinates of that basis; ``sigma_plus`` is
     ``basis sigma_r basis^T``. ``realization_gap`` is the relative Frobenius
-    mismatch between ``w w^T`` and the interpolated covariance; it is zero
-    (to round-off) whenever the rotation problem has full rank.
+    mismatch between ``w w^T`` and the interpolated covariance in that
+    basis; the transport map realizes it, so the gap is round-off.
     ``bures_before`` and ``bures_after`` are the squared Bures distances to
     ``w0 w0^T`` from ``w_star w_star^T`` and from the refined covariance
     ``w w^T``. ``rank`` counts the interpolated covariance's eigenvalues
@@ -169,7 +158,6 @@ class RefinementResult:
     basis: np.ndarray
     sigma_r: np.ndarray
     rank: int
-    rank_deficient: bool
     degenerate: bool
     realization_gap: float
     bures_before: float
@@ -202,17 +190,20 @@ def _column_basis(w: np.ndarray, row_span) -> np.ndarray | None:
     return np.linalg.qr(w @ span)[0]
 
 
-def refine_weights(
-    w_star, w0, beta: float, mode: str = SQRT_BLEND, row_span=None
-) -> RefinementResult:
-    """Pull edited weights toward the reference geometry without re-solving.
+def refine_weights(w_star, w0, beta: float, row_span=None) -> RefinementResult:
+    """Move edited weights a fraction ``beta`` of the way to the reference geometry.
 
-    The edited covariance ``S = w_star w_star^T`` is interpolated toward
-    ``Z = w0 w0^T``; the interpolated covariance is eigen-factored and the
-    factor is rotated by the orthonormal matrix closest to the edit (a
-    Procrustes alignment), so the output keeps the interpolated covariance
-    while staying as close to ``w_star`` as an orthogonal rotation allows.
-    At beta=0 nothing is interpolated and ``w_star`` is returned as it is.
+    With ``S = w_star w_star^T`` and ``Z = w0 w0^T``, the optimal transport
+    map from ``S`` to ``Z`` is
+    ``T = S^{-1/2} (S^{1/2} Z S^{1/2})^{1/2} S^{-1/2}`` (pseudo-inverted on
+    a rank-deficient spectrum, with a warning). The refined weights are
+    ``T_beta w_star`` with ``T_beta = (1-beta) I + beta T``, McCann's
+    displacement interpolation (1997): their covariance ``T_beta S T_beta``
+    is the point a fraction ``beta`` along the Bures-Wasserstein geodesic
+    from ``S`` to ``Z``. No covariance is re-factored: ``w_star^T T_beta
+    w_star`` is symmetric PSD, so of all factors of ``T_beta S T_beta``
+    these weights are the one an orthogonal Procrustes alignment would
+    rotate onto ``w_star``. At beta=0 ``w_star`` is returned as it is.
 
     Everything runs at the numerical rank r of ``S``. ``row_span``
     (d_in by p), when given, must span the row space of ``w_star``; with
@@ -224,9 +215,12 @@ def refine_weights(
     cross root ``(S^{1/2} Z S^{1/2})^{1/2}`` is ``B U diag(s) U^T B^T`` and
     ``bures_before`` is ``|w_star|^2 + |w0|^2 - 2 sum(s)``, because
     Bures(X X^T, Y Y^T) = |X|^2 + |Y|^2 - 2 |X^T Y|_* (Bhatia, Jain & Lim
-    2019). The interpolated covariance is ``B sigma_r B^T``.
+    2019). ``T`` is ``B M B^T`` with ``M = Lam^{+1/2} U diag(s) U^T
+    Lam^{+1/2}``, so the refined weights are
+    ``(1-beta) w_star + beta B (M B^T w_star)`` and the interpolated
+    covariance is ``B sigma_r B^T``.
     """
-    _check_beta_mode(beta, mode)
+    _check_beta(beta)
     w_ = as_matrix(w_star, "w_star")
     w0_ = as_matrix(w0, "w0")
     if w_.shape != w0_.shape:
@@ -258,23 +252,16 @@ def refine_weights(
     if beta == 0.0:
         rank = int((lam > _RANK_CUT * lam_max).sum())
         return RefinementResult(
-            w_, basis, np.diag(lam), rank, False, False, 0.0, bures_before, bures_before
+            w_, basis, np.diag(lam), rank, False, 0.0, bures_before, bures_before
         )
-    cross = _sym((cross_u * cross_s) @ cross_u.T)
-    if mode == SQRT_BLEND:
-        blend = (1.0 - beta) * np.diag(root) + beta * cross
-        sigma_r = _sym(blend @ blend)
-    else:
-        inv = _pinv_sqrt(lam, "sigma_star", w_.shape[0])
-        transport = (1.0 - beta) * np.eye(lam.size) + beta * _sym(inv[:, None] * cross * inv)
-        sigma_r = _sym((transport * lam) @ transport)
-    rank, factor = 0, np.zeros((lam.size, 0))
-    if lam.size:
-        dec = sym_eig(sigma_r)
-        vals = np.clip(dec.eigvals, 0.0, None)
-        keep = vals > _RANK_CUT * float(vals[0])
-        rank = int(keep.sum())
-        factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
+    inv = _pinv_sqrt(lam, "sigma_star", w_.shape[0])
+    # M and M_beta = (1-beta) I + beta M: T and T_beta in the basis
+    transport = _sym(inv[:, None] * ((cross_u * cross_s) @ cross_u.T) * inv)
+    step = (1.0 - beta) * np.eye(lam.size) + beta * transport
+    factor = step * root  # M_beta Lam^{1/2}, whose Gram matrix is sigma_r
+    sigma_r = _sym(factor @ factor.T)
+    vals = np.clip(np.linalg.eigvalsh(sigma_r), 0.0, None)
+    rank = int((vals > _RANK_CUT * vals.max(initial=0.0)).sum())
     # w_tilde w_tilde^T = B F F^T B^T and (B F)^T w0 = F^T w0_r: a rank-by-d_in SVD
     nuclear = float(np.linalg.svd(factor.T @ w0_r, compute_uv=False).sum())
     bures_after = max(float(np.vdot(factor, factor)) + w0_sq - 2.0 * nuclear, 0.0)
@@ -285,22 +272,17 @@ def refine_weights(
             stacklevel=2,
         )
         return RefinementResult(
-            np.zeros_like(w_), basis, sigma_r, 0, True, True, 0.0, bures_before, bures_after
+            np.zeros_like(w_), basis, sigma_r, 0, True, 0.0, bures_before, bures_after
         )
-    # One SVD of the alignment matrix w_star^T B F serves the rank check and
-    # the polar factor U V^T (what procrustes(k) returns).
-    align = svd(w_r.T @ factor)
-    sv = align.sigma
-    rank_deficient = bool(sv.min() <= _RANK_CUT * max(float(sv.max()), np.finfo(np.float64).tiny))
-    if rank_deficient:
-        warnings.warn(
-            "alignment matrix lost rank; the refinement rotation is not unique "
-            "(tie broken by the SVD sign convention)",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    w_tilde = factor @ (align.u @ align.v.T).T
-    gap = float(np.linalg.norm(w_tilde @ w_tilde.T - sigma_r) / np.linalg.norm(sigma_r))
-    return RefinementResult(
-        basis @ w_tilde, basis, sigma_r, rank, rank_deficient, False, gap, bures_before, bures_after
-    )
+    w_c = step @ w_r  # B^T w_tilde
+    gap = float(np.linalg.norm(w_c @ w_c.T - sigma_r) / np.linalg.norm(sigma_r))
+    # The lift is the only d_out x d_in allocation: beta / (1 - beta) folds
+    # the two weights into it, so w_star is added in place, unscaled.
+    mapped = transport @ w_r
+    if beta == 1.0:
+        w_tilde = basis @ mapped
+    else:
+        w_tilde = basis @ ((beta / (1.0 - beta)) * mapped)
+        w_tilde += w_
+        w_tilde *= 1.0 - beta
+    return RefinementResult(w_tilde, basis, sigma_r, rank, False, gap, bures_before, bures_after)

@@ -6,9 +6,7 @@ samples; runs edit sweeps over growing concept counts and the confusable-
 group benchmark, emitting rows under the fixed CSV schema.
 """
 
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,37 +197,19 @@ def sweep_row(run_id: str, report: EditReport) -> dict:
     }
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("SCAPRE_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"SCAPRE_THREADS must be an integer, got {raw!r}") from None
-    if threads < 0:
-        raise ValueError(f"thread count must be nonnegative, got {threads}")
-    return threads or min(4, os.cpu_count() or 1)
+def scaling_sweep(base: SyntheticModelSpec, counts, cfg: EditConfig = EditConfig()) -> list[dict]:
+    """Run one edit per concept count, one after another, and collect CSV rows.
 
-
-def scaling_sweep(
-    base: SyntheticModelSpec,
-    counts,
-    cfg: EditConfig = EditConfig(),
-    threads: int | None = None,
-) -> list[dict]:
-    """Run one edit per concept count and collect CSV rows, in count order.
-
-    Rows are independent and run on a small thread pool (``threads=None``
-    reads SCAPRE_THREADS, 0 = auto). A failing count produces a row with
-    NaN metric cells and a note on stderr instead of aborting the sweep.
+    A failing count produces a row with NaN metric cells and a note on
+    stderr instead of aborting the sweep.
     """
     counts = [int(c) for c in counts]
     if counts != sorted(counts):
         raise ValueError(f"concept counts must be ascending, got {counts}")
     if min(counts, default=1) < 1:
         raise ValueError("concept counts must be positive")
-
-    def one(m: int) -> dict:
+    rows = []
+    for m in counts:
         run_id = f"m{m:04d}-seed{base.seed}"
         try:
             spec = replace(base, m_targets=m)
@@ -243,7 +223,7 @@ def scaling_sweep(
                 cfg,
                 preserved=model.preserved,
             )
-            return sweep_row(run_id, report)
+            rows.append(sweep_row(run_id, report))
         except Exception as exc:  # keep the sweep alive, mark the row
             print(f"sweep row m={m} failed: {exc}", file=sys.stderr)
             row = {c: float("nan") for c in CSV_COLUMNS}
@@ -254,13 +234,8 @@ def scaling_sweep(
                 d_out=base.d_out,
                 mode=f"{cfg.target_mode}/{cfg.interpolation_mode}",
             )
-            return row
-
-    n_threads = _resolve_threads(threads)
-    if n_threads <= 1 or len(counts) <= 1:
-        return [one(m) for m in counts]
-    with ThreadPoolExecutor(max_workers=min(n_threads, len(counts))) as pool:
-        return list(pool.map(one, counts))
+            rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,14 @@ class EditConfig:
     relative rule ``lam_scale * mean diag(S)``. ``beta`` steers the geometry
     refinement: at 0 the refinement is skipped and the closed-form ``W*`` is
     returned as it is (``bures_after`` equals ``bures_before``).
+    ``interpolation_mode`` names the refinement's interpolation, echoed into
+    the report and the CSV ``mode`` column; ``"bw-geodesic"`` is the only one.
     """
 
     lam: float | None = None
     lam_scale: float = 0.1
     beta: float = 0.5
-    interpolation_mode: str = geometry.SQRT_BLEND
+    interpolation_mode: str = geometry.BW_GEODESIC
     target_mode: str = solver.SUBSTITUTE_TARGET
 
     def __post_init__(self):
@@ -83,10 +85,10 @@ class EditConfig:
             raise ValueError(f"lam_scale must be positive, got {self.lam_scale}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.interpolation_mode not in geometry.INTERPOLATION_MODES:
+        if self.interpolation_mode != geometry.BW_GEODESIC:
             raise ValueError(
-                f"interpolation_mode must be one of {geometry.INTERPOLATION_MODES}, "
-                f"got {self.interpolation_mode!r}"
+                f"interpolation_mode must be {geometry.BW_GEODESIC!r} (the sqrt-blend "
+                f"mode was removed), got {self.interpolation_mode!r}"
             )
         if self.target_mode not in (solver.ZERO_TARGET, solver.SUBSTITUTE_TARGET):
             raise ValueError(f"unknown target_mode {self.target_mode!r}")
@@ -146,7 +148,6 @@ class EditReport:
     bures_after: float
     w_star_rank: int
     refinement_rank: int
-    refinement_rank_deficient: bool
     refinement_moved_away: bool
     refinement_degenerate: bool
     realization_gap: float
@@ -226,7 +227,7 @@ def run_edit(
         row_span = np.hstack([stab.eig.eigvecs, spec.concepts])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", geometry.RankDeficiencyWarning)
-            ref = refine_weights(sol.w_star, w0_, cfg.beta, cfg.interpolation_mode, row_span)
+            ref = refine_weights(sol.w_star, w0_, cfg.beta, row_span)
         geometry_warnings = []
         for entry in caught:
             if issubclass(entry.category, geometry.RankDeficiencyWarning):
@@ -275,7 +276,6 @@ def run_edit(
         bures_after=ref.bures_after,
         w_star_rank=ref.basis.shape[1],
         refinement_rank=ref.rank,
-        refinement_rank_deficient=ref.rank_deficient,
         refinement_moved_away=moved_away,
         refinement_degenerate=ref.degenerate,
         realization_gap=ref.realization_gap,

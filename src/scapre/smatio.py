@@ -25,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from .geometry import BW_GEODESIC
 from .matkernel import as_matrix
 from .pipeline import EditConfig
 
@@ -194,6 +195,10 @@ def load_manifest(path) -> RunManifest:
     _reject_unknown(doc, _TOP_KEYS, "manifest")
     lam, lam_scale = _parse_lambda(doc.get("lambda"))
 
+    beta = doc.get("beta", 0.5)
+    if not isinstance(beta, (int, float)) or isinstance(beta, bool):
+        raise ManifestError("beta must be a number")
+
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ManifestError("seed must be an integer")
@@ -218,8 +223,8 @@ def load_manifest(path) -> RunManifest:
         cfg = EditConfig(
             lam=lam,
             lam_scale=lam_scale,
-            beta=float(doc.get("beta", 0.5)),
-            interpolation_mode=doc.get("interpolation_mode", "sqrt-blend"),
+            beta=float(beta),
+            interpolation_mode=doc.get("interpolation_mode", BW_GEODESIC),
             target_mode=doc.get("target_mode", "substitute-target"),
         )
     except (TypeError, ValueError) as exc:

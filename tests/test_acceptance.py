@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from scapre.cli import main as cli_main
-from scapre.geometry import (
-    BW_GEODESIC,
-    SQRT_BLEND,
-    bures_distance,
-    geodesic_interpolate,
-    refine_weights,
-)
+from scapre.geometry import bures_distance, geodesic_interpolate, refine_weights
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.informax import JointCounts, build_decoupler, channel_mi
 from scapre.matkernel import procrustes
@@ -192,10 +186,9 @@ def test_criterion_6_geometry():
     # interpolation endpoints
     s = random_spd(rng, 6, lam=0.2)
     z = random_spd(rng, 6, lam=0.2)
-    for mode in (SQRT_BLEND, BW_GEODESIC):
-        got = geodesic_interpolate(s, z, 0.0, mode)
-        ok &= np.linalg.norm(got - s) <= 1e-10 * np.linalg.norm(s)
-    end = geodesic_interpolate(s, z, 1.0, BW_GEODESIC)
+    got = geodesic_interpolate(s, z, 0.0)
+    ok &= np.linalg.norm(got - s) <= 1e-10 * np.linalg.norm(s)
+    end = geodesic_interpolate(s, z, 1.0)
     ok &= np.linalg.norm(end - z) <= 1e-6 * np.linalg.norm(z)
 
     # covariance realization and rotation optimality

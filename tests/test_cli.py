@@ -35,6 +35,7 @@ class TestEditCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["m"] == 3
         assert report["config"]["target_mode"] == "substitute-target"
+        assert report["config"]["interpolation_mode"] == "bw-geodesic"
         assert isinstance(report["warnings"], list)
         assert report["alpha_min"] <= report["alpha_median"] <= report["alpha_max"]
         assert sorted(report["stage_ms"]) == ["geometry", "informax", "metrics", "solver", "stabilizer"]
@@ -59,6 +60,16 @@ class TestEditCommand:
         path.write_text(json.dumps(doc))
         assert main(["edit", str(path)]) == 2
         assert "surprise" in capsys.readouterr().err
+
+    def test_removed_sqrt_blend_mode_exit_2(self, tmp_path, capsys):
+        run_gen(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        assert "interpolation_mode" not in doc
+        doc["interpolation_mode"] = "sqrt-blend"
+        path.write_text(json.dumps(doc))
+        assert main(["edit", str(path)]) == 2
+        assert "sqrt-blend mode was removed" in capsys.readouterr().err
 
     def test_missing_input_exit_4(self, tmp_path):
         run_gen(tmp_path)
@@ -241,7 +252,6 @@ class TestSweepCommand:
                     "--d-out", "12",
                     "--preserved", "2",
                     "--counts", "1,2",
-                    "--threads", "1",
                     "--out", str(out),
                 ]
             )

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from scapre.geometry import (
-    BW_GEODESIC,
-    SQRT_BLEND,
     RankDeficiencyWarning,
     bures_distance,
     geodesic_interpolate,
@@ -38,29 +36,50 @@ def factor_bures(w_star, w0):
     return np.sum(w_star * w_star) + np.sum(w0 * w0) - 2.0 * nuclear
 
 
-def dense_refinement(w_star, w0, beta, mode):
-    """The refinement on d_out-by-d_out covariances: the oracle for ``refine_weights``.
+def dense_transport(w_star, w0, beta):
+    """``((1-beta) I + beta T) w_star`` from d_out-by-d_out roots: the oracle.
+
+    This is what ``refine_weights`` computes at rank r.
+    ``T = S^{+1/2} (S^{1/2} Z S^{1/2})^{1/2} S^{+1/2}`` is the optimal
+    transport map from ``S = w_star w_star^T`` to ``Z = w0 w0^T``, with
+    ``S`` pseudo-inverted at the 1e-12 rank cut; every root comes from
+    ``np.linalg.eigh``.
+    """
+    sigma_star, sigma_zero = gram(w_star), gram(w0)
+    vals, vecs = np.linalg.eigh(sigma_star)
+    vals = np.clip(vals, 0.0, None)
+    keep = vals > 1e-12 * vals.max()
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    inv_root = (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
+    inner = root @ sigma_zero @ root
+    cross_vals, cross_vecs = np.linalg.eigh((inner + inner.T) / 2.0)
+    cross = (cross_vecs * np.sqrt(np.clip(cross_vals, 0.0, None))) @ cross_vecs.T
+    return (1.0 - beta) * w_star + beta * (inv_root @ cross @ inv_root @ w_star)
+
+
+def dense_refinement(w_star, w0, beta):
+    """The re-factor route on d_out-by-d_out covariances: a second oracle.
 
     Interpolates with ``geodesic_interpolate``, eigen-factors the result
     above the 1e-12 rank cut, rotates the factor onto ``w_star`` with
     ``procrustes`` and measures both distances with ``bures_distance``.
+    Where the interpolated covariance has the full rank r of ``w_star``,
+    the aligned factor is the transport map applied to ``w_star``, because
+    ``w_star^T T w_star`` is symmetric PSD.
     """
     sigma_star, sigma_zero = gram(w_star), gram(w0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        sigma_plus = geodesic_interpolate(sigma_star, sigma_zero, beta, mode)
+        sigma_plus = geodesic_interpolate(sigma_star, sigma_zero, beta)
     dec = sym_eig(sigma_plus)
     vals = np.clip(dec.eigvals, 0.0, None)
     keep = vals > 1e-12 * vals.max()
     factor = dec.eigvecs[:, keep] * np.sqrt(vals[keep])
-    k = w_star.T @ factor
-    sv = np.linalg.svd(k, compute_uv=False)
-    w = factor @ procrustes(k).T
+    w = factor @ procrustes(w_star.T @ factor).T
     return {
         "w": w,
         "sigma_plus": sigma_plus,
         "rank": int(keep.sum()),
-        "rank_deficient": bool(sv.min() <= 1e-12 * sv.max()),
         "bures_before": bures_distance(sigma_star, sigma_zero),
         "bures_after": bures_distance(gram(w), sigma_zero),
     }
@@ -103,51 +122,40 @@ class TestBuresDistance:
 
 
 class TestGeodesicInterpolate:
-    def test_beta_zero_returns_start_both_modes(self):
+    def test_beta_zero_returns_start(self):
         rng = np.random.default_rng(3)
         s = random_psd(rng, 6)
         z = random_psd(rng, 6)
-        for mode in (SQRT_BLEND, BW_GEODESIC):
-            assert rel_err(geodesic_interpolate(s, z, 0.0, mode), s) < 1e-10
-
-    def test_sqrt_blend_scalar_endpoint(self):
-        got = geodesic_interpolate(np.array([[1.0]]), np.array([[4.0]]), 1.0, SQRT_BLEND)
-        assert abs(got[0, 0] - 4.0) < 1e-12
-
-    def test_sqrt_blend_scalar_endpoint_is_conjugated_reference(self):
-        # the blended formula lands on sqrt(S) Z sqrt(S) at beta=1, not on Z
-        got = geodesic_interpolate(np.array([[4.0]]), np.array([[9.0]]), 1.0, SQRT_BLEND)
-        assert abs(got[0, 0] - 36.0) < 1e-10
+        assert rel_err(geodesic_interpolate(s, z, 0.0), s) < 1e-10
 
     def test_bw_geodesic_endpoint_is_reference(self):
         rng = np.random.default_rng(4)
         s = random_psd(rng, 5) + 0.5 * np.eye(5)
         z = random_psd(rng, 5) + 0.5 * np.eye(5)
-        assert rel_err(geodesic_interpolate(s, z, 1.0, BW_GEODESIC), z) < 1e-6
+        assert rel_err(geodesic_interpolate(s, z, 1.0), z) < 1e-6
 
     def test_output_symmetric_psd(self):
         rng = np.random.default_rng(5)
-        for mode in (SQRT_BLEND, BW_GEODESIC):
-            s = random_psd(rng, 6) + 0.1 * np.eye(6)
-            z = random_psd(rng, 6)
-            out = geodesic_interpolate(s, z, 0.7, mode)
-            assert np.allclose(out, out.T)
-            assert np.linalg.eigvalsh(out).min() > -1e-8 * np.linalg.norm(out)
+        s = random_psd(rng, 6) + 0.1 * np.eye(6)
+        z = random_psd(rng, 6)
+        out = geodesic_interpolate(s, z, 0.7)
+        assert np.allclose(out, out.T)
+        assert np.linalg.eigvalsh(out).min() > -1e-8 * np.linalg.norm(out)
 
     def test_singular_start_warns_in_bw_mode(self):
         rng = np.random.default_rng(6)
         s = random_psd(rng, 6, rank=2)
         z = random_psd(rng, 6)
         with pytest.warns(RankDeficiencyWarning):
-            out = geodesic_interpolate(s, z, 0.5, BW_GEODESIC)
+            out = geodesic_interpolate(s, z, 0.5)
         assert np.isfinite(out).all()
 
-    def test_validates_beta_and_mode(self):
+    def test_validates_beta(self):
         s = np.eye(2)
         with pytest.raises(ValueError, match="beta"):
             geodesic_interpolate(s, s, 1.5)
-        with pytest.raises(ValueError, match="mode"):
-            geodesic_interpolate(s, s, 0.5, mode="linear")
+        with pytest.raises(ValueError, match="beta"):
+            refine_weights(s, s, -0.1)
 
 
 class TestRefineWeights:
@@ -159,20 +167,19 @@ class TestRefineWeights:
         assert rel_err(res.w, w_star) < 1e-8
         assert not res.degenerate
 
-    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
-    def test_beta_zero_is_a_no_op(self, mode):
-        # W* of rank 2 in 12 rows: at beta > 0 bw-geodesic pseudo-inverts
-        # and warns, at beta = 0 nothing is interpolated
+    def test_beta_zero_is_a_no_op(self):
+        # W* of rank 2 in 12 rows: at beta > 0 the transport map
+        # pseudo-inverts and warns, at beta = 0 nothing is interpolated
         rng = np.random.default_rng(20)
         w_star = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
         w0 = rng.standard_normal((12, 9))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = refine_weights(w_star, w0, 0.0, mode)
+            res = refine_weights(w_star, w0, 0.0)
         assert np.array_equal(res.w, w_star)
         assert res.bures_after == res.bures_before
         assert abs(res.bures_before - factor_bures(w_star, w0)) <= 1e-12 * res.bures_before
-        assert (res.rank, res.rank_deficient, res.degenerate) == (2, False, False)
+        assert (res.rank, res.degenerate) == (2, False)
         assert res.realization_gap == 0.0
         assert res.basis.shape == (12, 2)
         assert rel_err(res.sigma_plus, gram(w_star)) < 1e-14
@@ -180,7 +187,7 @@ class TestRefineWeights:
     def test_zero_edit_degenerates(self):
         w0 = np.random.default_rng(8).standard_normal((3, 6))
         with pytest.warns(RankDeficiencyWarning):
-            res = refine_weights(np.zeros((3, 6)), w0, 0.5, SQRT_BLEND)
+            res = refine_weights(np.zeros((3, 6)), w0, 0.5)
         assert np.array_equal(res.w, np.zeros((3, 6)))
         assert res.degenerate and res.rank == 0
         assert res.bures_after == np.sum(w0 * w0)  # Bures(0, W0 W0^T) = |W0|^2
@@ -189,11 +196,10 @@ class TestRefineWeights:
         rng = np.random.default_rng(9)
         w_star = rng.standard_normal((8, 16))
         w0 = rng.standard_normal((8, 16))
-        for mode in (SQRT_BLEND, BW_GEODESIC):
-            res = refine_weights(w_star, w0, 0.5, mode)
-            gap = np.linalg.norm(res.w @ res.w.T - res.sigma_plus)
-            assert gap <= 1e-8 * np.linalg.norm(res.sigma_plus)
-            assert res.realization_gap <= 1e-8
+        res = refine_weights(w_star, w0, 0.5)
+        gap = np.linalg.norm(res.w @ res.w.T - res.sigma_plus)
+        assert gap <= 1e-8 * np.linalg.norm(res.sigma_plus)
+        assert res.realization_gap <= 1e-8
 
     def test_procrustes_optimality_oracle(self):
         # refined factor beats 1000 random rotations of the same factor
@@ -210,14 +216,14 @@ class TestRefineWeights:
             assert best <= np.linalg.norm(factor @ q.T - w_star) + 1e-10
 
     def test_low_rank_edit_uses_reduced_factor(self):
-        # null covariance directions drop out; the rotation stays well posed
+        # null covariance directions drop out: the map works at rank 1
         rng = np.random.default_rng(11)
         w_star = np.zeros((4, 8))
         w_star[0] = rng.standard_normal(8)  # rank-1 edit
         w0 = rng.standard_normal((4, 8))
-        res = refine_weights(w_star, w0, 0.5, SQRT_BLEND)
-        assert res.rank == 1
-        assert not res.rank_deficient
+        with pytest.warns(RankDeficiencyWarning, match=r"\(1/4\)"):
+            res = refine_weights(w_star, w0, 0.5)
+        assert res.rank == 1 and res.basis.shape == (4, 1)
         assert res.realization_gap <= 1e-8
 
     def test_bures_before_is_bures_distance(self):
@@ -232,16 +238,14 @@ class TestRefineWeights:
             want = factor_bures(w_star, w0)
             dense = bures_distance(gram(w_star), gram(w0))
             scale = np.sum(w_star * w_star) + np.sum(w0 * w0)
-            for mode in (SQRT_BLEND, BW_GEODESIC):
-                for beta in (0.0, 0.5):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RankDeficiencyWarning)
-                        got = refine_weights(w_star, w0, beta, mode).bures_before
-                    assert abs(got - want) <= 1e-12 * want
-                    assert abs(got - dense) <= 2e-8 * scale
+            for beta in (0.0, 0.5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RankDeficiencyWarning)
+                    got = refine_weights(w_star, w0, beta).bures_before
+                assert abs(got - want) <= 1e-12 * want
+                assert abs(got - dense) <= 2e-8 * scale
 
-    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
-    def test_bures_after_rank_deficient_commuting_closed_form(self, mode):
+    def test_bures_after_rank_deficient_commuting_closed_form(self):
         # W* = Q diag(a) P^T and W0 = Q diag(b) R^T share left vectors, so at
         # beta=0 the distance is sum (a - b)^2; a has zeros (rank-deficient
         # edit). Dense, and in the column space of W* from a row span of
@@ -260,7 +264,7 @@ class TestRefineWeights:
             for span in (None, row_span):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RankDeficiencyWarning)
-                    got = refine_weights(w_star, w0, 0.0, mode, row_span=span).bures_after
+                    got = refine_weights(w_star, w0, 0.0, row_span=span).bures_after
                 assert abs(got - want) <= 1e-12 * want
 
     def test_bures_after_matches_dense_distance(self):
@@ -269,12 +273,11 @@ class TestRefineWeights:
             w_star = rng.standard_normal((6, 10))
             w0 = rng.standard_normal((6, 10))
             sigma_zero = (w0 @ w0.T + (w0 @ w0.T).T) / 2.0
-            for mode in (SQRT_BLEND, BW_GEODESIC):
-                res = refine_weights(w_star, w0, 0.5, mode)
-                sigma_after = (res.w @ res.w.T + (res.w @ res.w.T).T) / 2.0
-                want = bures_distance(sigma_after, sigma_zero)
-                scale = np.trace(sigma_after) + np.trace(sigma_zero)
-                assert abs(res.bures_after - want) <= 1e-10 * scale
+            res = refine_weights(w_star, w0, 0.5)
+            sigma_after = (res.w @ res.w.T + (res.w @ res.w.T).T) / 2.0
+            want = bures_distance(sigma_after, sigma_zero)
+            scale = np.trace(sigma_after) + np.trace(sigma_zero)
+            assert abs(res.bures_after - want) <= 1e-10 * scale
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="match"):
@@ -293,56 +296,62 @@ class TestColumnSpaceRoute:
     SHAPES = {"wide": (8, 20, 5), "tall": (12, 6, 4), "tall-span-past-d_in": (12, 6, 8)}
 
     @staticmethod
-    def check_against_dense(w_star, w0, beta, mode, row_span, tol, bures_tol):
-        """Compare with and without ``row_span``; returns the basis width."""
-        want = dense_refinement(w_star, w0, beta, mode)
+    def check_against_dense(w_star, w0, beta, row_span, tol, bures_tol):
+        """Compare with and without ``row_span``; returns the basis width.
+
+        The weights must match the dense transport map to 1e-12, and also
+        the re-factor route wherever the interpolated covariance keeps the
+        full rank r of ``w_star``.
+        """
+        want_w = dense_transport(w_star, w0, beta)
+        want = dense_refinement(w_star, w0, beta)
         scale = np.sum(w_star * w_star) + np.sum(w0 * w0)
-        scale_after = np.sum(want["w"] * want["w"]) + np.sum(w0 * w0)
+        scale_after = np.sum(want_w * want_w) + np.sum(w0 * w0)
         exact_before = factor_bures(w_star, w0)
         widths = set()
         for span in (row_span, None):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankDeficiencyWarning)
-                got = refine_weights(w_star, w0, beta, mode, row_span=span)
+                got = refine_weights(w_star, w0, beta, row_span=span)
             widths.add(got.basis.shape[1])
             if beta == 0.0:
                 assert np.array_equal(got.w, w_star)
                 assert got.bures_after == got.bures_before
             else:
-                assert rel_err(got.w, want["w"]) < tol
-                exact_after = factor_bures(want["w"], w0)
-                assert abs(got.bures_after - exact_after) <= tol * scale_after
+                assert rel_err(got.w, want_w) < 1e-12
+                if want["rank"] == got.basis.shape[1]:
+                    assert rel_err(got.w, want["w"]) < 1e-12
+                # like bures_before, bures_after misses the singular values
+                # below sqrt(eps) that the cut drops; the map keeps them in w
+                exact_after = factor_bures(want_w, w0)
+                assert abs(got.bures_after - exact_after) <= bures_tol * exact_after
             assert rel_err(got.sigma_plus, want["sigma_plus"]) < tol
             assert abs(got.bures_before - exact_before) <= bures_tol * exact_before
             # bures_distance's dense roots are good to about sqrt(eps) of the traces
             assert abs(got.bures_before - want["bures_before"]) <= 2e-8 * scale
             assert abs(got.bures_after - want["bures_after"]) <= 2e-8 * scale_after
-            assert (got.rank, got.rank_deficient) == (want["rank"], want["rank_deficient"])
+            assert got.rank == want["rank"]
             assert got.realization_gap <= 1e-8
         (width,) = widths
         return width
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
-    def test_matches_dense_route(self, shape, mode, beta):
+    def test_matches_dense_route(self, shape, beta):
         d_out, d_in, p = self.SHAPES[shape]
         rng = np.random.default_rng(15)
         w_star, row_span = spanned_edit(rng, d_out, d_in, p)
         w0 = rng.standard_normal((d_out, d_in))
-        # the dense roots take square roots of the round-off eigenvalues on
-        # the null space of W* W*^T, about sqrt(eps) = 1.5e-8 relative; the
-        # bw-geodesic pseudo-inverse clamps them away from sigma_plus
-        tol = 1e-12 if mode == BW_GEODESIC else 5e-8
-        width = self.check_against_dense(w_star, w0, beta, mode, row_span, tol, 1e-12)
+        width = self.check_against_dense(w_star, w0, beta, row_span, 1e-12, 1e-12)
         assert width == np.linalg.matrix_rank(w_star) == min(p, d_in)
 
-    @pytest.mark.parametrize("mode", [SQRT_BLEND, BW_GEODESIC])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
-    def test_wide_2048_spectrum(self, mode, beta):
+    def test_wide_2048_spectrum(self, beta):
         # the singular values of W* measured on the 2048x1024, m=100 edit,
         # relative to the largest, then round-off noise: Lam = 1, 7.9e-5 and
-        # 6.3e-14 lie above eps, the rest below
+        # 6.3e-14 lie above eps, the rest below; the last of the three is
+        # below the 1e-12 rank cut, so sigma_plus has rank 2 < r = 3 and the
+        # re-factor route drops a direction the map keeps, scaled by 1 - beta
         rng = np.random.default_rng(21)
         d_out, d_in, p = 40, 60, 12
         sv = np.array([1.0, 8.9e-3, 2.5e-7, 8.8e-10, 4.5e-13] + [6e-15] * (p - 5))
@@ -350,11 +359,9 @@ class TestColumnSpaceRoute:
         w_star = (random_orthonormal(rng, d_out, p) * sv) @ v.T
         row_span = v @ rng.standard_normal((p, p))
         w0 = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
-        # bounds as reached by the p-column route before the cut (1.9e-8 and
-        # 2.2e-12); the cut drops singular values below sqrt(eps) of the
-        # largest, whose share of |W*^T W0|_* leaves bures_before ~5e-11 off
-        tol = 2e-12 if mode == BW_GEODESIC else 2e-8
-        width = self.check_against_dense(w_star, w0, beta, mode, row_span, tol, 1e-10)
+        # the cut drops singular values below sqrt(eps) of the largest, whose
+        # share of |W*^T W0|_* leaves bures_before ~5e-11 off
+        width = self.check_against_dense(w_star, w0, beta, row_span, 2e-12, 1e-10)
         assert width == 3
 
     def test_span_as_wide_as_d_out_is_the_dense_route(self):
@@ -373,7 +380,7 @@ class TestColumnSpaceRoute:
         w_star, row_span = spanned_edit(rng, 12, 6, 2)
         w0 = rng.standard_normal((12, 6))
         with pytest.warns(RankDeficiencyWarning, match=r"sigma_star is rank deficient \(2/12\)"):
-            res = refine_weights(w_star, w0, 0.5, BW_GEODESIC, row_span=row_span)
+            res = refine_weights(w_star, w0, 0.5, row_span=row_span)
         assert res.basis.shape == (12, 2) and res.rank == 2
 
     def test_rejects_a_span_missing_the_rows(self):

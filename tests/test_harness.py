@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ class TestGenerateModel:
 class TestScalingSweep:
     def test_single_row_schema(self):
         base = SyntheticModelSpec(d_in=24, d_out=12, m_targets=1, m_preserved=2)
-        rows = scaling_sweep(base, [1], EditConfig(), threads=1)
+        rows = scaling_sweep(base, [1], EditConfig())
         assert len(rows) == 1
         assert tuple(rows[0].keys()) == CSV_COLUMNS
         assert rows[0]["m"] == 1
@@ -98,7 +100,7 @@ class TestScalingSweep:
 
     def test_counts_and_residuals(self):
         base = SyntheticModelSpec(d_in=48, d_out=16, m_targets=1, m_preserved=2)
-        rows = scaling_sweep(base, [2, 4, 6], EditConfig(beta=0.0), threads=2)
+        rows = scaling_sweep(base, [2, 4, 6], EditConfig(beta=0.0))
         assert [row["m"] for row in rows] == [2, 4, 6]
         for row in rows:
             assert row["sylvester_residual"] <= 1e-8
@@ -106,11 +108,22 @@ class TestScalingSweep:
 
     def test_failed_row_keeps_sweep_alive(self, capsys):
         base = SyntheticModelSpec(d_in=8, d_out=4, m_targets=1)
-        rows = scaling_sweep(base, [2, 50], EditConfig(), threads=1)  # 50 won't fit in d=8
+        rows = scaling_sweep(base, [2, 50], EditConfig())  # 50 won't fit in d=8
         assert len(rows) == 2
         assert np.isfinite(rows[0]["sylvester_residual"])
         assert np.isnan(rows[1]["sylvester_residual"])
         assert "failed" in capsys.readouterr().err
+
+    def test_leaves_the_warning_filters_as_they_were(self):
+        # run_edit records the geometry warnings under warnings.catch_warnings,
+        # which swaps the process-wide filter list on entry and restores it on
+        # exit; rows run on concurrent threads would restore each other's
+        # lists and could leave a filter installed
+        base = SyntheticModelSpec(d_in=24, d_out=8, m_targets=1)
+        before = list(warnings.filters)
+        for _ in range(50):
+            scaling_sweep(base, range(2, 10))
+            assert warnings.filters == before
 
     def test_rejects_unsorted_counts(self):
         base = SyntheticModelSpec(d_in=8, d_out=4, m_targets=1)
@@ -123,7 +136,7 @@ class TestScalingSweep:
         # of a fresh process nor a stall of a ~10 ms edit decides the outcome.
         base = SyntheticModelSpec(d_in=192, d_out=64, m_targets=1, m_preserved=2)
         sweeps = [
-            scaling_sweep(base, [4, 16, 48], EditConfig(beta=0.0), threads=1) for _ in range(5)
+            scaling_sweep(base, [4, 16, 48], EditConfig(beta=0.0)) for _ in range(5)
         ]
         walls = [min(row["wall_ms"] for row in rows) for rows in zip(*sweeps)]
         for earlier, later in zip(walls, walls[1:]):

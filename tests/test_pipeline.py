@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -172,9 +173,9 @@ class TestRunEdit:
 
     def test_kernel_calls_per_edit(self, monkeypatch):
         # one SVD of the concepts, a Rayleigh-Ritz SVD of B^T W*, the SVD of
-        # Lam^(1/2) B^T W0 (bures_before and the cross root), one of the
-        # refined factor against w0 and one of the alignment matrix; the only
-        # stabilizer eigendecomposition is k x k
+        # Lam^(1/2) B^T W0 (bures_before and the cross root) and one of the
+        # refined factor against w0 (bures_after); the transport map needs no
+        # alignment SVD. The only stabilizer eigendecomposition is k x k
         model = small_model(seed=5)
         calls = []
         for name in ("eigh", "svd"):
@@ -188,7 +189,7 @@ class TestRunEdit:
         _, report = run_edit(
             model.w0, model.erase_spec, model.contexts, model.features, model.labels
         )
-        assert sum(kind == "svd" for kind, _ in calls) == 5
+        assert sum(kind == "svd" for kind, _ in calls) == 4
         k = report.stabilizer_rank
         assert ("eigh", (k, k)) in calls
         assert all(shape[0] != model.w0.shape[1] for kind, shape in calls if kind == "eigh")
@@ -203,24 +204,24 @@ class TestRunEdit:
         subs = 10.0 * rng.standard_normal((32, 8)) / np.sqrt(32)
         erase = EraseSpec(model.erase_spec.concepts, mode=SUBSTITUTE_TARGET, substitutes=subs)
         cfg_before = EditConfig(beta=0.0)
-        cfg_after = EditConfig(beta=0.6, interpolation_mode=BW_GEODESIC)
+        cfg_after = EditConfig(beta=0.6)
         args = (model.w0, erase, model.contexts, model.features, model.labels)
         _, rep0 = run_edit(*args, cfg_before)
         _, rep1 = run_edit(*args, cfg_after)
-        assert rep1.refinement_rank == 4 and not rep1.refinement_rank_deficient
+        assert rep1.refinement_rank == 4
         assert rep1.bures_after <= rep1.bures_before + 1e-9
         assert rep1.bures_after < rep0.bures_after  # beta=0 leaves the gap alone
         assert rep0.bures_before == pytest.approx(rep1.bures_before, rel=1e-9)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    @pytest.mark.parametrize("mode", ["sqrt-blend", BW_GEODESIC])
-    def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
+    def test_geometry_eigendecompositions_per_edit(self, monkeypatch, beta):
         # refinement starts in the column space of W*, whose rows lie in the
         # span of the stabilizer basis and the concepts: p = k + m = 12 < 24
         # = d_out. One eigh of size p finds the numerical rank r of W*; the
         # roots of the diagonal Lam need none, the cross root comes from an
-        # SVD, and at beta > 0 one eigh of size r factors the interpolated
-        # covariance. The only other eigh is the stabilizer's k x k
+        # SVD, and at beta > 0 one eigvalsh of size r gives the rank of the
+        # interpolated covariance, which is never re-factored. The only other
+        # eigh is the stabilizer's k x k
         model = small_model(seed=5)
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -237,13 +238,13 @@ class TestRunEdit:
             model.contexts,
             model.features,
             model.labels,
-            EditConfig(beta=beta, interpolation_mode=mode),
+            EditConfig(beta=beta),
         )
         k = report.stabilizer_rank
         p = k + report.m
         r = report.w_star_rank
         assert (k, p, report.d_out) == (8, 12, 24) and r < p
-        refined = [("eigh", r)] if beta > 0.0 else []
+        refined = [("eigvalsh", r)] if beta > 0.0 else []
         assert sorted(calls) == sorted([("eigh", k), ("eigh", p)] + refined)
 
     def test_no_output_sized_square_matrix(self):
@@ -251,36 +252,34 @@ class TestRunEdit:
         # a basis of k + m = 12 columns
         model = generate_model(SyntheticModelSpec(d_in=16, d_out=2048, m_targets=4, seed=2))
         args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
-        for mode in ("sqrt-blend", BW_GEODESIC):
-            tracemalloc.start()
-            try:
-                run_edit(*args, EditConfig(interpolation_mode=mode))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * 2**20
+        tracemalloc.start()
+        try:
+            run_edit(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_report_records_warnings_and_alpha_spread(self):
-        # W* has rank at most k + m = 12 of d_out = 24, so the bw-geodesic
-        # pseudo-inverse warns, with the rank counted against d_out
+        # W* has rank at most k + m = 12 of d_out = 24, so the default edit's
+        # pseudo-inverse warns, with the rank counted against d_out, and the
+        # map moves the covariance toward W0 W0^T, so there is no other note
         model = small_model(seed=6)
         args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RankDeficiencyWarning)
-            _, report = run_edit(*args, EditConfig(interpolation_mode=BW_GEODESIC))
-        found = re.match(r"sigma_star is rank deficient \((\d+)/24\)", report.warnings[0])
-        assert found and int(found[1]) <= 12
+            _, report = run_edit(*args)
+        (note,) = report.warnings
+        found = re.match(r"sigma_star is rank deficient \((\d+)/24\)", note)
+        assert found and int(found[1]) <= report.w_star_rank <= 12
+        assert not report.refinement_moved_away
         alpha = report.intermediates.decoupler.alpha
         assert report.alpha_min == alpha.min() and report.alpha_max == alpha.max()
         assert report.alpha_median == np.median(alpha)
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["warnings"] == report.warnings
-        _, report = run_edit(*args, EditConfig(beta=0.5))
-        assert report.refinement_moved_away == (report.bures_after > report.bures_before)
-        moved = [w for w in report.warnings if w.startswith("refinement moved")]
-        assert report.warnings == moved and len(moved) == report.refinement_moved_away
 
-    def test_report_stage_times_rank_and_moved_away(self):
+    def test_report_stage_times_rank_and_moved_away(self, monkeypatch):
         model = small_model(seed=6)
         args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
         for cfg in (EditConfig(beta=0.0), EditConfig(beta=1.0)):
@@ -298,10 +297,20 @@ class TestRunEdit:
             assert doc["stage_ms"] == report.stage_ms
             assert doc["w_star_rank"] == report.w_star_rank
             assert doc["refinement_moved_away"] == report.refinement_moved_away
-        # sqrt-blend at beta = 1 lands on the root-conjugated reference,
-        # further from W0 W0^T than W* here
-        assert report.refinement_moved_away and report.bures_after > report.bures_before
-        assert report.warnings == [
+        # at beta = 1 the map carries W* W*^T as far toward W0 W0^T as its
+        # column space allows
+        assert not report.refinement_moved_away and report.bures_after < report.bures_before
+        assert report.warnings[0].startswith("sigma_star is rank deficient")
+
+        # a refinement that moves away is flagged and noted
+        def away(*args, **kwargs):
+            ref = refine_weights(*args, **kwargs)
+            return dataclasses.replace(ref, bures_after=2.0 * ref.bures_before)
+
+        monkeypatch.setattr("scapre.pipeline.refine_weights", away)
+        _, report = run_edit(*args, EditConfig(beta=1.0))
+        assert report.refinement_moved_away
+        assert report.warnings[1:] == [
             "refinement moved the covariance away from W0 W0^T: squared Bures "
             f"distance {report.bures_before:.6g} -> {report.bures_after:.6g}"
         ]
@@ -311,36 +320,20 @@ class TestRunEdit:
         args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, report = run_edit(*args, EditConfig(beta=0.0, interpolation_mode=BW_GEODESIC))
+            w, report = run_edit(*args, EditConfig(beta=0.0))
         assert np.array_equal(w, report.intermediates.w_star)
         assert report.bures_after == report.bures_before
         assert not report.refinement_moved_away and report.warnings == []
-        assert report.realization_gap == 0.0 and not report.refinement_rank_deficient
+        assert report.realization_gap == 0.0
 
-    @pytest.mark.parametrize(
-        "mode",
-        [
-            BW_GEODESIC,
-            pytest.param(
-                "sqrt-blend",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="sqrt-blend adds the cross root, a covariance root, to the "
-                    "root of W* W*^T and squares the sum, so its result depends on the "
-                    "units of W0",
-                ),
-            ),
-        ],
-    )
-    def test_scale_equivariance(self, mode):
+    def test_scale_equivariance(self):
         # every stage is linear or scale-free in W0, so scaling W0 by c scales
         # the edited weights by c; the relative rank cuts keep it that way
         model = small_model(seed=8)
         args = (model.erase_spec, model.contexts, model.features, model.labels)
-        cfg = EditConfig(beta=0.5, interpolation_mode=mode)
-        w1, _ = run_edit(model.w0, *args, cfg)
+        w1, _ = run_edit(model.w0, *args)
         for c in (0.01, 100.0):
-            wc, _ = run_edit(c * model.w0, *args, cfg)
+            wc, _ = run_edit(c * model.w0, *args)
             assert rel_err(wc, c * w1) < 1e-12, c
 
     def test_other_geometry_warnings_still_propagate(self, monkeypatch):
@@ -358,7 +351,8 @@ class TestRunEdit:
                 model.w0, model.erase_spec, model.contexts, model.features, model.labels
             )
         assert report.warnings[0] == "rank note"
-        assert len(report.warnings) == 1 + report.refinement_moved_away
+        assert report.warnings[1].startswith("sigma_star is rank deficient")
+        assert len(report.warnings) == 2 and not report.refinement_moved_away
 
     def test_stage_error_is_tagged(self):
         model = small_model()
@@ -396,12 +390,15 @@ class TestEditConfig:
             EditConfig(lam=0.0)
         with pytest.raises(ValueError, match="interpolation_mode"):
             EditConfig(interpolation_mode="cubic")
+        with pytest.raises(ValueError, match="sqrt-blend mode was removed"):
+            EditConfig(interpolation_mode="sqrt-blend")
         with pytest.raises(ValueError, match="target_mode"):
             EditConfig(target_mode="extra")
 
     def test_serialization(self):
         assert EditConfig(lam=2.0).to_dict()["lambda"] == 2.0
         assert EditConfig().to_dict()["lambda"] == {"relative": 0.1}
+        assert EditConfig().to_dict()["interpolation_mode"] == BW_GEODESIC
         assert set(EditConfig().to_dict()) == {
             "lambda", "beta", "interpolation_mode", "target_mode"
         }

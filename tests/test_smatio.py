@@ -112,7 +112,7 @@ def minimal_manifest(tmp_path, **overrides):
     doc = {
         "lambda": {"relative": 0.1},
         "beta": 0.5,
-        "interpolation_mode": "sqrt-blend",
+        "interpolation_mode": "bw-geodesic",
         "target_mode": "zero-target",
         "seed": 3,
         "inputs": {
@@ -189,6 +189,22 @@ class TestManifest:
         with pytest.raises(ManifestError, match="beta"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("beta", [True, "0.5", None])
+    def test_beta_must_be_a_number(self, tmp_path, beta):
+        path = minimal_manifest(tmp_path, beta=beta)
+        with pytest.raises(ManifestError, match="beta must be a number"):
+            load_manifest(path)
+
+    def test_interpolation_mode_defaults_to_the_geodesic(self, tmp_path):
+        path = minimal_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        del doc["interpolation_mode"]
+        path.write_text(json.dumps(doc))
+        assert load_manifest(path).cfg.interpolation_mode == "bw-geodesic"
+        path = minimal_manifest(tmp_path, interpolation_mode="sqrt-blend")
+        with pytest.raises(ManifestError, match="sqrt-blend mode was removed"):
+            load_manifest(path)
+
     def test_bad_context_groups(self, tmp_path):
         path = minimal_manifest(tmp_path)
         doc = json.loads(path.read_text())
@@ -213,7 +229,7 @@ class TestReportAndCsv:
 
     def test_csv_schema_order(self):
         row = {c: 0.0 for c in CSV_COLUMNS}
-        row.update(run_id="r0", m=2, d_in=4, d_out=3, mode="zero-target/sqrt-blend")
+        row.update(run_id="r0", m=2, d_in=4, d_out=3, mode="zero-target/bw-geodesic")
         text = format_csv([row])
         header, line = text.strip().split("\n")
         assert header == ",".join(CSV_COLUMNS)
