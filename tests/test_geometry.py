@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scapre.geometry import (
+    BW_GEODESIC,
     RankDeficiencyWarning,
     bures_distance,
     geodesic_interpolate,
@@ -296,14 +297,14 @@ class TestColumnSpaceRoute:
     SHAPES = {"wide": (8, 20, 5), "tall": (12, 6, 4), "tall-span-past-d_in": (12, 6, 8)}
 
     @staticmethod
-    def check_against_dense(w_star, w0, beta, row_span, tol, bures_tol):
+    def check_against_dense(w_star, w0, beta, transport, row_span, tol, bures_tol):
         """Compare with and without ``row_span``; returns the basis width.
 
-        The weights must match the dense transport map to 1e-12, and also
+        The weights must match the dense ``transport`` oracle to 1e-12, and also
         the re-factor route wherever the interpolated covariance keeps the
         full rank r of ``w_star``.
         """
-        want_w = dense_transport(w_star, w0, beta)
+        want_w = transport(w_star, w0, beta)
         want = dense_refinement(w_star, w0, beta)
         scale = np.sum(w_star * w_star) + np.sum(w0 * w0)
         scale_after = np.sum(want_w * want_w) + np.sum(w0 * w0)
@@ -336,17 +337,19 @@ class TestColumnSpaceRoute:
         return width
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("transport", [dense_transport], ids=[BW_GEODESIC])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
-    def test_matches_dense_route(self, shape, beta):
+    def test_matches_dense_route(self, shape, transport, beta):
         d_out, d_in, p = self.SHAPES[shape]
         rng = np.random.default_rng(15)
         w_star, row_span = spanned_edit(rng, d_out, d_in, p)
         w0 = rng.standard_normal((d_out, d_in))
-        width = self.check_against_dense(w_star, w0, beta, row_span, 1e-12, 1e-12)
+        width = self.check_against_dense(w_star, w0, beta, transport, row_span, 1e-12, 1e-12)
         assert width == np.linalg.matrix_rank(w_star) == min(p, d_in)
 
+    @pytest.mark.parametrize("transport", [dense_transport], ids=[BW_GEODESIC])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
-    def test_wide_2048_spectrum(self, beta):
+    def test_wide_2048_spectrum(self, transport, beta):
         # the singular values of W* measured on the 2048x1024, m=100 edit,
         # relative to the largest, then round-off noise: Lam = 1, 7.9e-5 and
         # 6.3e-14 lie above eps, the rest below; the last of the three is
@@ -361,7 +364,7 @@ class TestColumnSpaceRoute:
         w0 = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
         # the cut drops singular values below sqrt(eps) of the largest, whose
         # share of |W*^T W0|_* leaves bures_before ~5e-11 off
-        width = self.check_against_dense(w_star, w0, beta, row_span, 2e-12, 1e-10)
+        width = self.check_against_dense(w_star, w0, beta, transport, row_span, 2e-12, 1e-10)
         assert width == 3
 
     def test_span_as_wide_as_d_out_is_the_dense_route(self):

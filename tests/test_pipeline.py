@@ -214,7 +214,8 @@ class TestRunEdit:
         assert rep0.bures_before == pytest.approx(rep1.bures_before, rel=1e-9)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_geometry_eigendecompositions_per_edit(self, monkeypatch, beta):
+    @pytest.mark.parametrize("mode", [BW_GEODESIC])
+    def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
         # refinement starts in the column space of W*, whose rows lie in the
         # span of the stabilizer basis and the concepts: p = k + m = 12 < 24
         # = d_out. One eigh of size p finds the numerical rank r of W*; the
@@ -238,7 +239,7 @@ class TestRunEdit:
             model.contexts,
             model.features,
             model.labels,
-            EditConfig(beta=beta),
+            EditConfig(beta=beta, interpolation_mode=mode),
         )
         k = report.stabilizer_rank
         p = k + report.m
@@ -326,14 +327,16 @@ class TestRunEdit:
         assert not report.refinement_moved_away and report.warnings == []
         assert report.realization_gap == 0.0
 
-    def test_scale_equivariance(self):
+    @pytest.mark.parametrize("mode", [BW_GEODESIC])
+    def test_scale_equivariance(self, mode):
         # every stage is linear or scale-free in W0, so scaling W0 by c scales
         # the edited weights by c; the relative rank cuts keep it that way
         model = small_model(seed=8)
         args = (model.erase_spec, model.contexts, model.features, model.labels)
-        w1, _ = run_edit(model.w0, *args)
+        cfg = EditConfig(interpolation_mode=mode)  # the default config
+        w1, _ = run_edit(model.w0, *args, cfg)
         for c in (0.01, 100.0):
-            wc, _ = run_edit(c * model.w0, *args)
+            wc, _ = run_edit(c * model.w0, *args, cfg)
             assert rel_err(wc, c * w1) < 1e-12, c
 
     def test_other_geometry_warnings_still_propagate(self, monkeypatch):
