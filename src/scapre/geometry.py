@@ -172,25 +172,7 @@ class RefinementResult:
         return _sym(self.basis @ self.sigma_r @ self.basis.T)
 
 
-def _column_basis(w: np.ndarray, row_span) -> np.ndarray | None:
-    """Orthonormal basis of a space holding the columns of ``w``; ``None`` for the identity.
-
-    ``row_span`` (d_in by p) spans the row space of ``w``, so ``w @ row_span``
-    spans its column space and its thin QR gives a d_out-by-p basis. With
-    p >= d_out that basis is no smaller than the identity, and neither the
-    product nor the QR is formed.
-    """
-    if row_span is None:
-        return None
-    span = as_matrix(row_span, "row_span")
-    if span.shape[0] != w.shape[1]:
-        raise ValueError(f"row_span has {span.shape[0]} rows, w_star has {w.shape[1]} columns")
-    if span.shape[1] >= w.shape[0]:
-        return None
-    return np.linalg.qr(w @ span)[0]
-
-
-def refine_weights(w_star, w0, beta: float, row_span=None) -> RefinementResult:
+def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
     """Move edited weights a fraction ``beta`` of the way to the reference geometry.
 
     With ``S = w_star w_star^T`` and ``Z = w0 w0^T``, the optimal transport
@@ -205,14 +187,16 @@ def refine_weights(w_star, w0, beta: float, row_span=None) -> RefinementResult:
     these weights are the one an orthogonal Procrustes alignment would
     rotate onto ``w_star``. At beta=0 ``w_star`` is returned as it is.
 
-    Everything runs at the numerical rank r of ``S``. ``row_span``
-    (d_in by p), when given, must span the row space of ``w_star``; with
-    p < d_out the thin QR of ``w_star @ row_span`` gives a basis ``Q`` of its
-    column space, otherwise ``Q`` is the identity. One eigendecomposition of
-    ``(Q^T w_star)(Q^T w_star)^T``, cut at the round-off floor, gives
-    ``S = B Lam B^T`` with ``B = Q E_r`` (d_out by r). There the root of
-    ``S`` is ``Lam^{1/2}``; with ``Lam^{1/2} B^T w0 = U diag(s) V^T`` the
-    cross root ``(S^{1/2} Z S^{1/2})^{1/2}`` is ``B U diag(s) U^T B^T`` and
+    Everything runs at the numerical rank r of ``S``. ``factor``, when
+    given, is ``(w_star R, R)``: ``R`` (d_in by p) has orthonormal columns
+    spanning the row space of ``w_star``. With p < d_out the thin QR
+    ``w_star R = Q L`` gives a basis ``Q`` of its column space, and
+    ``Q^T w_star = L R^T`` is never formed; otherwise ``Q`` is the identity.
+    One eigendecomposition of the Gram matrix of ``Q^T w_star``, cut at the
+    round-off floor, gives ``S = B Lam B^T`` with ``B = Q E_r`` (d_out by
+    r). There the root of ``S`` is ``Lam^{1/2}``; with
+    ``Lam^{1/2} B^T w0 = U diag(s) V^T`` the cross root
+    ``(S^{1/2} Z S^{1/2})^{1/2}`` is ``B U diag(s) U^T B^T`` and
     ``bures_before`` is ``|w_star|^2 + |w0|^2 - 2 sum(s)``, because
     Bures(X X^T, Y Y^T) = |X|^2 + |Y|^2 - 2 |X^T Y|_* (Bhatia, Jain & Lim
     2019). ``T`` is ``B M B^T`` with ``M = Lam^{+1/2} U diag(s) U^T
@@ -226,11 +210,19 @@ def refine_weights(w_star, w0, beta: float, row_span=None) -> RefinementResult:
     if w_.shape != w0_.shape:
         raise ValueError(f"w_star shape {w_.shape} does not match w0 {w0_.shape}")
     w_sq, w0_sq = float(np.vdot(w_, w_)), float(np.vdot(w0_, w0_))
-    q = _column_basis(w_, row_span)
-    w_q = w_ if q is None else q.T @ w_
-    # |w_star|^2 - |Q^T w_star|^2 is the squared norm left outside Q
-    if q is not None and w_sq - float(np.vdot(w_q, w_q)) > 1e-8 * w_sq:
-        raise ValueError("row_span does not span the row space of w_star")
+    q, w_q, right = None, w_, None
+    if factor is not None:
+        left, right = as_matrix(factor[0], "factor[0]"), as_matrix(factor[1], "factor[1]")
+        if right.shape[0] != w_.shape[1] or left.shape != (w_.shape[0], right.shape[1]):
+            raise ValueError(f"factor {left.shape}, {right.shape} does not fit w_star {w_.shape}")
+        # two-sided: a left part that is not w_star R in norm fails it, and so
+        # does an R that misses a row direction of w_star
+        if abs(w_sq - float(np.vdot(left, left))) > 1e-8 * w_sq:
+            raise ValueError("factor is not (w_star R, R) for an R spanning the row space of w_star")
+        if right.shape[1] < w_.shape[0]:
+            q, w_q = np.linalg.qr(left)  # Q^T w_star = L R^T
+        else:
+            right = None
     # a Gram matrix is symmetric PSD by construction, so it skips _validate_cov
     dec = sym_eig(_sym(w_q @ w_q.T))
     e = dec.eigvecs[:, dec.eigvals > _ROUNDOFF_CUT * max(float(dec.eigvals[0]), 0.0)]
@@ -245,6 +237,8 @@ def refine_weights(w_star, w0, beta: float, row_span=None) -> RefinementResult:
     e_r = e @ ritz_u[:, cut]
     basis = e_r if q is None else q @ e_r
     w_r = ritz_s[cut, None] * ritz_vt[cut]  # B^T w_star, with orthogonal rows
+    if right is not None:
+        w_r = w_r @ right.T
     w0_r = basis.T @ w0_
     root = np.sqrt(lam)
     cross_u, cross_s, _ = np.linalg.svd(root[:, None] * w0_r, full_matrices=False)
@@ -258,13 +252,13 @@ def refine_weights(w_star, w0, beta: float, row_span=None) -> RefinementResult:
     # M and M_beta = (1-beta) I + beta M: T and T_beta in the basis
     transport = _sym(inv[:, None] * ((cross_u * cross_s) @ cross_u.T) * inv)
     step = (1.0 - beta) * np.eye(lam.size) + beta * transport
-    factor = step * root  # M_beta Lam^{1/2}, whose Gram matrix is sigma_r
-    sigma_r = _sym(factor @ factor.T)
+    f_beta = step * root  # M_beta Lam^{1/2}, whose Gram matrix is sigma_r
+    sigma_r = _sym(f_beta @ f_beta.T)
     vals = np.clip(np.linalg.eigvalsh(sigma_r), 0.0, None)
     rank = int((vals > _RANK_CUT * vals.max(initial=0.0)).sum())
     # w_tilde w_tilde^T = B F F^T B^T and (B F)^T w0 = F^T w0_r: a rank-by-d_in SVD
-    nuclear = float(np.linalg.svd(factor.T @ w0_r, compute_uv=False).sum())
-    bures_after = max(float(np.vdot(factor, factor)) + w0_sq - 2.0 * nuclear, 0.0)
+    nuclear = float(np.linalg.svd(f_beta.T @ w0_r, compute_uv=False).sum())
+    bures_after = max(float(np.vdot(f_beta, f_beta)) + w0_sq - 2.0 * nuclear, 0.0)
     if rank == 0:
         warnings.warn(
             "interpolated covariance is zero; refinement degenerates to zero weights",

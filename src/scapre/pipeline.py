@@ -20,7 +20,8 @@ from .geometry import RefinementResult, bures_distance, refine_weights  # noqa: 
 from .informax import DecouplerAlpha, build_decoupler
 from .matkernel import as_matrix
 from .metrics import ProbeScores, probe_scores
-from .solver import EraseSpec, assemble_m, sylvester_solve_spectral
+# run_edit forms M from the resolved V*; perfbench/tracing.py patches assemble_m here.
+from .solver import EraseSpec, assemble_m, resolve_v_star, sylvester_solve_spectral  # noqa: F401
 # run_edit assembles A with build_a; the dense reference route stays importable
 # here because perfbench/tracing.py patches these names.
 from .stabilizer import StabilizerA, assemble_a, build_a, build_r, build_s, relative_lambda  # noqa: F401
@@ -210,7 +211,10 @@ def run_edit(
         dec = build_decoupler(w0_, features, labels)
 
     with _stage("solver", stage_ms):
-        m_rhs = assemble_m(w0_, spec)
+        # the edit's one dense M, kept for the residual; the solve multiplies
+        # through its factors (V*, C)
+        v_star = resolve_v_star(w0_, spec)
+        m_rhs = v_star @ spec.concepts.T
         zero_target = not m_rhs.any()
         if zero_target:
             warnings.warn(
@@ -219,15 +223,14 @@ def run_edit(
                 ZeroTargetWarning,
                 stacklevel=2,
             )
-        sol = sylvester_solve_spectral(dec.alpha, stab, m_rhs)
+        sol = sylvester_solve_spectral(dec.alpha, stab, m_rhs, (v_star, spec.concepts))
 
     with _stage("geometry", stage_ms):
-        # W*'s rows lie in span([V, C]): M = V* C^T, and the solve maps
-        # span([V, C]) into itself.
-        row_span = np.hstack([stab.eig.eigvecs, spec.concepts])
+        # W*'s rows lie in span(V): the stabilizer basis V spans the concepts,
+        # so M = V* C^T has no complement and the solve keeps span(V)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", geometry.RankDeficiencyWarning)
-            ref = refine_weights(sol.w_star, w0_, cfg.beta, row_span)
+            ref = refine_weights(sol.w_star, w0_, cfg.beta, (sol.w_v, stab.eig.eigvecs))
         geometry_warnings = []
         for entry in caught:
             if issubclass(entry.category, geometry.RankDeficiencyWarning):

@@ -3,9 +3,10 @@
 Solves ``B W + W A = M`` for the edited projection, where ``A`` is the
 input-side stabilizer, ``B = diag(alpha)`` the channel decoupler, and
 ``M = V* C_E^T`` encodes the concepts to erase and their replacement
-outputs. Two routes are provided (eigenbasis and vectorized Kronecker)
-plus the ridge-anchored normal-equation baseline editor. ``B`` is always
-diagonal and passed as its vector of entries.
+outputs. The one route solves in the eigenbasis of ``A``; the vectorized
+Kronecker solve is its dense oracle, not a second route, and
+``baseline_eq2`` the ridge-anchored normal-equation baseline editor. ``B``
+is always diagonal and passed as its vector of entries.
 """
 
 from dataclasses import dataclass
@@ -119,6 +120,8 @@ def assemble_m(w0, spec: EraseSpec) -> np.ndarray:
 class EditSolution:
     """Solved weights with the relative equation residual and route taken.
 
+    ``w_v`` is ``w_star @ V`` for the basis ``V`` of ``A``'s eigenpairs
+    (d_out by k), which the solve forms on the way to ``w_star``.
     ``min_denominator`` is the smallest ``b_i + eigval_j`` over the
     eigenvalues of ``A``, the complement's ``lam`` included: the smallest
     divisor of the spectral route and the smallest eigenvalue of the
@@ -129,6 +132,7 @@ class EditSolution:
     residual: float
     path: str
     min_denominator: float
+    w_v: np.ndarray | None = None
 
 
 def _b_vector(b):
@@ -181,7 +185,7 @@ def _residual(b_vals, wa, w, m) -> float:
     return num / den if den > 0.0 else num
 
 
-def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
+def sylvester_solve_spectral(b_diag, a, m, factors=None) -> EditSolution:
     """Solve ``B W + W A = M`` in the eigenbasis of ``A``.
 
     With diagonal ``B`` and ``A = lam*I + V diag(eigvals - lam) V^T`` the
@@ -189,7 +193,11 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     ``W = ((M V) / (b + eigvals)) V^T + (M - M V V^T) / (b + lam)``, where
     the second term is the complement of ``V`` and vanishes when ``V`` spans
     all of d_in. ``a`` is a ``StabilizerA`` (no d_in-by-d_in array is formed)
-    or a raw symmetric matrix (eigendecomposed in full).
+    or a raw symmetric matrix (eigendecomposed in full). ``factors``, when
+    given, is ``(V*, C)`` with ``M = V* C^T`` (d_out by m and d_in by m):
+    then ``M V = V* (C^T V)`` and the complement is
+    ``(V* / (b + lam)) (C^T - (C^T V) V^T)``, and the dense ``m`` serves
+    only the residual.
     """
     b_vals = _b_vector(b_diag)
     stab, times = _split_a(a)
@@ -198,16 +206,27 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     d_out, d_in = b_vals.shape[0], vecs.shape[0]
     if m_.shape != (d_out, d_in):
         raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
+    # M = left @ right_t, with no left factor (the identity) for a dense M
+    left, right_t = None, m_
+    if factors is not None:
+        left, c = as_matrix(factors[0], "v_star"), as_matrix(factors[1], "c")
+        if left.shape[0] != d_out or c.shape != (d_in, left.shape[1]):
+            raise ValueError(f"factors {left.shape}, {c.shape} do not multiply to m {m_.shape}")
+        right_t = c.T
     min_denom = _check_uniqueness(b_vals, stab)
     if min_denom < 1e-12:
         raise ValueError(
             f"ill-posed system: smallest eigenvalue sum {min_denom:.6e} is below 1e-12"
         )
-    mv = m_ @ vecs
-    w = (mv / (b_vals[:, None] + vals[None, :])) @ vecs.T
+    right_v = right_t @ vecs
+    w_v = (right_v if left is None else left @ right_v) / (b_vals[:, None] + vals[None, :])
+    w = w_v @ vecs.T
     if stab.rank < d_in:
-        w += (m_ - mv @ vecs.T) / (b_vals + stab.lam)[:, None]
-    return EditSolution(w, _residual(b_vals, times(w), w, m_), "spectral", min_denom)
+        shift = (b_vals + stab.lam)[:, None]
+        rest = right_t - right_v @ vecs.T  # M - M V V^T, or its right factor
+        w += rest / shift if left is None else (left / shift) @ rest
+        del rest  # d_out by d_in for a dense M; the residual's temporaries come next
+    return EditSolution(w, _residual(b_vals, times(w), w, m_), "spectral", min_denom, w_v)
 
 
 def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSolution:

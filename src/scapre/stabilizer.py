@@ -176,14 +176,17 @@ def _checked(lam: float, eig: SpectralDecomposition) -> StabilizerA:
 def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> StabilizerA:
     """Stabilizer ``lam*I + S + R`` from its factors, with no d_in-by-d_in array.
 
-    With ``G`` the stacked context tokens and ``F = U diag(sqrt(gate(sigma)))``
-    from the thin SVD of the concepts, ``S + R = X X^T`` for
-    ``X = [G^T, F]`` (d_in by T+m). A thin QR ``X = Q R_x`` and one k-by-k
-    eigendecomposition ``R_x R_x^T = U diag(mu) U^T`` (k = min(d_in, T+m))
-    give the basis ``V = Q U`` with eigenvalues ``lam + mu``; when
-    T+m >= d_in, ``Q`` would be square and ``X X^T = G^T G + F F^T`` is
-    eigendecomposed directly. ``lam=None`` applies the relative rule
-    ``lam_scale * |G|_F^2 / d_in``, which is ``lam_scale * trace(S) / d_in``. Same result as ``assemble_a(lam,
+    With ``G`` the stacked context tokens and ``C = U diag(sigma) W^T`` the
+    thin SVD of the concepts, ``S + R = X D X^T`` for ``X = [G^T, U]``
+    (d_in by T+m) and ``D = diag(1_T, gate(sigma))``. A thin QR
+    ``X = Q R_x`` and one k-by-k eigendecomposition
+    ``R_x D R_x^T = E diag(mu) E^T`` (k = min(d_in, T+m)) give the basis
+    ``V = Q E`` with eigenvalues ``lam + mu``. ``V`` spans the concepts
+    whatever the gates: an underflowed gate leaves its direction in the
+    basis with eigenvalue ``lam``. When T+m >= d_in, ``Q`` would be square
+    and ``G^T G + U diag(gate(sigma)) U^T`` is eigendecomposed directly.
+    ``lam=None`` applies the relative rule ``lam_scale * |G|_F^2 / d_in``,
+    which is ``lam_scale * trace(S) / d_in``. Same result as ``assemble_a(lam,
     build_s(contexts), build_r(c_e))`` up to round-off, in O(d_in*k) memory.
     """
     g = np.vstack(validate_contexts(contexts))
@@ -196,15 +199,16 @@ def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> 
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     dec = svd(c)
-    f = dec.u * np.sqrt(gate_singular(dec.sigma))
-    if g.shape[0] + f.shape[1] >= d_in:
+    gate = gate_singular(dec.sigma)
+    if g.shape[0] + gate.size >= d_in:
         # Q would be square, so the identity basis does as well, without the QR
-        xxt = g.T @ g
-        xxt += f @ f.T
-        low = sym_eig(xxt)
+        xdxt = g.T @ g
+        xdxt += (dec.u * gate) @ dec.u.T
+        low = sym_eig(xdxt)
         return _checked(lam, SpectralDecomposition(low.eigvecs, lam + low.eigvals))
-    q, r_x = np.linalg.qr(np.hstack([g.T, f]))
-    low = sym_eig(r_x @ r_x.T)
+    q, r_x = np.linalg.qr(np.hstack([g.T, dec.u]))
+    weights = np.concatenate([np.ones(g.shape[0]), gate])
+    low = sym_eig((r_x * weights) @ r_x.T)
     return _checked(lam, SpectralDecomposition(q @ low.eigvecs, lam + low.eigvals))
 
 

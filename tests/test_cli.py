@@ -41,6 +41,11 @@ class TestEditCommand:
         assert sorted(report["stage_ms"]) == ["geometry", "informax", "metrics", "solver", "stabilizer"]
         assert 1 <= report["w_star_rank"] <= 12
         assert isinstance(report["refinement_moved_away"], bool)
+        env = report["environment"]
+        assert sorted(env) == sorted(
+            ["numpy", "blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        )
+        assert env["numpy"] == np.__version__
         csv_text = (tmp_path / "report_row.csv").read_text()
         assert csv_text.startswith("run_id,m,d_in,d_out,lambda,beta,mode,")
 

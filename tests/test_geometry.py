@@ -249,7 +249,7 @@ class TestRefineWeights:
     def test_bures_after_rank_deficient_commuting_closed_form(self):
         # W* = Q diag(a) P^T and W0 = Q diag(b) R^T share left vectors, so at
         # beta=0 the distance is sum (a - b)^2; a has zeros (rank-deficient
-        # edit). Dense, and in the column space of W* from a row span of
+        # edit). Dense, and in the column space of W* from a factor of
         # rank + 1 < d_out columns.
         rng = np.random.default_rng(13)
         for rank in (1, 2, 4):
@@ -261,11 +261,11 @@ class TestRefineWeights:
             w_star = (q * a) @ p.T
             w0 = (q * b) @ random_orthonormal(rng, 10, 6).T
             want = np.sum((a - b) ** 2)
-            row_span = np.hstack([p[:, :rank], rng.standard_normal((10, 1))])
-            for span in (None, row_span):
+            span = np.hstack([p[:, :rank], rng.standard_normal((10, 1))])
+            for factor in (None, orthonormal_factor(w_star, span)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RankDeficiencyWarning)
-                    got = refine_weights(w_star, w0, 0.0, row_span=span).bures_after
+                    got = refine_weights(w_star, w0, 0.0, factor=factor).bures_after
                 assert abs(got - want) <= 1e-12 * want
 
     def test_bures_after_matches_dense_distance(self):
@@ -285,20 +285,27 @@ class TestRefineWeights:
             refine_weights(np.ones((2, 3)), np.ones((3, 2)), 0.5)
 
 
+def orthonormal_factor(w_star, span):
+    """``(W* R, R)`` for ``R`` an orthonormal basis of ``span`` (min(p, d_in) columns)."""
+    right = np.linalg.qr(span)[0]
+    return w_star @ right, right
+
+
 def spanned_edit(rng, d_out, d_in, p):
-    """A random W* whose rows lie in the span of a random d_in-by-p ``row_span``."""
-    row_span = rng.standard_normal((d_in, p))
-    return rng.standard_normal((d_out, p)) @ row_span.T, row_span
+    """A random W* whose rows lie in the span of a random d_in-by-p matrix, and its factor."""
+    span = rng.standard_normal((d_in, p))
+    w_star = rng.standard_normal((d_out, p)) @ span.T
+    return w_star, orthonormal_factor(w_star, span)
 
 
 class TestColumnSpaceRoute:
     # (d_out, d_in, p) with p < d_out; in "tall-span-past-d_in" the span has
-    # more columns than d_in, so W* @ row_span is rank deficient
+    # more columns than d_in, so its orthonormal basis has only d_in
     SHAPES = {"wide": (8, 20, 5), "tall": (12, 6, 4), "tall-span-past-d_in": (12, 6, 8)}
 
     @staticmethod
-    def check_against_dense(w_star, w0, beta, transport, row_span, tol, bures_tol):
-        """Compare with and without ``row_span``; returns the basis width.
+    def check_against_dense(w_star, w0, beta, transport, factor, tol, bures_tol):
+        """Compare with and without ``factor``; returns the basis width.
 
         The weights must match the dense ``transport`` oracle to 1e-12, and also
         the re-factor route wherever the interpolated covariance keeps the
@@ -310,10 +317,10 @@ class TestColumnSpaceRoute:
         scale_after = np.sum(want_w * want_w) + np.sum(w0 * w0)
         exact_before = factor_bures(w_star, w0)
         widths = set()
-        for span in (row_span, None):
+        for fac in (factor, None):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankDeficiencyWarning)
-                got = refine_weights(w_star, w0, beta, row_span=span)
+                got = refine_weights(w_star, w0, beta, factor=fac)
             widths.add(got.basis.shape[1])
             if beta == 0.0:
                 assert np.array_equal(got.w, w_star)
@@ -342,9 +349,9 @@ class TestColumnSpaceRoute:
     def test_matches_dense_route(self, shape, transport, beta):
         d_out, d_in, p = self.SHAPES[shape]
         rng = np.random.default_rng(15)
-        w_star, row_span = spanned_edit(rng, d_out, d_in, p)
+        w_star, factor = spanned_edit(rng, d_out, d_in, p)
         w0 = rng.standard_normal((d_out, d_in))
-        width = self.check_against_dense(w_star, w0, beta, transport, row_span, 1e-12, 1e-12)
+        width = self.check_against_dense(w_star, w0, beta, transport, factor, 1e-12, 1e-12)
         assert width == np.linalg.matrix_rank(w_star) == min(p, d_in)
 
     @pytest.mark.parametrize("transport", [dense_transport], ids=[BW_GEODESIC])
@@ -360,18 +367,18 @@ class TestColumnSpaceRoute:
         sv = np.array([1.0, 8.9e-3, 2.5e-7, 8.8e-10, 4.5e-13] + [6e-15] * (p - 5))
         v = random_orthonormal(rng, d_in, p)
         w_star = (random_orthonormal(rng, d_out, p) * sv) @ v.T
-        row_span = v @ rng.standard_normal((p, p))
+        factor = orthonormal_factor(w_star, v @ rng.standard_normal((p, p)))
         w0 = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
         # the cut drops singular values below sqrt(eps) of the largest, whose
         # share of |W*^T W0|_* leaves bures_before ~5e-11 off
-        width = self.check_against_dense(w_star, w0, beta, transport, row_span, 2e-12, 1e-10)
+        width = self.check_against_dense(w_star, w0, beta, transport, factor, 2e-12, 1e-10)
         assert width == 3
 
     def test_span_as_wide_as_d_out_is_the_dense_route(self):
         rng = np.random.default_rng(16)
-        w_star, row_span = spanned_edit(rng, 6, 20, 6)
+        w_star, factor = spanned_edit(rng, 6, 20, 6)
         w0 = rng.standard_normal((6, 20))
-        res = refine_weights(w_star, w0, 0.5, row_span=row_span)
+        res = refine_weights(w_star, w0, 0.5, factor=factor)
         # no QR: the eigenvectors of W* W*^T itself are the basis
         assert res.basis.shape == (6, 6)
         assert np.array_equal(res.w, refine_weights(w_star, w0, 0.5).w)
@@ -380,17 +387,34 @@ class TestColumnSpaceRoute:
         # the compressed covariance is 2x2 and full rank, but sigma_star
         # itself has rank 2 of 12
         rng = np.random.default_rng(18)
-        w_star, row_span = spanned_edit(rng, 12, 6, 2)
+        w_star, factor = spanned_edit(rng, 12, 6, 2)
         w0 = rng.standard_normal((12, 6))
         with pytest.warns(RankDeficiencyWarning, match=r"sigma_star is rank deficient \(2/12\)"):
-            res = refine_weights(w_star, w0, 0.5, row_span=row_span)
+            res = refine_weights(w_star, w0, 0.5, factor=factor)
         assert res.basis.shape == (12, 2) and res.rank == 2
 
     def test_rejects_a_span_missing_the_rows(self):
         rng = np.random.default_rng(19)
-        w_star, row_span = spanned_edit(rng, 12, 6, 3)
+        w_star, (left, right) = spanned_edit(rng, 12, 6, 3)
         w0 = rng.standard_normal((12, 6))
         with pytest.raises(ValueError, match="row space"):
-            refine_weights(w_star, w0, 0.5, row_span=row_span[:, :2])
-        with pytest.raises(ValueError, match="row_span has 5 rows"):
-            refine_weights(w_star, w0, 0.5, row_span=row_span[:5])
+            refine_weights(w_star, w0, 0.5, factor=(left[:, :2], right[:, :2]))
+        with pytest.raises(ValueError, match="does not fit"):
+            refine_weights(w_star, w0, 0.5, factor=(left, right[:5]))
+
+    @pytest.mark.parametrize("d_out", [12, 4], ids=["p<d_out", "p>=d_out"])
+    def test_factor_guard_is_two_sided(self, d_out):
+        # |w_star|^2 and |w_star R|^2 must agree to 1e-8 on both sides, at
+        # every width: the p >= d_out case skips the QR, not the guard
+        rng = np.random.default_rng(20)
+        w_star, (left, right) = spanned_edit(rng, d_out, 10, 6)
+        w0 = rng.standard_normal((d_out, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            want = refine_weights(w_star, w0, 0.5).w
+            assert rel_err(refine_weights(w_star, w0, 0.5, factor=(left, right)).w, want) < 1e-12
+            for scale in (1.01, 0.99):
+                with pytest.raises(ValueError, match="row space"):
+                    refine_weights(w_star, w0, 0.5, factor=(scale * left, right))
+            with pytest.raises(ValueError, match="row space"):
+                refine_weights(w_star, w0, 0.5, factor=(left[:, 1:], right[:, 1:]))

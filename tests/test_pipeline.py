@@ -15,7 +15,7 @@ from scapre.geometry import BW_GEODESIC, RankDeficiencyWarning, refine_weights
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.pipeline import EditConfig, PipelineStageError, ZeroTargetWarning, run_edit
 from scapre.solver import SUBSTITUTE_TARGET, ZERO_TARGET, EraseSpec
-from scapre.stabilizer import assemble_a, build_r, build_s
+from scapre.stabilizer import assemble_a, build_r, build_s, gate_singular
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,8 +217,8 @@ class TestRunEdit:
     @pytest.mark.parametrize("mode", [BW_GEODESIC])
     def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
         # refinement starts in the column space of W*, whose rows lie in the
-        # span of the stabilizer basis and the concepts: p = k + m = 12 < 24
-        # = d_out. One eigh of size p finds the numerical rank r of W*; the
+        # span of the stabilizer basis V: q = min(d_out, k) = 8 < 24 = d_out.
+        # One eigh of size q finds the numerical rank r of W*; the
         # roots of the diagonal Lam need none, the cross root comes from an
         # SVD, and at beta > 0 one eigvalsh of size r gives the rank of the
         # interpolated covariance, which is never re-factored. The only other
@@ -242,15 +242,37 @@ class TestRunEdit:
             EditConfig(beta=beta, interpolation_mode=mode),
         )
         k = report.stabilizer_rank
-        p = k + report.m
+        q = min(report.d_out, k)
         r = report.w_star_rank
-        assert (k, p, report.d_out) == (8, 12, 24) and r < p
+        assert (k, q, report.d_out) == (8, 8, 24) and r < q
         refined = [("eigvalsh", r)] if beta > 0.0 else []
-        assert sorted(calls) == sorted([("eigh", k), ("eigh", p)] + refined)
+        assert sorted(calls) == sorted([("eigh", k), ("eigh", q)] + refined)
+
+    def test_rows_stay_in_the_basis_when_every_gate_underflows(self):
+        # at embed scale 800 every singular value of the concepts passes 709,
+        # so every gate underflows to 0, and contexts drawn apart from the
+        # concepts do not span them: the stabilizer basis V still holds the
+        # concepts, so W* keeps its rows in span(V) and the refinement from
+        # the solve's W* V is the dense one
+        model = small_model(seed=8, embed_scale=800.0)
+        rng = np.random.default_rng(9)
+        contexts = [rng.standard_normal((1, 48)) for _ in range(4)]
+        c = model.erase_spec.concepts
+        assert gate_singular(np.linalg.svd(c, compute_uv=False)).max() == 0.0
+        w, report = run_edit(model.w0, model.erase_spec, contexts, model.features, model.labels)
+        inter = report.intermediates
+        vecs = inter.stabilizer.eig.eigvecs
+        assert vecs.shape[1] < report.d_out
+        assert np.linalg.norm(c - vecs @ (vecs.T @ c)) <= 1e-12 * np.linalg.norm(c)
+        assert report.sylvester_residual <= 1e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            dense = refine_weights(inter.w_star, model.w0, report.beta)
+        assert rel_err(w, dense.w) <= 1e-12
 
     def test_no_output_sized_square_matrix(self):
         # d_out^2 float64 entries would be 32 MB; the geometry stage works in
-        # a basis of k + m = 12 columns
+        # a basis of k = 8 columns
         model = generate_model(SyntheticModelSpec(d_in=16, d_out=2048, m_targets=4, seed=2))
         args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
         tracemalloc.start()
@@ -262,7 +284,7 @@ class TestRunEdit:
         assert peak < 8 * 2**20
 
     def test_report_records_warnings_and_alpha_spread(self):
-        # W* has rank at most k + m = 12 of d_out = 24, so the default edit's
+        # W* has rank at most k = 8 of d_out = 24, so the default edit's
         # pseudo-inverse warns, with the rank counted against d_out, and the
         # map moves the covariance toward W0 W0^T, so there is no other note
         model = small_model(seed=6)
@@ -272,7 +294,7 @@ class TestRunEdit:
             _, report = run_edit(*args)
         (note,) = report.warnings
         found = re.match(r"sigma_star is rank deficient \((\d+)/24\)", note)
-        assert found and int(found[1]) <= report.w_star_rank <= 12
+        assert found and int(found[1]) <= report.w_star_rank <= report.stabilizer_rank == 8
         assert not report.refinement_moved_away
         alpha = report.intermediates.decoupler.alpha
         assert report.alpha_min == alpha.min() and report.alpha_max == alpha.max()

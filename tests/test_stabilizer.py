@@ -211,6 +211,36 @@ class TestBuildA:
         assert got.residual < 1e-12
         assert got.min_denominator == pytest.approx(want.min_denominator, rel=1e-12)
 
+    def test_basis_spans_the_concepts_when_the_gates_underflow(self):
+        # every gate is 0 at singular values past 709, and the contexts miss
+        # the concepts; the basis holds them anyway, with eigenvalue lam
+        rng = np.random.default_rng(3)
+        ctx = [rng.standard_normal((2, 30)) for _ in range(3)]
+        c = 800.0 * np.linalg.qr(rng.standard_normal((30, 3)))[0]
+        stab = build_a(ctx, c)
+        vecs = stab.eig.eigvecs
+        assert stab.rank == 9
+        assert np.linalg.norm(c - vecs @ (vecs.T @ c)) <= 1e-12 * np.linalg.norm(c)
+        assert rel(stab.a, dense_reference(ctx, c).a) < 1e-12
+
+    @pytest.mark.parametrize("case", ["k<d_in", "k>d_in"])
+    def test_factored_rhs_matches_dense_rhs(self, case):
+        # M = V* C^T with C apart from the stabilizer's concepts, so the
+        # complement of V is not empty where k < d_in
+        d_in, tokens, m, _, lam = FACTORED_CASES[case]
+        ctx, c, b, _ = factored_case(d_in, tokens, m)
+        stab = build_a(ctx, c, lam)
+        rng = np.random.default_rng(4)
+        v_star, c_rhs = rng.standard_normal((b.size, 2)), rng.standard_normal((d_in, 2))
+        rhs = v_star @ c_rhs.T
+        got = sylvester_solve_spectral(b, stab, rhs, (v_star, c_rhs))
+        want = sylvester_solve_spectral(b, stab, rhs)
+        assert rel(got.w_star, want.w_star) < 1e-12
+        assert got.residual < 1e-12
+        assert rel(got.w_v, got.w_star @ stab.eig.eigvecs) < 1e-12
+        with pytest.raises(ValueError, match="do not multiply"):
+            sylvester_solve_spectral(b, stab, rhs, (v_star, c_rhs[:-1]))
+
     def test_zero_target_solves_to_zero(self):
         ctx, c, b, rhs = factored_case(30, 2, 3)
         sol = sylvester_solve_spectral(b, build_a(ctx, c), np.zeros_like(rhs))
