@@ -39,7 +39,6 @@ from .solver import (
     SUBSTITUTE_TARGET,
     ZERO_TARGET,
     EraseSpec,
-    sylvester_solve_kronecker,
     sylvester_solve_spectral,
 )
 
@@ -141,8 +140,7 @@ def cmd_solve(args) -> int:
     b = _read_vector(args.b, "b")
     a = read_smat(args.a)
     m = read_smat(args.m)
-    solve = sylvester_solve_spectral if args.path == "spectral" else sylvester_solve_kronecker
-    sol = solve(b, a, m)
+    sol = sylvester_solve_spectral(b, a, m)
     write_smat(args.out, sol.w_star)
     print(json.dumps({"path": sol.path, "residual": sol.residual, "out": str(args.out)}))
     return EXIT_OK
@@ -353,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="channel weights, SMAT vector")
     p.add_argument("--a", required=True, help="input-side stabilizer, SMAT")
     p.add_argument("--m", required=True, help="right-hand side, SMAT")
-    p.add_argument("--path", choices=["spectral", "kronecker"], default="spectral")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

@@ -189,12 +189,11 @@ def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
 
     Everything runs at the numerical rank r of ``S``. ``factor``, when
     given, is ``(w_star R, R)``: ``R`` (d_in by p) has orthonormal columns
-    spanning the row space of ``w_star``. With p < d_out the thin QR
-    ``w_star R = Q L`` gives a basis ``Q`` of its column space, and
-    ``Q^T w_star = L R^T`` is never formed; otherwise ``Q`` is the identity.
-    One eigendecomposition of the Gram matrix of ``Q^T w_star``, cut at the
-    round-off floor, gives ``S = B Lam B^T`` with ``B = Q E_r`` (d_out by
-    r). There the root of ``S`` is ``Lam^{1/2}``; with
+    spanning the row space of ``w_star``. With p < d_out, ``x = w_star R``;
+    otherwise ``x = w_star``. One eigendecomposition of the smaller Gram
+    matrix of ``x``, cut at the round-off floor, and an SVD of ``x`` on the
+    kept eigenvectors give ``S = B Lam B^T`` with ``B`` (d_out by r) and
+    ``B^T w_star`` directly. There the root of ``S`` is ``Lam^{1/2}``; with
     ``Lam^{1/2} B^T w0 = U diag(s) V^T`` the cross root
     ``(S^{1/2} Z S^{1/2})^{1/2}`` is ``B U diag(s) U^T B^T`` and
     ``bures_before`` is ``|w_star|^2 + |w0|^2 - 2 sum(s)``, because
@@ -210,7 +209,7 @@ def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
     if w_.shape != w0_.shape:
         raise ValueError(f"w_star shape {w_.shape} does not match w0 {w0_.shape}")
     w_sq, w0_sq = float(np.vdot(w_, w_)), float(np.vdot(w0_, w0_))
-    q, w_q, right = None, w_, None
+    x, right = w_, None
     if factor is not None:
         left, right = as_matrix(factor[0], "factor[0]"), as_matrix(factor[1], "factor[1]")
         if right.shape[0] != w_.shape[1] or left.shape != (w_.shape[0], right.shape[1]):
@@ -219,24 +218,23 @@ def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
         # does an R that misses a row direction of w_star
         if abs(w_sq - float(np.vdot(left, left))) > 1e-8 * w_sq:
             raise ValueError("factor is not (w_star R, R) for an R spanning the row space of w_star")
-        if right.shape[1] < w_.shape[0]:
-            q, w_q = np.linalg.qr(left)  # Q^T w_star = L R^T
-        else:
-            right = None
-    # a Gram matrix is symmetric PSD by construction, so it skips _validate_cov
-    dec = sym_eig(_sym(w_q @ w_q.T))
+        x, right = (left, right) if right.shape[1] < w_.shape[0] else (w_, None)
+    # w_star = x R^T; a Gram matrix is symmetric PSD by construction, so it skips _validate_cov
+    wide = x.shape[1] >= x.shape[0]
+    dec = sym_eig(_sym(x @ x.T if wide else x.T @ x))
     e = dec.eigvecs[:, dec.eigvals > _ROUNDOFF_CUT * max(float(dec.eigvals[0]), 0.0)]
     # Rayleigh-Ritz: round-off in an ungraded Gram matrix (the identity basis)
-    # lifts some null directions above the floor; the singular values of
-    # e^T w_q resolve them to eps * sigma_max, and the same floor drops them.
-    ritz_u, ritz_s, ritz_vt = np.linalg.svd(e.T @ w_q, full_matrices=False)
+    # lifts some null directions above the floor; the singular values of x on
+    # the kept eigenvectors resolve them to eps * sigma_max, and the same
+    # floor drops them.
+    ritz_u, ritz_s, ritz_vt = np.linalg.svd(e.T @ x if wide else x @ e, full_matrices=False)
     lam = ritz_s**2
     lam_max = float(lam[0]) if lam.size else 0.0
     cut = lam > _ROUNDOFF_CUT * lam_max
     lam = lam[cut]
-    e_r = e @ ritz_u[:, cut]
-    basis = e_r if q is None else q @ e_r
-    w_r = ritz_s[cut, None] * ritz_vt[cut]  # B^T w_star, with orthogonal rows
+    u_r, w_r = ritz_u[:, cut], ritz_s[cut, None] * ritz_vt[cut]
+    # B, and B^T x with orthogonal rows
+    basis, w_r = (e @ u_r, w_r) if wide else (u_r, w_r @ e.T)
     if right is not None:
         w_r = w_r @ right.T
     w0_r = basis.T @ w0_

@@ -52,7 +52,6 @@ class SyntheticModelSpec:
     embed_scale: float = 10.0
     tokens_per_concept: int = 1
     samples_per_concept: int = 8
-    neutral_samples: int | None = None
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -122,12 +121,12 @@ def _tokens(rng, concept, count, noise, d_in):
     return raw / np.sqrt(count)
 
 
-def _edit_inputs(rng, spec, targets, anchor, target_mode, n_neutral):
+def _edit_inputs(rng, spec, targets, anchor, target_mode):
     """Erase spec, contexts, decoupler features and labels for ``targets``.
 
     ``spec`` supplies the noise, embedding scale and token and sample counts.
     Draws from ``rng`` in a fixed order: every target's context tokens, then
-    every target's samples, then the neutral samples.
+    every target's samples, then as many neutral samples as target samples.
     """
     d_in, m = targets.shape
     noise = spec.noise_scale * spec.embed_scale
@@ -141,8 +140,8 @@ def _edit_inputs(rng, spec, targets, anchor, target_mode, n_neutral):
             targets[:, k][None, :] + noise * rng.standard_normal((per, d_in)) / np.sqrt(d_in)
         )
         labs.append(np.full(per, k + 1))
-    feats.append(spec.embed_scale * rng.standard_normal((n_neutral, d_in)) / np.sqrt(d_in))
-    labs.append(np.zeros(n_neutral))
+    feats.append(spec.embed_scale * rng.standard_normal((per * m, d_in)) / np.sqrt(d_in))
+    labs.append(np.zeros(per * m))
     if target_mode == solver.ZERO_TARGET:
         erase = EraseSpec(targets, mode=solver.ZERO_TARGET)
     else:
@@ -169,12 +168,7 @@ def generate_model(
     anchor = spec.embed_scale * anchor_dir
     targets = concepts[:, : spec.m_targets]
     preserved = concepts[:, spec.m_targets :] if spec.m_preserved else None
-    n_neutral = spec.neutral_samples
-    if n_neutral is None:
-        n_neutral = spec.samples_per_concept * spec.m_targets
-    erase, contexts, features, labels = _edit_inputs(
-        rng, spec, targets, anchor, target_mode, n_neutral
-    )
+    erase, contexts, features, labels = _edit_inputs(rng, spec, targets, anchor, target_mode)
     return SyntheticModel(w0, erase, contexts, preserved, features, labels, anchor)
 
 
@@ -265,9 +259,13 @@ class ConfuseSpec:
             raise ValueError(f"similarity must be in [0, 1), got {self.similarity}")
 
 
+# Relative output displacement below which a concept counts as unmoved.
+_DISPLACEMENT_THRESHOLD = 0.5
+
+
 @dataclass
 class ConfuseReport:
-    """Per-concept rows plus thresholded accuracy analogs for one benchmark run."""
+    """Per-concept rows plus accuracy analogs thresholded at ``displacement_threshold``."""
 
     target_rows: list[dict]
     preserved_rows: list[dict]
@@ -305,23 +303,16 @@ def _confuse_model(spec: ConfuseSpec):
     return w0, np.hstack(targets), np.hstack(preserved), group_of, anchor, rng
 
 
-def confuse_benchmark(
-    spec: ConfuseSpec,
-    cfg: EditConfig = EditConfig(),
-    displacement_threshold: float = 0.5,
-) -> ConfuseReport:
+def confuse_benchmark(spec: ConfuseSpec, cfg: EditConfig = EditConfig()) -> ConfuseReport:
     """Erase the group targets in one edit and score the similar bystanders.
 
     The accuracy analogs threshold relative output displacement: a target
     counts as surviving (bad) and a preserved concept as retained (good)
-    when its output moved less than ``displacement_threshold`` relative to
-    the unedited output.
+    when its output moved less than 0.5 relative to the unedited output.
     """
     w0, targets, preserved, group_of, anchor, rng = _confuse_model(spec)
     n_targets = targets.shape[1]
-    erase, contexts, features, labels = _edit_inputs(
-        rng, spec, targets, anchor, cfg.target_mode, spec.samples_per_concept * n_targets
-    )
+    erase, contexts, features, labels = _edit_inputs(rng, spec, targets, anchor, cfg.target_mode)
     w_edit, report = run_edit(w0, erase, contexts, features, labels, cfg, preserved=preserved)
 
     def displacement(c):
@@ -349,10 +340,10 @@ def confuse_benchmark(
             }
         )
     unlearn = 100.0 * float(
-        np.mean([row["displacement"] < displacement_threshold for row in target_rows])
+        np.mean([row["displacement"] < _DISPLACEMENT_THRESHOLD for row in target_rows])
     )
     preserve = 100.0 * float(
-        np.mean([row["displacement"] < displacement_threshold for row in preserved_rows])
+        np.mean([row["displacement"] < _DISPLACEMENT_THRESHOLD for row in preserved_rows])
     )
     return ConfuseReport(
         target_rows,
@@ -360,6 +351,6 @@ def confuse_benchmark(
         unlearn,
         preserve,
         overall_accuracy(unlearn, preserve),
-        displacement_threshold,
+        _DISPLACEMENT_THRESHOLD,
         report,
     )

@@ -207,5 +207,6 @@ def probe_scores(w_edited, w0, targets: EraseSpec, preserved=None) -> ProbeScore
     p = validate_concepts(preserved, "preserved")
     if p.shape[0] != w0_.shape[1]:
         raise ValueError(f"probe length {p.shape[0]} does not match w0 ({w0_.shape[1]})")
-    preservation, excluded_p = _relative_errors(w_ @ p - w0_ @ p, w0_ @ p)
+    w0_p = w0_ @ p
+    preservation, excluded_p = _relative_errors(w_ @ p - w0_p, w0_p)
     return ProbeScores(erasure, preservation, excluded_t, excluded_p)

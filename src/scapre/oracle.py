@@ -23,23 +23,26 @@ __all__ = [
 ]
 
 
+# Armijo backtracking: a unit first step, halved until the decrease is at
+# least 1e-4 of the step times the squared gradient norm.
+_SHRINK = 0.5
+_ARMIJO = 1e-4
+# Step sizes at which the minimality check probes each direction.
+_EPSILONS = (1e-3, 1e-2, 1e-1)
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Gradient-descent settings: Armijo backtracking from a unit step."""
+    """Gradient-descent settings; the line search is Armijo backtracking from a unit step."""
 
     max_iters: int = 100_000
     grad_tol: float = 1e-6
-    init_step: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
-        if not (self.init_step > 0.0 and 0.0 < self.shrink < 1.0 and self.armijo > 0.0):
-            raise ValueError("invalid line-search parameters")
 
 
 class ConvergenceError(RuntimeError):
@@ -80,14 +83,14 @@ def gd_minimize(a, b_diag, m, cfg: OracleConfig = OracleConfig()) -> np.ndarray:
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= cfg.grad_tol:
             return w
-        step = cfg.init_step
+        step = 1.0
         sq = grad_norm * grad_norm
         while True:
             w_next = w - step * grad
             f_next = value(w_next)
-            if f_next <= f_w - cfg.armijo * step * sq:
+            if f_next <= f_w - _ARMIJO * step * sq:
                 break
-            step *= cfg.shrink
+            step *= _SHRINK
             if step < 1e-18:
                 # Decrease no longer resolvable in float64; the iterate is as
                 # converged as the arithmetic allows.
@@ -124,19 +127,11 @@ def mi_bruteforce(pairs) -> float:
     return max(mi, 0.0)
 
 
-def objective_perturbation_check(
-    w,
-    a,
-    b_diag,
-    m,
-    trials: int = 100,
-    seed: int | None = 0,
-    epsilons: tuple[float, ...] = (1e-3, 1e-2, 1e-1),
-) -> bool:
+def objective_perturbation_check(w, a, b_diag, m, trials: int = 100, seed: int | None = 0) -> bool:
     """True iff no sampled perturbation of ``w`` lowers the edit objective.
 
-    Each trial draws a unit-Frobenius direction and probes it at every step
-    size in ``epsilons``.
+    Each trial draws a unit-Frobenius direction and probes it at step sizes
+    1e-3, 1e-2 and 1e-1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -146,7 +141,7 @@ def objective_perturbation_check(
     for _ in range(trials):
         delta = rng.standard_normal(w_.shape)
         delta /= np.linalg.norm(delta)
-        for eps in epsilons:
+        for eps in _EPSILONS:
             if objective_value(w_ + eps * delta, a, b_diag, m) < base:
                 return False
     return True

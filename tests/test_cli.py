@@ -118,21 +118,19 @@ class TestSolveCommand:
         m = np.arange(9.0).reshape(3, 3) + 1.0
         write_smat(tmp_path / "m.smat", m)
         out = tmp_path / "w.smat"
-        for path in ("spectral", "kronecker"):
-            assert (
-                main(
-                    [
-                        "solve",
-                        "--b", str(tmp_path / "b.smat"),
-                        "--a", str(tmp_path / "a.smat"),
-                        "--m", str(tmp_path / "m.smat"),
-                        "--path", path,
-                        "--out", str(out),
-                    ]
-                )
-                == 0
+        assert (
+            main(
+                [
+                    "solve",
+                    "--b", str(tmp_path / "b.smat"),
+                    "--a", str(tmp_path / "a.smat"),
+                    "--m", str(tmp_path / "m.smat"),
+                    "--out", str(out),
+                ]
             )
-            assert np.allclose(read_smat(out), m / 2.0)
+            == 0
+        )
+        assert np.allclose(read_smat(out), m / 2.0)
 
     def test_indefinite_a_exit_3(self, tmp_path):
         write_smat(tmp_path / "b.smat", np.ones((2, 1)))
@@ -283,9 +281,12 @@ class TestSubprocessEntry:
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "scapre", "solve", "--path", "bogus"],
+            # every input but --b
+            [sys.executable, "-m", "scapre", "solve", "--a", "a.smat", "--m", "m.smat",
+             "--out", "w.smat"],
             env=self.ENV,
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 2
+        assert "--b" in proc.stderr

@@ -379,7 +379,7 @@ class TestColumnSpaceRoute:
         w_star, factor = spanned_edit(rng, 6, 20, 6)
         w0 = rng.standard_normal((6, 20))
         res = refine_weights(w_star, w0, 0.5, factor=factor)
-        # no QR: the eigenvectors of W* W*^T itself are the basis
+        # p >= d_out: the factor goes unused, and the Gram matrix W* W*^T gives the basis
         assert res.basis.shape == (6, 6)
         assert np.array_equal(res.w, refine_weights(w_star, w0, 0.5).w)
 
@@ -405,7 +405,7 @@ class TestColumnSpaceRoute:
     @pytest.mark.parametrize("d_out", [12, 4], ids=["p<d_out", "p>=d_out"])
     def test_factor_guard_is_two_sided(self, d_out):
         # |w_star|^2 and |w_star R|^2 must agree to 1e-8 on both sides, at
-        # every width: the p >= d_out case skips the QR, not the guard
+        # every width: the p >= d_out case leaves the factor unused but still checks it
         rng = np.random.default_rng(20)
         w_star, (left, right) = spanned_edit(rng, d_out, 10, 6)
         w0 = rng.standard_normal((d_out, 10))

@@ -172,27 +172,35 @@ class TestRunEdit:
         assert peak < 8 * 2**20
 
     def test_kernel_calls_per_edit(self, monkeypatch):
-        # one SVD of the concepts, a Rayleigh-Ritz SVD of B^T W*, the SVD of
-        # Lam^(1/2) B^T W0 (bures_before and the cross root) and one of the
-        # refined factor against w0 (bures_after); the transport map needs no
-        # alignment SVD. The only stabilizer eigendecomposition is k x k
-        model = small_model(seed=5)
-        calls = []
-        for name in ("eigh", "svd"):
-            kernel = getattr(np.linalg, name)
+        # one SVD of the concepts, a Rayleigh-Ritz SVD of W* on the kept
+        # eigenvectors of its Gram matrix, the SVD of Lam^(1/2) B^T W0
+        # (bures_before and the cross root) and one of the refined factor
+        # against w0 (bures_after); the transport map needs no alignment SVD.
+        # The only stabilizer eigendecomposition is k x k, and the only QR is
+        # the stabilizer's thin QR, which T+m >= d_in skips
+        for tokens in (1, 11):
+            model = small_model(seed=5, tokens_per_concept=tokens)
+            calls = []
+            for name in ("eigh", "svd", "qr"):
+                kernel = getattr(np.linalg, name)
 
-            def counted(a, *args, _kernel=kernel, _name=name, **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _kernel(a, *args, **kwargs)
+                def counted(a, *args, _kernel=kernel, _name=name, _calls=calls, **kwargs):
+                    _calls.append((_name, np.shape(a)))
+                    return _kernel(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
-        _, report = run_edit(
-            model.w0, model.erase_spec, model.contexts, model.features, model.labels
-        )
-        assert sum(kind == "svd" for kind, _ in calls) == 4
-        k = report.stabilizer_rank
-        assert ("eigh", (k, k)) in calls
-        assert all(shape[0] != model.w0.shape[1] for kind, shape in calls if kind == "eigh")
+                monkeypatch.setattr(np.linalg, name, counted)
+            _, report = run_edit(
+                model.w0, model.erase_spec, model.contexts, model.features, model.labels
+            )
+            monkeypatch.undo()
+            d_in = model.w0.shape[1]
+            k = report.stabilizer_rank
+            assert k == min(d_in, 4 * tokens + 4)
+            assert sum(kind == "svd" for kind, _ in calls) == 4
+            assert ("eigh", (k, k)) in calls
+            assert sum(kind == "qr" for kind, _ in calls) == (1 if k < d_in else 0)
+            if k < d_in:
+                assert all(shape[0] != d_in for kind, shape in calls if kind == "eigh")
 
     def test_bures_improves_on_bw_geodesic_full_rank(self):
         # more targets than output channels makes the edit full rank, so the
@@ -269,6 +277,21 @@ class TestRunEdit:
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             dense = refine_weights(inter.w_star, model.w0, report.beta)
         assert rel_err(w, dense.w) <= 1e-12
+
+    def test_degenerate_alpha_solves_w_a_equals_m(self):
+        # constant decoupler features binarize to one state on every channel,
+        # so every channel scores zero mutual information, alpha is zero and
+        # the solve is W A = M
+        model = small_model(seed=7)
+        features = np.zeros_like(model.features)
+        w, report = run_edit(model.w0, model.erase_spec, model.contexts, features, model.labels)
+        assert report.alpha_degenerate
+        assert report.alpha_min == report.alpha_max == 0.0
+        assert report.sylvester_residual <= 1e-8
+        assert np.isfinite(w).all()
+        inter = report.intermediates
+        a = dense_reference_a(report.lam, model)
+        assert rel_err(inter.w_star @ a, inter.m_rhs) <= 1e-8
 
     def test_no_output_sized_square_matrix(self):
         # d_out^2 float64 entries would be 32 MB; the geometry stage works in
