@@ -126,15 +126,21 @@ class DecouplerAlpha:
 def build_decoupler(w, features, labels, base: float | None = None) -> DecouplerAlpha:
     """Score every output channel of ``w`` against the labeled samples.
 
-    Activations are binarized per channel at the pooled median (ties at the
-    threshold count as inactive). For each concept label the 2x2 table is
-    built from that concept's samples (y=1) against the neutral samples
-    (y=0); per-channel MI is the maximum over concepts and ``alpha`` is that
-    maximum normalized by its largest value.
+    Activations are formed channel-major and binarized per channel at the
+    exact pooled median, read off one partition of each channel's row (the
+    bits of ``channel_thresholds``; ties at the threshold count as inactive).
+    For each concept label the 2x2 table is built from that concept's samples
+    (y=1) against the neutral samples (y=0); per-channel MI is the maximum
+    over concepts and ``alpha`` is that maximum normalized by its largest value.
     """
     w_, f, y = _validate_samples(w, features, labels)
-    acts = f @ w_.T
-    z = acts > np.median(acts, axis=0)  # strict comparison: threshold ties are state 0
+    acts = w_ @ f.T
+    h = acts.shape[1] // 2
+    part = np.partition(acts, h, axis=1)
+    # np.median's rule: the middle value, or the mean of the two middle values
+    tau = part[:, h] if acts.shape[1] % 2 else (part[:, :h].max(axis=1) + part[:, h]) / 2
+    del part  # the peak stays at two activation arrays
+    z = (acts > tau[:, None]).T  # strict comparison: threshold ties are state 0
     # Active samples per (channel, label) pair; label 0 (neutral) sorts first.
     groups, sizes = np.unique(y, return_counts=True)
     on = np.stack([z[y == k].sum(axis=0) for k in groups], axis=1)

@@ -190,17 +190,20 @@ def _relative_errors(delta: np.ndarray, reference: np.ndarray):
     return errors, tuple(int(i) for i in np.flatnonzero(~ok))
 
 
-def probe_scores(w_edited, w0, targets: EraseSpec, preserved=None) -> ProbeScores:
+def probe_scores(w_edited, w0, targets: EraseSpec, preserved=None, *, v_star=None) -> ProbeScores:
     """Erasure and preservation errors of an edit, relative to ``w0`` outputs.
 
     Erasure error of target k is ``|w_edited c_k - v*_k| / |w0 c_k|``;
     preservation error of probe j is ``|w_edited c_j - w0 c_j| / |w0 c_j|``.
+    ``v_star`` is V* (d_out x m) if already resolved from ``w0`` and ``targets``.
     """
     w_ = as_matrix(w_edited, "w_edited")
     w0_ = as_matrix(w0, "w0")
     if w_.shape != w0_.shape:
         raise ValueError(f"w_edited shape {w_.shape} does not match w0 {w0_.shape}")
-    v = resolve_v_star(w0_, targets)
+    v = resolve_v_star(w0_, targets) if v_star is None else np.asarray(v_star)
+    if v.shape != (w0_.shape[0], targets.n_concepts):
+        raise ValueError(f"v_star shape {v.shape} is not ({w0_.shape[0]}, {targets.n_concepts})")
     erasure, excluded_t = _relative_errors(w_ @ targets.concepts - v, w0_ @ targets.concepts)
     if preserved is None:
         return ProbeScores(erasure, np.empty(0), excluded_t, ())

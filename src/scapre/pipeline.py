@@ -245,7 +245,7 @@ def run_edit(
             )
 
     with _stage("metrics", stage_ms):
-        probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved)
+        probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved, v_star=v_star)
         max_erasure = float(np.nanmax(probes.erasure)) if probes.erasure.size else float("nan")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,9 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scapre.informax import JointCounts, build_decoupler, channel_mi, channel_thresholds
+from scapre.informax import (
+    JointCounts,
+    _mi_table,
+    build_decoupler,
+    channel_mi,
+    channel_thresholds,
+)
 from scapre.oracle import mi_bruteforce
 
 
@@ -195,3 +202,83 @@ class TestBuildDecoupler:
                 got = dec.per_concept_mi[i, j]
                 assert abs(got - channel_mi(counts, base=base)) <= 1e-15
                 assert abs(got - mi_bruteforce(pairs) / to_base) <= 1e-15
+
+
+def reference_decoupler(w, feats, labels, base=None):
+    """Pooled-median thresholds from ``channel_thresholds`` and per-label masks."""
+    labels = np.asarray(labels)
+    z = feats @ w.T > channel_thresholds(w, feats, labels)
+    groups, sizes = np.unique(labels, return_counts=True)
+    on = np.stack([z[labels == k].sum(axis=0) for k in groups], axis=1)
+    per = _mi_table(sizes[0] - on[:, :1], sizes[1:] - on[:, 1:], on[:, :1], on[:, 1:], base)
+    mi = per.max(axis=1)
+    alpha = mi / mi.max() if mi.max() > 0.0 else np.zeros_like(mi)
+    return alpha, per
+
+
+def _threshold_case(name):
+    rng = np.random.default_rng(11)
+    if name in ("odd", "even"):
+        n = 91 if name == "odd" else 90
+        labels = rng.integers(0, 3, n)
+        labels[:2] = [0, 1]
+        return rng.standard_normal((16, 6)), rng.standard_normal((n, 6)), labels
+    if name == "two-samples":
+        return rng.standard_normal((5, 3)), rng.standard_normal((2, 3)), np.array([1, 0])
+    if name == "middle-ties":
+        # channel 0: sorted 1 2 2 2 | 3 3 3 4, both middle values tied (median 2.5);
+        # channel 1: sorted 1 2 2 2 | 2 2 3 4, the middle values tied with each other
+        col0 = np.array([3.0, 2.0, 1.0, 3.0, 4.0, 2.0, 3.0, 2.0])
+        col1 = np.array([2.0, 4.0, 2.0, 1.0, 2.0, 3.0, 2.0, 2.0])
+        return np.eye(2), np.stack([col0, col1], axis=1), np.array([0, 1, 0, 1, 1, 0, 1, 0])
+    if name == "constant-channel":
+        w = rng.standard_normal((6, 4))
+        w[2] = 0.0
+        labels = rng.integers(0, 2, 41)
+        labels[:2] = [0, 1]
+        return w, rng.standard_normal((41, 4)), labels
+    assert name == "unequal-groups"
+    labels = np.repeat([0, 2, 3, 7], [30, 8, 19, 33])
+    rng.shuffle(labels)
+    w = rng.integers(-2, 3, (24, 5)).astype(float)
+    return w, rng.integers(-2, 3, (90, 5)).astype(float), labels
+
+
+class TestDecouplerThresholds:
+    @pytest.mark.parametrize(
+        "name",
+        ["odd", "even", "two-samples", "middle-ties", "constant-channel", "unequal-groups"],
+    )
+    def test_bit_identical_to_median_reference(self, name):
+        w, feats, labels = _threshold_case(name)
+        dec = build_decoupler(w, feats, labels)
+        alpha, per = reference_decoupler(w, feats, labels)
+        assert np.array_equal(dec.per_concept_mi, per)
+        assert np.array_equal(dec.alpha, alpha)
+
+    def test_middle_ties_case_thresholds(self):
+        w, feats, labels = _threshold_case("middle-ties")
+        assert np.array_equal(channel_thresholds(w, feats, labels), [2.5, 2.0])
+
+    @pytest.mark.parametrize("name", ["odd", "even", "unequal-groups"])
+    def test_independent_of_sample_order(self, name):
+        w, feats, labels = _threshold_case(name)
+        perm = np.random.default_rng(12).permutation(len(labels))
+        base = build_decoupler(w, feats, labels)
+        shuffled = build_decoupler(w, feats[perm], labels[perm])
+        assert np.array_equal(base.alpha, shuffled.alpha)
+        assert np.array_equal(base.per_concept_mi, shuffled.per_concept_mi)
+
+    def test_peak_memory_is_two_activation_arrays(self):
+        rng = np.random.default_rng(13)
+        n, d = 2400, 512
+        w = rng.standard_normal((d, d))
+        feats = rng.standard_normal((n, d))
+        labels = np.arange(n) % 100
+        tracemalloc.start()
+        try:
+            build_decoupler(w, feats, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * d * 8

@@ -11,7 +11,7 @@ from scapre.metrics import (
     uq_rank,
     uq_sigmoid,
 )
-from scapre.solver import SUBSTITUTE_TARGET, ZERO_TARGET, EraseSpec
+from scapre.solver import SUBSTITUTE_TARGET, ZERO_TARGET, EraseSpec, resolve_v_star
 
 # Published nine-column score table used for frozen-value reproduction; the
 # first row is the unedited reference model.
@@ -231,6 +231,22 @@ class TestProbeScores:
                 w0 @ probes[:, j]
             )
             assert abs(res.preservation[j] - want) < 1e-12
+
+    def test_resolved_v_star_gives_same_scores(self):
+        rng = np.random.default_rng(7)
+        w0 = rng.standard_normal((5, 8))
+        w_edit = rng.standard_normal((5, 8))
+        c = rng.standard_normal((8, 3))
+        spec = EraseSpec(c, mode=SUBSTITUTE_TARGET, substitutes=rng.standard_normal((8, 3)))
+        probes = rng.standard_normal((8, 4))
+        plain = probe_scores(w_edit, w0, spec, probes)
+        passed = probe_scores(w_edit, w0, spec, probes, v_star=resolve_v_star(w0, spec))
+        assert np.array_equal(plain.erasure, passed.erasure)
+        assert np.array_equal(plain.preservation, passed.preservation)
+        assert plain.excluded_targets == passed.excluded_targets
+        assert plain.excluded_probes == passed.excluded_probes
+        with pytest.raises(ValueError, match="v_star shape"):
+            probe_scores(w_edit, w0, spec, probes, v_star=np.zeros((5, 2)))
 
     def test_zero_norm_reference_excluded(self):
         w0 = np.array([[1.0, 0.0], [0.0, 0.0]])  # second axis annihilated
