@@ -83,9 +83,10 @@ for beta in (0.0, 0.3, 0.6, 1.0):
 # %% [markdown]
 # The report is self-describing: every run echoes its full configuration,
 # flags degenerate situations (zero right-hand side, all-zero channel
-# information, a refinement that vanishes or moves away from `W0`), records
-# the geometry's rank warnings, and keeps the stage outputs on
-# `report.intermediates` for independent verification.
+# information, a refinement that vanishes or moves away from `W0`), writes
+# a note in `warnings` for each raised flag (none here: `W*`'s rank below
+# `d_out`, recorded as `w_star_rank`, is the normal regime), and keeps the
+# stage outputs on `report.intermediates` for independent verification.
 
 # %%
 for key, value in report.to_dict().items():

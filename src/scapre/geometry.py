@@ -39,7 +39,7 @@ _ROUNDOFF_CUT = np.finfo(np.float64).eps
 
 
 class RankDeficiencyWarning(UserWarning):
-    """A spectrum was pseudo-inverted or the refined covariance vanished."""
+    """The refined covariance vanished, or the dense oracle pseudo-inverted a spectrum."""
 
 
 def _validate_cov(x, name: str) -> np.ndarray:
@@ -89,18 +89,14 @@ def bures_distance(sigma_a, sigma_b) -> float:
     return _bures_roots(a, b)[2]
 
 
-def _pinv_sqrt(vals: np.ndarray, name: str, size: int) -> np.ndarray:
-    """Reciprocal square roots of the eigenvalues above the rank cutoff, zero below.
-
-    ``vals`` may be the nonzero spectrum of a size-by-size covariance; the
-    rank is reported out of ``size``.
-    """
+def _pinv_sqrt(vals: np.ndarray, name: str) -> np.ndarray:
+    """Reciprocal square roots of the eigenvalues above the rank cutoff, zero below."""
     vals = np.clip(vals, 0.0, None)
     vmax = float(vals.max()) if vals.size else 0.0
     keep = vals > _RANK_CUT * vmax
-    if int(keep.sum()) < size:
+    if int(keep.sum()) < vals.size:
         warnings.warn(
-            f"{name} is rank deficient ({int(keep.sum())}/{size}); "
+            f"{name} is rank deficient ({int(keep.sum())}/{vals.size}); "
             "using a pseudo-inverse on the clamped spectrum",
             RankDeficiencyWarning,
             stacklevel=3,
@@ -127,7 +123,7 @@ def geodesic_interpolate(sigma_star, sigma_zero, beta: float) -> np.ndarray:
         raise ValueError(f"covariance sizes differ: {s.shape} vs {z.shape}")
     _, cross, _ = _bures_roots(s, z)
     dec = sym_eig(s)
-    inv_root = (dec.eigvecs * _pinv_sqrt(dec.eigvals, "sigma_star", s.shape[0])) @ dec.eigvecs.T
+    inv_root = (dec.eigvecs * _pinv_sqrt(dec.eigvals, "sigma_star")) @ dec.eigvecs.T
     transport = (1.0 - beta) * np.eye(s.shape[0]) + beta * _sym(inv_root @ cross @ inv_root)
     return _sym(transport @ s @ transport)
 
@@ -178,7 +174,8 @@ def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
     With ``S = w_star w_star^T`` and ``Z = w0 w0^T``, the optimal transport
     map from ``S`` to ``Z`` is
     ``T = S^{-1/2} (S^{1/2} Z S^{1/2})^{1/2} S^{-1/2}`` (pseudo-inverted on
-    a rank-deficient spectrum, with a warning). The refined weights are
+    the range of ``S``, without a warning: ``S`` has rank far below d_out in
+    a normal edit). The refined weights are
     ``T_beta w_star`` with ``T_beta = (1-beta) I + beta T``, McCann's
     displacement interpolation (1997): their covariance ``T_beta S T_beta``
     is the point a fraction ``beta`` along the Bures-Wasserstein geodesic
@@ -241,12 +238,14 @@ def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
     root = np.sqrt(lam)
     cross_u, cross_s, _ = np.linalg.svd(root[:, None] * w0_r, full_matrices=False)
     bures_before = max(w_sq + w0_sq - 2.0 * float(cross_s.sum()), 0.0)
+    keep = lam > _RANK_CUT * lam_max
     if beta == 0.0:
-        rank = int((lam > _RANK_CUT * lam_max).sum())
         return RefinementResult(
-            w_, basis, np.diag(lam), rank, False, 0.0, bures_before, bures_before
+            w_, basis, np.diag(lam), int(keep.sum()), False, 0.0, bures_before, bures_before
         )
-    inv = _pinv_sqrt(lam, "sigma_star", w_.shape[0])
+    # Lam^{+1/2}: rank(S) < d_out is the normal regime, so the pseudo-inverse
+    # on the range does not warn
+    inv = np.where(keep, 1.0 / root, 0.0)
     # M and M_beta = (1-beta) I + beta M: T and T_beta in the basis
     transport = _sym(inv[:, None] * ((cross_u * cross_s) @ cross_u.T) * inv)
     step = (1.0 - beta) * np.eye(lam.size) + beta * transport

@@ -180,8 +180,8 @@ def sweep_row(run_id: str, report: EditReport) -> dict:
         "d_in": report.d_in,
         "d_out": report.d_out,
         "lambda": report.lam,
-        "beta": report.beta,
-        "mode": f"{report.target_mode}/{report.interpolation_mode}",
+        "beta": report.config["beta"],
+        "mode": f"{report.config['target_mode']}/{report.config['interpolation_mode']}",
         "sylvester_residual": report.sylvester_residual,
         "bures_before": report.bures_before,
         "bures_after": report.bures_after,

@@ -48,6 +48,12 @@ class ZeroTargetWarning(UserWarning):
     """The right-hand side vanished, so the closed-form solution is zero."""
 
 
+_ZERO_TARGET_NOTE = (
+    "right-hand side is zero: the closed-form solution is the zero "
+    "matrix and preservation rests entirely on the refinement stage"
+)
+
+
 @contextmanager
 def _stage(name: str, stage_ms: dict[str, float]):
     """Tag failures of the block with ``name`` and record its wall time in ``stage_ms``."""
@@ -109,7 +115,6 @@ class EditIntermediates:
 
     stabilizer: StabilizerA
     decoupler: DecouplerAlpha
-    m_rhs: np.ndarray
     w_star: np.ndarray
     refinement: RefinementResult
 
@@ -118,23 +123,20 @@ class EditIntermediates:
 class EditReport:
     """Everything one run produced (weights travel separately).
 
-    Numbers, plus ``warnings``: the messages of the ``RankDeficiencyWarning``s
-    the geometry stage raised, recorded here instead of being shown, and a
-    note when the refinement moved the covariance away from ``W0 W0^T``
-    (``refinement_moved_away``: ``bures_after > bures_before``).
-    ``w_star_rank`` is the numerical rank of ``W*`` the geometry works at,
-    and ``stage_ms`` the wall time of each stage in milliseconds.
+    Numbers, plus ``warnings``: one note per raised flag, written from the
+    flags themselves, in the order ``zero_target``, ``refinement_degenerate``,
+    ``refinement_moved_away`` (``bures_after > bures_before``); nothing is
+    captured or silenced, so warnings the stages raise reach the caller.
+    ``w_star_rank`` is the numerical rank of ``W*`` the geometry works at;
+    below d_out is the normal regime, not a fault. ``stage_ms`` is the wall
+    time of each stage in milliseconds; ``config`` echoes the ``EditConfig``
+    and ``lam`` is the ridge it resolved to.
     """
 
     m: int
     d_in: int
     d_out: int
     lam: float
-    lam_rule: str
-    beta: float
-    interpolation_mode: str
-    target_mode: str
-    solver_path: str
     sylvester_residual: float
     stabilizer_rank: int
     a_eig_min: float
@@ -211,60 +213,40 @@ def run_edit(
         dec = build_decoupler(w0_, features, labels)
 
     with _stage("solver", stage_ms):
-        # the edit's one dense M, kept for the residual; the solve multiplies
-        # through its factors (V*, C)
+        # M = V* C^T travels as its factors; the solve forms it densely only
+        # for the residual
         v_star = resolve_v_star(w0_, spec)
-        m_rhs = v_star @ spec.concepts.T
-        zero_target = not m_rhs.any()
+        zero_target = not v_star.any()
         if zero_target:
-            warnings.warn(
-                "right-hand side is zero: the closed-form solution is the zero "
-                "matrix and preservation rests entirely on the refinement stage",
-                ZeroTargetWarning,
-                stacklevel=2,
-            )
-        sol = sylvester_solve_spectral(dec.alpha, stab, m_rhs, (v_star, spec.concepts))
+            warnings.warn(_ZERO_TARGET_NOTE, ZeroTargetWarning, stacklevel=2)
+        sol = sylvester_solve_spectral(dec.alpha, stab, (v_star, spec.concepts))
 
     with _stage("geometry", stage_ms):
         # W*'s rows lie in span(V): the stabilizer basis V spans the concepts,
         # so M = V* C^T has no complement and the solve keeps span(V)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", geometry.RankDeficiencyWarning)
-            ref = refine_weights(sol.w_star, w0_, cfg.beta, (sol.w_v, stab.eig.eigvecs))
-        geometry_warnings = []
-        for entry in caught:
-            if issubclass(entry.category, geometry.RankDeficiencyWarning):
-                geometry_warnings.append(str(entry.message))
-            else:
-                warnings.warn_explicit(entry.message, entry.category, entry.filename, entry.lineno)
+        ref = refine_weights(sol.w_star, w0_, cfg.beta, (sol.w_v, stab.eig.eigvecs))
         moved_away = ref.bures_after > ref.bures_before
-        if moved_away:
-            geometry_warnings.append(
-                f"refinement moved the covariance away from W0 W0^T: squared Bures "
-                f"distance {ref.bures_before:.6g} -> {ref.bures_after:.6g}"
-            )
 
     with _stage("metrics", stage_ms):
         probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved, v_star=v_star)
         max_erasure = float(np.nanmax(probes.erasure)) if probes.erasure.size else float("nan")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            median_preserve = (
-                float(np.nanmedian(probes.preservation))
-                if probes.preservation.size
-                else float("nan")
-            )
+        usable = probes.preservation[~np.isnan(probes.preservation)]
+        median_preserve = float(np.median(usable)) if usable.size else float("nan")
+
+    notes = [_ZERO_TARGET_NOTE] if zero_target else []
+    if ref.degenerate:
+        notes.append("refinement degenerated: the interpolated covariance and the weights are zero")
+    if moved_away:
+        notes.append(
+            f"refinement moved the covariance away from W0 W0^T: squared Bures "
+            f"distance {ref.bures_before:.6g} -> {ref.bures_after:.6g}"
+        )
 
     report = EditReport(
         m=spec.n_concepts,
         d_in=w0_.shape[1],
         d_out=w0_.shape[0],
         lam=stab.lam,
-        lam_rule="absolute" if cfg.lam is not None else "relative",
-        beta=cfg.beta,
-        interpolation_mode=cfg.interpolation_mode,
-        target_mode=cfg.target_mode,
-        solver_path=sol.path,
         sylvester_residual=sol.residual,
         stabilizer_rank=stab.rank,
         a_eig_min=stab.eig_min,
@@ -282,7 +264,7 @@ def run_edit(
         refinement_moved_away=moved_away,
         refinement_degenerate=ref.degenerate,
         realization_gap=ref.realization_gap,
-        warnings=geometry_warnings,
+        warnings=notes,
         erasure_errors=[float(x) for x in probes.erasure],
         preservation_errors=(
             [float(x) for x in probes.preservation] if preserved is not None else None
@@ -294,6 +276,6 @@ def run_edit(
         wall_ms=(time.perf_counter() - t0) * 1e3,
         stage_ms=stage_ms,
         config=cfg.to_dict(),
-        intermediates=EditIntermediates(stab, dec, m_rhs, sol.w_star, ref),
+        intermediates=EditIntermediates(stab, dec, sol.w_star, ref),
     )
     return ref.w, report

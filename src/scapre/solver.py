@@ -185,7 +185,7 @@ def _residual(b_vals, wa, w, m) -> float:
     return num / den if den > 0.0 else num
 
 
-def sylvester_solve_spectral(b_diag, a, m, factors=None) -> EditSolution:
+def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     """Solve ``B W + W A = M`` in the eigenbasis of ``A``.
 
     With diagonal ``B`` and ``A = lam*I + V diag(eigvals - lam) V^T`` the
@@ -193,26 +193,26 @@ def sylvester_solve_spectral(b_diag, a, m, factors=None) -> EditSolution:
     ``W = ((M V) / (b + eigvals)) V^T + (M - M V V^T) / (b + lam)``, where
     the second term is the complement of ``V`` and vanishes when ``V`` spans
     all of d_in. ``a`` is a ``StabilizerA`` (no d_in-by-d_in array is formed)
-    or a raw symmetric matrix (eigendecomposed in full). ``factors``, when
-    given, is ``(V*, C)`` with ``M = V* C^T`` (d_out by m and d_in by m):
-    then ``M V = V* (C^T V)`` and the complement is
-    ``(V* / (b + lam)) (C^T - (C^T V) V^T)``, and the dense ``m`` serves
-    only the residual.
+    or a raw symmetric matrix (eigendecomposed in full). ``m`` is the dense
+    d_out-by-d_in ``M`` or its factors ``(V*, C)`` with ``M = V* C^T``
+    (d_out by m and d_in by m): then ``M V = V* (C^T V)``, the complement is
+    ``(V* / (b + lam)) (C^T - (C^T V) V^T)``, and the dense ``M`` is formed
+    only for the residual.
     """
     b_vals = _b_vector(b_diag)
     stab, times = _split_a(a)
     vecs, vals = stab.eig
-    m_ = as_matrix(m, "m")
     d_out, d_in = b_vals.shape[0], vecs.shape[0]
-    if m_.shape != (d_out, d_in):
-        raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
     # M = left @ right_t, with no left factor (the identity) for a dense M
-    left, right_t = None, m_
-    if factors is not None:
-        left, c = as_matrix(factors[0], "v_star"), as_matrix(factors[1], "c")
+    if isinstance(m, tuple):
+        left, c = as_matrix(m[0], "v_star"), as_matrix(m[1], "c")
         if left.shape[0] != d_out or c.shape != (d_in, left.shape[1]):
-            raise ValueError(f"factors {left.shape}, {c.shape} do not multiply to m {m_.shape}")
+            raise ValueError(f"factors {left.shape}, {c.shape} do not multiply to {d_out}x{d_in}")
         right_t = c.T
+    else:
+        left, right_t = None, as_matrix(m, "m")
+        if right_t.shape != (d_out, d_in):
+            raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {right_t.shape}")
     min_denom = _check_uniqueness(b_vals, stab)
     if min_denom < 1e-12:
         raise ValueError(
@@ -226,6 +226,7 @@ def sylvester_solve_spectral(b_diag, a, m, factors=None) -> EditSolution:
         rest = right_t - right_v @ vecs.T  # M - M V V^T, or its right factor
         w += rest / shift if left is None else (left / shift) @ rest
         del rest  # d_out by d_in for a dense M; the residual's temporaries come next
+    m_ = right_t if left is None else left @ right_t
     return EditSolution(w, _residual(b_vals, times(w), w, m_), "spectral", min_denom, w_v)
 
 

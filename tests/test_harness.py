@@ -115,10 +115,10 @@ class TestScalingSweep:
         assert "failed" in capsys.readouterr().err
 
     def test_leaves_the_warning_filters_as_they_were(self):
-        # run_edit records the geometry warnings under warnings.catch_warnings,
-        # which swaps the process-wide filter list on entry and restores it on
-        # exit; rows run on concurrent threads would restore each other's
-        # lists and could leave a filter installed
+        # run_edit builds its report notes from its flags and touches no
+        # process-wide warning state: a warnings.catch_warnings block would
+        # swap the filter list on entry and restore it on exit, so rows run on
+        # concurrent threads would restore each other's lists
         base = SyntheticModelSpec(d_in=24, d_out=8, m_targets=1)
         before = list(warnings.filters)
         for _ in range(50):

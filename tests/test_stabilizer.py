@@ -233,13 +233,13 @@ class TestBuildA:
         rng = np.random.default_rng(4)
         v_star, c_rhs = rng.standard_normal((b.size, 2)), rng.standard_normal((d_in, 2))
         rhs = v_star @ c_rhs.T
-        got = sylvester_solve_spectral(b, stab, rhs, (v_star, c_rhs))
+        got = sylvester_solve_spectral(b, stab, (v_star, c_rhs))
         want = sylvester_solve_spectral(b, stab, rhs)
         assert rel(got.w_star, want.w_star) < 1e-12
         assert got.residual < 1e-12
         assert rel(got.w_v, got.w_star @ stab.eig.eigvecs) < 1e-12
         with pytest.raises(ValueError, match="do not multiply"):
-            sylvester_solve_spectral(b, stab, rhs, (v_star, c_rhs[:-1]))
+            sylvester_solve_spectral(b, stab, (v_star, c_rhs[:-1]))
 
     def test_zero_target_solves_to_zero(self):
         ctx, c, b, rhs = factored_case(30, 2, 3)
