@@ -19,7 +19,6 @@ from .geometry import (
     refine_weights,
 )
 from .harness import (
-    ConfuseSpec,
     SyntheticModel,
     SyntheticModelSpec,
     confuse_benchmark,
@@ -55,7 +54,6 @@ __all__ = [
     "BW_GEODESIC",
     "SUBSTITUTE_TARGET",
     "ZERO_TARGET",
-    "ConfuseSpec",
     "DecouplerAlpha",
     "EditConfig",
     "EditReport",

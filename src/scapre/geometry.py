@@ -14,7 +14,7 @@ import numpy as np
 
 # refine_weights needs no polar factor; perfbench/tracing.py patches the
 # procrustes name here.
-from .matkernel import as_matrix, procrustes, psd_sqrt, sym_eig  # noqa: F401
+from .matkernel import as_matrix, check_symmetric, procrustes, psd_sqrt, sym_eig  # noqa: F401
 
 __all__ = [
     "BW_GEODESIC",
@@ -46,9 +46,7 @@ def _validate_cov(x, name: str) -> np.ndarray:
     c = as_matrix(x, name)
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"{name} must be square, got {c.shape}")
-    scale = np.linalg.norm(c)
-    if np.linalg.norm(c - c.T) > 1e-10 * max(scale, np.finfo(np.float64).tiny):
-        raise ValueError(f"{name} is not symmetric within 1e-10 relative tolerance")
+    check_symmetric(c, name)
     c = (c + c.T) / 2.0
     vals = np.linalg.eigvalsh(c)
     vmax = float(np.abs(vals).max()) if vals.size else 0.0

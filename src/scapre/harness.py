@@ -1,9 +1,11 @@
 """Synthetic concept models and benchmark sweeps.
 
 Builds toy projection matrices with controlled spectra, concept embeddings
-with a prescribed pairwise cosine, context tokens, and labeled activation
-samples; runs edit sweeps over growing concept counts and the confusable-
-group benchmark, emitting rows under the fixed CSV schema.
+in groups (a prescribed cosine inside a group, orthogonal across groups),
+context tokens, and labeled activation samples; runs edit sweeps over
+growing concept counts and the confusable-group benchmark, emitting rows
+under the fixed CSV schema. One generator, ``generate_model``, draws every
+model: a sweep uses one group, the confusable-group benchmark several.
 """
 
 import sys
@@ -12,14 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .metrics import overall_accuracy
+from .metrics import overall_accuracy, probe_scores
 from .pipeline import EditConfig, EditReport, run_edit
 from .smatio import CSV_COLUMNS
 from .solver import EraseSpec
 
 __all__ = [
     "ConfuseReport",
-    "ConfuseSpec",
     "SyntheticModel",
     "SyntheticModelSpec",
     "confuse_benchmark",
@@ -33,13 +34,19 @@ __all__ = [
 class SyntheticModelSpec:
     """Knobs for one synthetic model draw; every draw is seed-deterministic.
 
-    ``similarity`` is the pairwise cosine shared by all concept embeddings
-    (0 gives an orthogonal design). ``noise_scale`` perturbs context tokens
-    and target samples relative to the embedding norm; keep it small, since
-    token noise leaks into the stabilizer's concept-direction curvature and
-    directly inflates erasure error. ``embed_scale`` sets the embedding norm;
-    well above 1 it both mutes the gated subspace term and keeps the
-    ridge/decoupler displacement a small fraction of the concept energy.
+    Concepts come in ``n_groups`` groups of ``m_targets`` targets plus
+    ``m_preserved`` preserved concepts each, so a model has
+    ``n_groups * m_targets`` targets in all. ``similarity`` is the pairwise
+    cosine of two concept embeddings in the same group; embeddings in
+    different groups are orthogonal (similarity 0 gives an orthogonal
+    design).
+
+    ``noise_scale`` perturbs context tokens and target samples relative to
+    the embedding norm; keep it small, since token noise leaks into the
+    stabilizer's concept-direction curvature and directly inflates erasure
+    error. ``embed_scale`` sets the embedding norm; well above 1 it both
+    mutes the gated subspace term and keeps the ridge/decoupler displacement
+    a small fraction of the concept energy.
     """
 
     d_in: int
@@ -52,10 +59,13 @@ class SyntheticModelSpec:
     embed_scale: float = 10.0
     tokens_per_concept: int = 1
     samples_per_concept: int = 8
+    n_groups: int = 1
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("dimensions must be at least 1")
+        if self.n_groups < 1:
+            raise ValueError("need at least one group")
         if self.m_targets < 1 or self.m_preserved < 0:
             raise ValueError("need at least one target concept")
         if not 0.0 <= self.similarity < 1.0:
@@ -84,24 +94,28 @@ def _orthonormal_columns(rng: np.random.Generator, d: int, n: int) -> np.ndarray
     return q
 
 
-def _similar_directions(rng, d_in, n, similarity):
-    """Unit vectors with every pairwise cosine equal to ``similarity``."""
-    if similarity == 0.0:
-        if n + 1 > d_in:
-            raise ValueError(
-                f"cannot place {n} orthogonal concepts plus an anchor in {d_in} dimensions"
-            )
-        basis = _orthonormal_columns(rng, d_in, n + 1)
-        return basis[:, :n], basis[:, n]
-    if n + 2 > d_in:
+def _grouped_directions(rng, d_in, n_groups, size, similarity):
+    """Unit vectors in ``n_groups`` groups of ``size``, plus an anchor.
+
+    Inside a group every pairwise cosine is ``similarity``: each member mixes
+    the group's shared column with its own. Groups, and the anchor, are
+    mutually orthogonal. The columns come out group-major, ``size`` per group.
+    """
+    width = size + (similarity > 0.0)
+    need = n_groups * width + 1
+    if need > d_in:
         raise ValueError(
-            f"cannot place {n} concepts at pairwise cosine {similarity} plus an "
-            f"anchor in {d_in} dimensions"
+            f"cannot place {n_groups} group(s) of {size} concepts at cosine "
+            f"{similarity} plus an anchor in {d_in} dimensions (need {need})"
         )
-    basis = _orthonormal_columns(rng, d_in, n + 2)
-    shared, individual, anchor = basis[:, :1], basis[:, 1 : n + 1], basis[:, n + 1]
-    dirs = np.sqrt(similarity) * shared + np.sqrt(1.0 - similarity) * individual
-    return dirs, anchor
+    basis = _orthonormal_columns(rng, d_in, need)
+    anchor = basis[:, -1]
+    if similarity == 0.0:
+        return basis[:, :-1], anchor
+    groups = basis[:, :-1].reshape(d_in, n_groups, width)
+    shared, members = groups[:, :, :1], groups[:, :, 1:]
+    dirs = np.sqrt(similarity) * shared + np.sqrt(1.0 - similarity) * members
+    return dirs.reshape(d_in, n_groups * size), anchor
 
 
 def _spectrum_weights(rng, d_out, d_in):
@@ -155,19 +169,24 @@ def generate_model(
 ) -> SyntheticModel:
     """Draw a full synthetic instance for ``spec``, bit-reproducible per seed.
 
-    Target samples are drawn from the context-token distribution (concept
-    embedding plus noise); neutral samples are isotropic Gaussian at the
-    embedding scale. In substitute-target mode all targets share one anchor
-    substitute direction, orthogonal to every concept.
+    Targets and preserved concepts are group-major: target ``k`` belongs to
+    group ``k // m_targets`` and preserved concept ``j`` to group
+    ``j // m_preserved``. Target samples are drawn from the context-token
+    distribution (concept embedding plus noise); neutral samples are
+    isotropic Gaussian at the embedding scale. In substitute-target mode all
+    targets share one anchor substitute direction, orthogonal to every
+    concept.
     """
     rng = np.random.default_rng(spec.seed)
     w0 = _spectrum_weights(rng, spec.d_out, spec.d_in)
-    total = spec.m_targets + spec.m_preserved
-    dirs, anchor_dir = _similar_directions(rng, spec.d_in, total, spec.similarity)
-    concepts = spec.embed_scale * dirs
+    size = spec.m_targets + spec.m_preserved
+    dirs, anchor_dir = _grouped_directions(rng, spec.d_in, spec.n_groups, size, spec.similarity)
+    concepts = (spec.embed_scale * dirs).reshape(spec.d_in, spec.n_groups, size)
     anchor = spec.embed_scale * anchor_dir
-    targets = concepts[:, : spec.m_targets]
-    preserved = concepts[:, spec.m_targets :] if spec.m_preserved else None
+    targets = concepts[:, :, : spec.m_targets].reshape(spec.d_in, -1)
+    preserved = (
+        concepts[:, :, spec.m_targets :].reshape(spec.d_in, -1) if spec.m_preserved else None
+    )
     erase, contexts, features, labels = _edit_inputs(rng, spec, targets, anchor, target_mode)
     return SyntheticModel(w0, erase, contexts, preserved, features, labels, anchor)
 
@@ -232,33 +251,6 @@ def scaling_sweep(base: SyntheticModelSpec, counts, cfg: EditConfig = EditConfig
     return rows
 
 
-@dataclass(frozen=True)
-class ConfuseSpec:
-    """Groups of mutually similar concepts, some targeted and some preserved."""
-
-    d_in: int
-    d_out: int
-    n_groups: int = 5
-    targets_per_group: int = 2
-    preserved_per_group: int = 3
-    similarity: float = 0.8
-    noise_scale: float = 0.01
-    embed_scale: float = 10.0
-    tokens_per_concept: int = 1
-    samples_per_concept: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_groups < 1:
-            raise ValueError("need at least one group")
-        if self.targets_per_group < 1 or self.preserved_per_group < 1:
-            raise ValueError("each group needs at least one target and one preserved concept")
-        if self.targets_per_group + self.preserved_per_group < 3:
-            raise ValueError("groups must hold at least three concepts")
-        if not 0.0 <= self.similarity < 1.0:
-            raise ValueError(f"similarity must be in [0, 1), got {self.similarity}")
-
-
 # Relative output displacement below which a concept counts as unmoved.
 _DISPLACEMENT_THRESHOLD = 0.5
 
@@ -276,69 +268,51 @@ class ConfuseReport:
     edit_report: EditReport
 
 
-def _confuse_model(spec: ConfuseSpec):
-    """Build grouped concepts: similar within a group, orthogonal across."""
-    rng = np.random.default_rng(spec.seed)
-    size = spec.targets_per_group + spec.preserved_per_group
-    need = spec.n_groups * (size + 1) + 1
-    if need > spec.d_in:
-        raise ValueError(
-            f"{spec.n_groups} groups of {size} concepts need {need} dimensions, "
-            f"have {spec.d_in}"
-        )
-    w0 = _spectrum_weights(rng, spec.d_out, spec.d_in)
-    basis = _orthonormal_columns(rng, spec.d_in, need)
-    anchor = spec.embed_scale * basis[:, -1]
-    targets, preserved, group_of = [], [], []
-    col = 0
-    for g in range(spec.n_groups):
-        shared = basis[:, col : col + 1]
-        members = basis[:, col + 1 : col + 1 + size]
-        col += size + 1
-        dirs = np.sqrt(spec.similarity) * shared + np.sqrt(1.0 - spec.similarity) * members
-        dirs *= spec.embed_scale
-        targets.append(dirs[:, : spec.targets_per_group])
-        preserved.append(dirs[:, spec.targets_per_group :])
-        group_of.extend([g] * spec.targets_per_group)
-    return w0, np.hstack(targets), np.hstack(preserved), group_of, anchor, rng
-
-
-def confuse_benchmark(spec: ConfuseSpec, cfg: EditConfig = EditConfig()) -> ConfuseReport:
+def confuse_benchmark(spec: SyntheticModelSpec, cfg: EditConfig = EditConfig()) -> ConfuseReport:
     """Erase the group targets in one edit and score the similar bystanders.
 
+    ``spec`` describes ``n_groups`` groups of ``m_targets`` targets and
+    ``m_preserved`` preserved concepts each, at cosine ``similarity`` inside a
+    group; every group needs a preserved concept and at least three concepts.
     The accuracy analogs threshold relative output displacement: a target
     counts as surviving (bad) and a preserved concept as retained (good)
     when its output moved less than 0.5 relative to the unedited output.
     """
-    w0, targets, preserved, group_of, anchor, rng = _confuse_model(spec)
-    n_targets = targets.shape[1]
-    erase, contexts, features, labels = _edit_inputs(rng, spec, targets, anchor, cfg.target_mode)
-    w_edit, report = run_edit(w0, erase, contexts, features, labels, cfg, preserved=preserved)
-
-    def displacement(c):
-        return float(np.linalg.norm(w_edit @ c - w0 @ c) / np.linalg.norm(w0 @ c))
-
-    target_rows = []
-    for k in range(n_targets):
-        target_rows.append(
-            {
-                "group": group_of[k],
-                "concept": k,
-                "erasure_err": report.erasure_errors[k],
-                "displacement": displacement(targets[:, k]),
-            }
-        )
-    preserved_rows = []
-    p_per = spec.preserved_per_group
-    for j in range(preserved.shape[1]):
-        preserved_rows.append(
-            {
-                "group": j // p_per,
-                "concept": j,
-                "preservation_err": report.preservation_errors[j],
-                "displacement": displacement(preserved[:, j]),
-            }
-        )
+    if spec.m_preserved < 1:
+        raise ValueError("each group needs at least one target and one preserved concept")
+    if spec.m_targets + spec.m_preserved < 3:
+        raise ValueError("groups must hold at least three concepts")
+    model = generate_model(spec, cfg.target_mode)
+    targets = model.erase_spec.concepts
+    w_edit, report = run_edit(
+        model.w0,
+        model.erase_spec,
+        model.contexts,
+        model.features,
+        model.labels,
+        cfg,
+        preserved=model.preserved,
+    )
+    # a target's displacement is its preservation error as a probe
+    moved = probe_scores(w_edit, model.w0, model.erase_spec, targets).preservation
+    target_rows = [
+        {
+            "group": k // spec.m_targets,
+            "concept": k,
+            "erasure_err": report.erasure_errors[k],
+            "displacement": float(moved[k]),
+        }
+        for k in range(targets.shape[1])
+    ]
+    preserved_rows = [
+        {
+            "group": j // spec.m_preserved,
+            "concept": j,
+            "preservation_err": err,
+            "displacement": err,
+        }
+        for j, err in enumerate(report.preservation_errors)
+    ]
     unlearn = 100.0 * float(
         np.mean([row["displacement"] < _DISPLACEMENT_THRESHOLD for row in target_rows])
     )

@@ -13,6 +13,7 @@ __all__ = [
     "SingularDecomposition",
     "SpectralDecomposition",
     "as_matrix",
+    "check_symmetric",
     "kron_assemble",
     "procrustes",
     "psd_sqrt",
@@ -38,6 +39,12 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
+
+
+def check_symmetric(x: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless ``x`` is symmetric within 1e-10 relative Frobenius."""
+    if np.linalg.norm(x - x.T) > 1e-10 * max(np.linalg.norm(x), np.finfo(np.float64).tiny):
+        raise ValueError(f"{name} is not symmetric within 1e-10 relative tolerance")
 
 
 def _fix_signs(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,9 +94,7 @@ def sym_eig(m) -> SpectralDecomposition:
     a = as_matrix(m, "m")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"m must be square, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > 1e-10 * max(scale, np.finfo(np.float64).tiny):
-        raise ValueError("m is not symmetric within 1e-10 relative tolerance")
+    check_symmetric(a, "m")
     vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-vals, kind="stable")
     vecs, _ = _fix_signs(vecs[:, order])
@@ -136,19 +141,20 @@ def procrustes(k) -> np.ndarray:
     return dec.u @ dec.v.T
 
 
-def kron_assemble(a, b, budget: int = KRON_BUDGET) -> np.ndarray:
+def kron_assemble(a, b) -> np.ndarray:
     """Dense Kronecker product ``a (x) b``.
 
     Entry layout: ``(a (x) b)[i*p + k, j*q + l] = a[i, j] * b[k, l]`` for
-    ``b`` of shape p-by-q. Refuses to allocate more than ``budget`` entries;
-    oversized systems should go through the spectral solver path instead.
+    ``b`` of shape p-by-q. Refuses to allocate more than ``KRON_BUDGET``
+    entries; oversized systems should go through the spectral solver path
+    instead.
     """
     a_ = as_matrix(a, "a")
     b_ = as_matrix(b, "b")
     entries = a_.shape[0] * a_.shape[1] * b_.shape[0] * b_.shape[1]
-    if entries > budget:
+    if entries > KRON_BUDGET:
         raise ValueError(
             f"Kronecker product would hold {entries} entries, over the "
-            f"{budget}-entry budget; use the spectral solver path for this size"
+            f"{KRON_BUDGET}-entry budget; use the spectral solver path for this size"
         )
     return np.kron(a_, b_)

@@ -229,7 +229,8 @@ def run_edit(
 
     with _stage("metrics", stage_ms):
         probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved, v_star=v_star)
-        max_erasure = float(np.nanmax(probes.erasure)) if probes.erasure.size else float("nan")
+        erased = probes.erasure[~np.isnan(probes.erasure)]
+        max_erasure = float(erased.max()) if erased.size else float("nan")
         usable = probes.preservation[~np.isnan(probes.preservation)]
         median_preserve = float(np.median(usable)) if usable.size else float("nan")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import KRON_BUDGET, as_matrix, kron_assemble, sym_eig
+from .matkernel import as_matrix, kron_assemble, sym_eig
 from .stabilizer import StabilizerA, validate_concepts
 
 __all__ = [
@@ -230,7 +230,7 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     return EditSolution(w, _residual(b_vals, times(w), w, m_), "spectral", min_denom, w_v)
 
 
-def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSolution:
+def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
     """Solve ``B W + W A = M`` through the column-stacked vectorized system.
 
     Assembles ``I (x) B + A^T (x) I`` densely, so it is gated by the
@@ -245,9 +245,7 @@ def sylvester_solve_kronecker(b_diag, a, m, budget: int = KRON_BUDGET) -> EditSo
     if m_.shape != (d_out, d_in):
         raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
     min_denom = _check_uniqueness(b_vals, stab)
-    lhs = kron_assemble(np.eye(d_in), np.diag(b_vals), budget) + kron_assemble(
-        a_mat.T, np.eye(d_out), budget
-    )
+    lhs = kron_assemble(np.eye(d_in), np.diag(b_vals)) + kron_assemble(a_mat.T, np.eye(d_out))
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
     return EditSolution(w, _residual(b_vals, w @ a_mat, w, m_), "kronecker", min_denom)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import SpectralDecomposition, as_matrix, svd, sym_eig
+from .matkernel import SpectralDecomposition, as_matrix, check_symmetric, svd, sym_eig
 
 __all__ = [
     "StabilizerA",
@@ -226,8 +226,7 @@ def assemble_a(lam: float, s, r) -> StabilizerA:
     r_ = as_matrix(r, "r")
     if s_.shape[0] != s_.shape[1] or s_.shape != r_.shape:
         raise ValueError(f"s and r must be square and equal size, got {s_.shape} and {r_.shape}")
-    for name, x in (("s", s_), ("r", r_)):
-        if np.linalg.norm(x - x.T) > 1e-10 * max(np.linalg.norm(x), np.finfo(np.float64).tiny):
-            raise ValueError(f"{name} is not symmetric within 1e-10 relative tolerance")
+    check_symmetric(s_, "s")
+    check_symmetric(r_, "r")
     a = lam * np.eye(s_.shape[0]) + s_ + r_
     return _checked(lam, sym_eig((a + a.T) / 2.0))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scapre.harness import (
-    ConfuseSpec,
     SyntheticModelSpec,
     confuse_benchmark,
     generate_model,
@@ -44,6 +43,23 @@ class TestGenerateModel:
         model = generate_model(spec)
         cos = cosines(model.erase_spec.concepts)
         assert np.abs(cos - 0.8).max() < 0.02
+        # three groups, group-major: cosine 0.8 inside a group, 0 across
+        # groups and to the anchor
+        spec = SyntheticModelSpec(
+            d_in=64, d_out=16, m_targets=2, m_preserved=3, similarity=0.8, n_groups=3
+        )
+        model = generate_model(spec)
+        assert model.erase_spec.concepts.shape == (64, 6)
+        assert model.preserved.shape == (64, 9)
+        targets = model.erase_spec.concepts.reshape(64, 3, 2)
+        preserved = model.preserved.reshape(64, 3, 3)
+        members = [np.hstack([targets[:, g], preserved[:, g]]) for g in range(3)]
+        allc = np.hstack(members + [model.anchor[:, None]])
+        unit = allc / np.linalg.norm(allc, axis=0)
+        group = np.repeat([0, 1, 2, 3], [5, 5, 5, 1])  # the anchor is group 3
+        want = np.where(group[:, None] == group[None, :], 0.8, 0.0)
+        np.fill_diagonal(want, 1.0)
+        assert np.abs(unit.T @ unit - want).max() < 1e-10
 
     def test_infeasible_similarity(self):
         with pytest.raises(ValueError, match="cannot place"):
@@ -145,13 +161,13 @@ class TestScalingSweep:
 
 class TestConfuseBenchmark:
     def test_row_shape_mirrors_group_design(self):
-        spec = ConfuseSpec(
+        spec = SyntheticModelSpec(
             d_in=64,
             d_out=24,
-            n_groups=5,
-            targets_per_group=2,
-            preserved_per_group=3,
+            m_targets=2,
+            m_preserved=3,
             similarity=0.8,
+            n_groups=5,
         )
         report = confuse_benchmark(spec, EditConfig(beta=0.0))
         assert len(report.target_rows) == 10
@@ -160,9 +176,8 @@ class TestConfuseBenchmark:
         assert 0.0 <= report.overall_acc <= 100.0
 
     def test_targets_move_more_than_orthogonal_bystanders(self):
-        spec = ConfuseSpec(
-            d_in=48, d_out=16, n_groups=2, targets_per_group=1, preserved_per_group=2,
-            similarity=0.0,
+        spec = SyntheticModelSpec(
+            d_in=48, d_out=16, m_targets=1, m_preserved=2, similarity=0.0, n_groups=2
         )
         report = confuse_benchmark(spec, EditConfig(beta=0.0))
         target_moves = [row["displacement"] for row in report.target_rows]
@@ -170,10 +185,19 @@ class TestConfuseBenchmark:
 
     def test_group_validation(self):
         with pytest.raises(ValueError, match="three"):
-            ConfuseSpec(d_in=16, d_out=8, targets_per_group=1, preserved_per_group=1)
+            confuse_benchmark(
+                SyntheticModelSpec(d_in=16, d_out=8, m_targets=1, m_preserved=1, n_groups=5)
+            )
         with pytest.raises(ValueError, match="at least one"):
-            ConfuseSpec(d_in=16, d_out=8, targets_per_group=0)
+            confuse_benchmark(SyntheticModelSpec(d_in=16, d_out=8, m_targets=3, n_groups=5))
+        with pytest.raises(ValueError, match="at least one"):
+            SyntheticModelSpec(d_in=16, d_out=8, m_targets=0, m_preserved=3, n_groups=5)
+        with pytest.raises(ValueError, match="at least one group"):
+            SyntheticModelSpec(d_in=16, d_out=8, m_targets=2, m_preserved=3, n_groups=0)
 
     def test_infeasible_dimensions(self):
+        spec = SyntheticModelSpec(
+            d_in=16, d_out=8, m_targets=2, m_preserved=3, similarity=0.8, n_groups=5
+        )
         with pytest.raises(ValueError, match="dimensions"):
-            confuse_benchmark(ConfuseSpec(d_in=16, d_out=8, n_groups=5))
+            confuse_benchmark(spec)

@@ -204,5 +204,5 @@ class TestKron:
 
     def test_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            kron_assemble(np.eye(3), np.eye(3), budget=80)
+            kron_assemble(np.eye(65), np.eye(64))  # 65^2 * 64^2 entries
         assert KRON_BUDGET == 2**24

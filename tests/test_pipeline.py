@@ -474,6 +474,24 @@ class TestRunEdit:
         write_report(tmp_path / "report.json", report.to_dict())
         assert json.loads((tmp_path / "report.json").read_text())["median_preserve_err"] is None
 
+    def test_no_usable_target_reports_nan_max(self, tmp_path):
+        # zeroed input columns of W0 map their unit vectors to exactly 0, so
+        # every target is excluded and no maximum exists; the nonzero anchor
+        # substitute keeps V* nonzero, so the edit is not a zero-target one
+        model = generate_model(SyntheticModelSpec(d_in=48, d_out=24, m_targets=2, seed=6))
+        w0 = model.w0.copy()
+        w0[:, -2:] = 0.0
+        subs = np.tile(model.anchor[:, None], (1, 2))
+        spec = EraseSpec(np.eye(48)[:, -2:], mode=SUBSTITUTE_TARGET, substitutes=subs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = run_edit(w0, spec, model.contexts, model.features, model.labels)
+        assert not report.zero_target
+        assert np.isnan(report.max_erasure_err)
+        assert report.excluded_targets == [0, 1]
+        write_report(tmp_path / "report.json", report.to_dict())
+        assert json.loads((tmp_path / "report.json").read_text())["max_erasure_err"] is None
+
     def test_stage_error_is_tagged(self):
         model = small_model()
         bad_labels = np.ones_like(model.labels)  # no neutral samples

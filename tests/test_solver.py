@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,8 +142,16 @@ class TestKronecker:
         assert sylvester_solve_kronecker(b, a, m).residual < 1e-10
 
     def test_budget_error(self):
-        with pytest.raises(ValueError, match="budget"):
-            sylvester_solve_kronecker(np.ones(3), np.eye(3), np.ones((3, 3)), budget=50)
+        # I (x) B would hold 65^2 * 64^2 > KRON_BUDGET = 2^24 entries (138 MB);
+        # the check refuses before the product is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                sylvester_solve_kronecker(np.ones(64), np.eye(65), np.ones((64, 65)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPathAgreement:
