@@ -20,6 +20,10 @@ __all__ = [
     "channel_thresholds",
 ]
 
+# Channels per partition block of the decoupler's thresholds, so that the
+# partition copies a block of the activations, not all of them.
+_THRESHOLD_ROWS = 128
+
 
 @dataclass(frozen=True)
 class JointCounts:
@@ -123,24 +127,32 @@ class DecouplerAlpha:
     degenerate: bool
 
 
+def _row_medians(block: np.ndarray) -> np.ndarray:
+    """``np.median(block, axis=1)``, bit for bit, from one partition of a copy."""
+    h = block.shape[1] // 2
+    part = np.partition(block, h, axis=1)
+    # np.median's rule: the middle value, or the mean of the two middle values
+    return part[:, h] if block.shape[1] % 2 else (part[:, :h].max(axis=1) + part[:, h]) / 2
+
+
 def build_decoupler(w, features, labels, base: float | None = None) -> DecouplerAlpha:
     """Score every output channel of ``w`` against the labeled samples.
 
     Activations are formed channel-major and binarized per channel at the
-    exact pooled median, read off one partition of each channel's row (the
-    bits of ``channel_thresholds``; ties at the threshold count as inactive).
+    exact pooled median, read off one partition of each channel's row, a
+    block of channels at a time (the bits of ``channel_thresholds``; ties at
+    the threshold count as inactive). Only the bits are kept for counting.
     For each concept label the 2x2 table is built from that concept's samples
     (y=1) against the neutral samples (y=0); per-channel MI is the maximum
     over concepts and ``alpha`` is that maximum normalized by its largest value.
     """
     w_, f, y = _validate_samples(w, features, labels)
     acts = w_ @ f.T
-    h = acts.shape[1] // 2
-    part = np.partition(acts, h, axis=1)
-    # np.median's rule: the middle value, or the mean of the two middle values
-    tau = part[:, h] if acts.shape[1] % 2 else (part[:, :h].max(axis=1) + part[:, h]) / 2
-    del part  # the peak stays at two activation arrays
+    tau = np.empty(len(acts))
+    for i in range(0, len(acts), _THRESHOLD_ROWS):
+        tau[i : i + _THRESHOLD_ROWS] = _row_medians(acts[i : i + _THRESHOLD_ROWS])
     z = (acts > tau[:, None]).T  # strict comparison: threshold ties are state 0
+    del acts  # only the bits are counted
     # Active samples per (channel, label) pair; label 0 (neutral) sorts first.
     groups, sizes = np.unique(y, return_counts=True)
     on = np.stack([z[y == k].sum(axis=0) for k in groups], axis=1)

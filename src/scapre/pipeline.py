@@ -213,8 +213,8 @@ def run_edit(
         dec = build_decoupler(w0_, features, labels)
 
     with _stage("solver", stage_ms):
-        # M = V* C^T travels as its factors; the solve forms it densely only
-        # for the residual
+        # M = V* C^T travels as its factors; the solve forms it only a block
+        # of rows at a time, for the complement and the residual
         v_star = resolve_v_star(w0_, spec)
         zero_target = not v_star.any()
         if zero_target:

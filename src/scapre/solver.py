@@ -9,6 +9,7 @@ Kronecker solve is its dense oracle, not a second route, and
 is always diagonal and passed as its vector of entries.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,11 +179,22 @@ def _check_uniqueness(b_vals: np.ndarray, stab: StabilizerA) -> float:
     return float(b_vals.min() + a_min)
 
 
-def _residual(b_vals, wa, w, m) -> float:
-    """Relative residual of ``B W + W A = M`` given the product ``wa = W A``."""
-    num = float(np.linalg.norm(b_vals[:, None] * w + wa - m))
-    den = float(np.linalg.norm(m))
-    return num / den if den > 0.0 else num
+def _squared_residual(times, b_blk, w_blk, m_blk) -> float:
+    """Squared Frobenius norm of ``B W + W A - M`` on a block of rows."""
+    r = times(w_blk)
+    r += b_blk * w_blk
+    r -= m_blk
+    return float(np.vdot(r, r))
+
+
+def _relative(num2: float, den2: float) -> float:
+    """Relative residual from the squared norms of the residual and of ``M``."""
+    return math.sqrt(num2 / den2) if den2 > 0.0 else math.sqrt(num2)
+
+
+# Rows of W* per block of the spectral solve's complement and residual, so
+# that its scratch beside W* is a few block-by-d_in arrays.
+_SOLVE_ROWS = 256
 
 
 def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
@@ -195,9 +207,11 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     all of d_in. ``a`` is a ``StabilizerA`` (no d_in-by-d_in array is formed)
     or a raw symmetric matrix (eigendecomposed in full). ``m`` is the dense
     d_out-by-d_in ``M`` or its factors ``(V*, C)`` with ``M = V* C^T``
-    (d_out by m and d_in by m): then ``M V = V* (C^T V)``, the complement is
-    ``(V* / (b + lam)) (C^T - (C^T V) V^T)``, and the dense ``M`` is formed
-    only for the residual.
+    (d_out by m and d_in by m): then ``M V = V* (C^T V)`` and the complement
+    is ``(V* / (b + lam)) (C^T - (C^T V) V^T)``. The complement and the
+    residual ``B W + W A - M`` are evaluated in blocks of rows of the
+    stored ``W``, each with its rows of ``M``, so beside ``W`` the solve
+    forms no d_out-by-d_in array: neither the dense ``M`` nor ``W A``.
     """
     b_vals = _b_vector(b_diag)
     stab, times = _split_a(a)
@@ -221,13 +235,25 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     right_v = right_t @ vecs
     w_v = (right_v if left is None else left @ right_v) / (b_vals[:, None] + vals[None, :])
     w = w_v @ vecs.T
-    if stab.rank < d_in:
-        shift = (b_vals + stab.lam)[:, None]
-        rest = right_t - right_v @ vecs.T  # M - M V V^T, or its right factor
-        w += rest / shift if left is None else (left / shift) @ rest
-        del rest  # d_out by d_in for a dense M; the residual's temporaries come next
-    m_ = right_t if left is None else left @ right_t
-    return EditSolution(w, _residual(b_vals, times(w), w, m_), "spectral", min_denom, w_v)
+    complement = stab.rank < d_in
+    if complement and left is not None:
+        rest = right_t - right_v @ vecs.T  # the complement's right factor, m by d_in
+    num2 = den2 = 0.0
+    for i in range(0, d_out, _SOLVE_ROWS):
+        rows = slice(i, i + _SOLVE_ROWS)
+        m_blk = right_t[rows] if left is None else left[rows] @ right_t
+        w_blk, b_blk = w[rows], b_vals[rows, None]
+        if complement:
+            shift = b_blk + stab.lam
+            if left is None:
+                gap = m_blk - right_v[rows] @ vecs.T  # M - M V V^T on the block
+                gap /= shift
+                w_blk += gap
+            else:
+                w_blk += (left[rows] / shift) @ rest
+        num2 += _squared_residual(times, b_blk, w_blk, m_blk)
+        den2 += float(np.vdot(m_blk, m_blk))
+    return EditSolution(w, _relative(num2, den2), "spectral", min_denom, w_v)
 
 
 def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
@@ -248,7 +274,8 @@ def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
     lhs = kron_assemble(np.eye(d_in), np.diag(b_vals)) + kron_assemble(a_mat.T, np.eye(d_out))
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
-    return EditSolution(w, _residual(b_vals, w @ a_mat, w, m_), "kronecker", min_denom)
+    num2 = _squared_residual(lambda x: x @ a_mat, b_vals[:, None], w, m_)
+    return EditSolution(w, _relative(num2, float(np.vdot(m_, m_))), "kronecker", min_denom)
 
 
 def objective_value(w, a, b_diag, m) -> float:

@@ -145,7 +145,9 @@ class StabilizerA:
     def times(self, w) -> np.ndarray:
         """``w @ A`` from the factors, without forming ``A``."""
         vecs = self.eig.eigvecs
-        return self.lam * w + ((w @ vecs) * (self.eig.eigvals - self.lam)) @ vecs.T
+        out = ((w @ vecs) * (self.eig.eigvals - self.lam)) @ vecs.T
+        out += self.lam * w
+        return out
 
     @property
     def a(self) -> np.ndarray:
@@ -173,43 +175,74 @@ def _checked(lam: float, eig: SpectralDecomposition) -> StabilizerA:
     return StabilizerA(float(lam), eig)
 
 
+def _reflector_basis(h: np.ndarray, tau: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``Q[:, :k] @ e`` for the Q of a Householder QR, applied from its reflectors.
+
+    ``h`` and ``tau`` are ``np.linalg.qr(X, mode="raw")`` of a d_in-by-k
+    ``X`` (k < d_in); ``h`` is overwritten. ``Q = I - Y T Y^T`` in
+    compact-WY form (Schreiber & Van Loan 1989), with ``Y`` the unit lower
+    trapezoidal reflectors (``h.T``) and, by the UT transform (Joffrain et
+    al. 2006), ``T = D (I + striu(Y^T Y) D)^-1`` for ``D = diag(tau)``. The
+    unit triangular factor needs no case for ``tau = 0``. So
+    ``Q[:, :k] e = [e; 0] - Y T (Y_1^T e)``, ``Y_1`` the top k rows of ``Y``,
+    and no Q is formed.
+    """
+    k = h.shape[0]
+    top = h[:, :k]  # Y_1^T: unit upper triangular once R is cleared
+    top[...] = np.triu(top, 1)
+    np.fill_diagonal(top, 1.0)
+    unit = np.triu(h @ h.T, 1) * tau
+    np.fill_diagonal(unit, 1.0)
+    z = np.linalg.solve(unit, top @ e) * tau[:, None]
+    v = h.T @ -z
+    v[:k] += e
+    return v
+
+
 def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> StabilizerA:
     """Stabilizer ``lam*I + S + R`` from its factors, with no d_in-by-d_in array.
 
     With ``G`` the stacked context tokens and ``C = U diag(sigma) W^T`` the
-    thin SVD of the concepts, ``S + R = X D X^T`` for ``X = [G^T, U]``
-    (d_in by T+m) and ``D = diag(1_T, gate(sigma))``. A thin QR
-    ``X = Q R_x`` and one k-by-k eigendecomposition
-    ``R_x D R_x^T = E diag(mu) E^T`` (k = min(d_in, T+m)) give the basis
-    ``V = Q E`` with eigenvalues ``lam + mu``. ``V`` spans the concepts
-    whatever the gates: an underflowed gate leaves its direction in the
-    basis with eigenvalue ``lam``. When T+m >= d_in, ``Q`` would be square
-    and ``G^T G + U diag(gate(sigma)) U^T`` is eigendecomposed directly.
-    ``lam=None`` applies the relative rule ``lam_scale * |G|_F^2 / d_in``,
-    which is ``lam_scale * trace(S) / d_in``. Same result as ``assemble_a(lam,
-    build_s(contexts), build_r(c_e))`` up to round-off, in O(d_in*k) memory.
+    thin SVD of the concepts, ``S + R = G^T G + U diag(gate(sigma)) U^T``.
+    A Householder QR ``[G^T, C] = Q [R_G, R_C]`` (k = T+m columns) keeps Q
+    as its reflectors; ``C = Q R_C`` gives ``sigma`` and ``U = Q U_c`` from
+    the SVD of the k-by-m ``R_C``, and one k-by-k eigendecomposition
+    ``R_G R_G^T + U_c diag(gate(sigma)) U_c^T = E diag(mu) E^T`` the basis
+    ``V = Q E``, applied from the reflectors, with eigenvalues ``lam + mu``.
+    ``V`` spans the concepts whatever the gates: an underflowed gate leaves
+    its direction in the basis with eigenvalue ``lam``. When T+m >= d_in,
+    ``Q`` would be square and ``G^T G + U diag(gate(sigma)) U^T`` is
+    eigendecomposed directly. ``lam=None`` applies the relative rule
+    ``lam_scale * |G|_F^2 / d_in``, which is ``lam_scale * trace(S) / d_in``.
+    Same result as ``assemble_a(lam, build_s(contexts), build_r(c_e))`` up
+    to round-off, in O(d_in*k) memory.
     """
-    g = np.vstack(validate_contexts(contexts))
+    groups = validate_contexts(contexts)
     c = validate_concepts(c_e)
-    d_in = g.shape[1]
+    d_in = groups[0].shape[1]
     if c.shape[0] != d_in:
         raise ValueError(f"concepts have length {c.shape[0]}, contexts have {d_in}")
+    xt = np.vstack([*groups, c.T])  # the rows [G; C^T]: X = [G^T, C] in Fortran order
+    n_tok = len(xt) - c.shape[1]
+    g = xt[:n_tok]
     if lam is None:
         lam = _ridge(float(np.vdot(g, g)), d_in, lam_scale)
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    dec = svd(c)
-    gate = gate_singular(dec.sigma)
-    if g.shape[0] + gate.size >= d_in:
+    if len(xt) >= d_in:
         # Q would be square, so the identity basis does as well, without the QR
+        dec = svd(c)
         xdxt = g.T @ g
-        xdxt += (dec.u * gate) @ dec.u.T
+        xdxt += (dec.u * gate_singular(dec.sigma)) @ dec.u.T
         low = sym_eig(xdxt)
         return _checked(lam, SpectralDecomposition(low.eigvecs, lam + low.eigvals))
-    q, r_x = np.linalg.qr(np.hstack([g.T, dec.u]))
-    weights = np.concatenate([np.ones(g.shape[0]), gate])
-    low = sym_eig((r_x * weights) @ r_x.T)
-    return _checked(lam, SpectralDecomposition(q @ low.eigvecs, lam + low.eigvals))
+    h, tau = np.linalg.qr(xt.T, mode="raw")
+    del xt, g  # h holds all that is used from here: the reflectors and R
+    r = np.triu(h[:, : len(h)].T)  # [R_G, R_C], k by k
+    r_g, dec = r[:, :n_tok], svd(r[:, n_tok:])
+    low = sym_eig(r_g @ r_g.T + (dec.u * gate_singular(dec.sigma)) @ dec.u.T)
+    v = _reflector_basis(h, tau, low.eigvecs)
+    return _checked(lam, SpectralDecomposition(v, lam + low.eigvals))
 
 
 def assemble_a(lam: float, s, r) -> StabilizerA:

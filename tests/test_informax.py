@@ -223,6 +223,11 @@ def _threshold_case(name):
         labels = rng.integers(0, 3, n)
         labels[:2] = [0, 1]
         return rng.standard_normal((16, 6)), rng.standard_normal((n, 6)), labels
+    if name == "many-channels":
+        # more channels than one threshold block, and an odd sample count
+        labels = rng.integers(0, 3, 41)
+        labels[:2] = [0, 1]
+        return rng.standard_normal((300, 6)), rng.standard_normal((41, 6)), labels
     if name == "two-samples":
         return rng.standard_normal((5, 3)), rng.standard_normal((2, 3)), np.array([1, 0])
     if name == "middle-ties":
@@ -247,7 +252,15 @@ def _threshold_case(name):
 class TestDecouplerThresholds:
     @pytest.mark.parametrize(
         "name",
-        ["odd", "even", "two-samples", "middle-ties", "constant-channel", "unequal-groups"],
+        [
+            "odd",
+            "even",
+            "many-channels",
+            "two-samples",
+            "middle-ties",
+            "constant-channel",
+            "unequal-groups",
+        ],
     )
     def test_bit_identical_to_median_reference(self, name):
         w, feats, labels = _threshold_case(name)

@@ -186,13 +186,30 @@ class TestRunEdit:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_scratch_is_about_three_weight_arrays(self):
+        # W*, the refined weights and a few row blocks of the solve's
+        # residual: no dense M, no W A and no second activation array
+        d_in, d_out = 1024, 512
+        model = generate_model(
+            SyntheticModelSpec(d_in=d_in, d_out=d_out, m_targets=20, tokens_per_concept=4, seed=3)
+        )
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        tracemalloc.start()
+        try:
+            run_edit(*args, EditConfig(beta=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * d_out * d_in * 8
+
     def test_kernel_calls_per_edit(self, monkeypatch):
-        # one SVD of the concepts, a Rayleigh-Ritz SVD of W* on the kept
+        # one SVD of the concepts (of R's k x m concept block when k < d_in,
+        # since C = Q R_C), a Rayleigh-Ritz SVD of W* on the kept
         # eigenvectors of its Gram matrix, the SVD of Lam^(1/2) B^T W0
         # (bures_before and the cross root) and one of the refined factor
         # against w0 (bures_after); the transport map needs no alignment SVD.
         # The only stabilizer eigendecomposition is k x k, and the only QR is
-        # the stabilizer's thin QR, which T+m >= d_in skips
+        # the stabilizer's Householder QR, which T+m >= d_in skips
         for tokens in (1, 11):
             model = small_model(seed=5, tokens_per_concept=tokens)
             calls = []
@@ -212,6 +229,8 @@ class TestRunEdit:
             k = report.stabilizer_rank
             assert k == min(d_in, 4 * tokens + 4)
             assert sum(kind == "svd" for kind, _ in calls) == 4
+            svd_shapes = [shape for kind, shape in calls if kind == "svd"]
+            assert svd_shapes[0] == ((k, 4) if k < d_in else (d_in, 4))
             assert ("eigh", (k, k)) in calls
             assert sum(kind == "qr" for kind, _ in calls) == (1 if k < d_in else 0)
             if k < d_in:

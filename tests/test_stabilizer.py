@@ -165,12 +165,20 @@ class TestRelativeLambda:
             relative_lambda(np.zeros((3, 3)))
 
 
-def factored_case(d_in, tokens, m, d_out=5, seed=0, duplicate=False):
-    """Contexts, concepts, decoupler and right-hand side for one edit system."""
+def factored_case(d_in, tokens, m, d_out=5, seed=0, stack=None):
+    """Contexts, concepts, decoupler and right-hand side for one edit system.
+
+    ``stack`` makes the token stack exactly rank deficient: ``"duplicated"``
+    repeats every group's tokens, ``"zero"`` zeroes the first token, which
+    leaves the QR's first column zero and its first reflector the identity
+    (LAPACK's tau = 0).
+    """
     rng = np.random.default_rng(seed)
     ctx = [rng.standard_normal((tokens, d_in)) for _ in range(m)]
-    if duplicate:
+    if stack == "duplicated":
         ctx = [np.vstack([g, g, g[:1]]) for g in ctx]
+    elif stack == "zero":
+        ctx[0][0] = 0.0
     c = 3.0 * rng.standard_normal((d_in, m))
     return ctx, c, rng.uniform(0.0, 1.0, d_out), rng.standard_normal((d_out, d_in))
 
@@ -184,25 +192,28 @@ def rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-# (d_in, tokens, m, duplicate, absolute lam): k = min(d_in, T + m) below,
-# at and above d_in, a rank-deficient token stack, and an absolute ridge.
+# (d_in, tokens, m, stack, absolute lam): k = min(d_in, T + m) below,
+# at and above d_in, rank-deficient token stacks, and an absolute ridge.
 FACTORED_CASES = {
-    "k<d_in": (40, 2, 3, False, None),
-    "k=d_in": (12, 2, 4, False, None),
-    "k>d_in": (10, 4, 3, False, None),
-    "duplicated-tokens": (30, 2, 3, True, None),
-    "absolute-lam": (30, 2, 3, False, 0.37),
+    "k<d_in": (40, 2, 3, None, None),
+    "k=d_in": (12, 2, 4, None, None),
+    "k>d_in": (10, 4, 3, None, None),
+    "duplicated-tokens": (30, 2, 3, "duplicated", None),
+    "zero-token": (30, 2, 3, "zero", None),
+    "absolute-lam": (30, 2, 3, None, 0.37),
 }
 
 
 class TestBuildA:
     @pytest.mark.parametrize("case", sorted(FACTORED_CASES))
     def test_solve_matches_dense_route(self, case):
-        d_in, tokens, m, duplicate, lam = FACTORED_CASES[case]
-        ctx, c, b, rhs = factored_case(d_in, tokens, m, duplicate=duplicate)
+        d_in, tokens, m, stack, lam = FACTORED_CASES[case]
+        ctx, c, b, rhs = factored_case(d_in, tokens, m, stack=stack)
         stab = build_a(ctx, c, lam)
         dense = dense_reference(ctx, c, lam)
         assert stab.rank == min(d_in, sum(g.shape[0] for g in ctx) + m)
+        vecs = stab.eig.eigvecs
+        assert np.abs(vecs.T @ vecs - np.eye(stab.rank)).max() <= 1e-13
         assert stab.lam == pytest.approx(dense.lam, rel=1e-14)
         assert rel(stab.a, dense.a) < 1e-12
         got = sylvester_solve_spectral(b, stab, rhs)
@@ -249,8 +260,8 @@ class TestBuildA:
 
     def test_spectrum_matches_dense_eigenvalues(self):
         for case in FACTORED_CASES.values():
-            d_in, tokens, m, duplicate, lam = case
-            ctx, c, _, _ = factored_case(d_in, tokens, m, seed=1, duplicate=duplicate)
+            d_in, tokens, m, stack, lam = case
+            ctx, c, _, _ = factored_case(d_in, tokens, m, seed=1, stack=stack)
             stab = build_a(ctx, c, lam)
             vals = np.linalg.eigvalsh(dense_reference(ctx, c, lam).a)
             assert stab.eig_min == pytest.approx(vals.min(), rel=1e-12)
