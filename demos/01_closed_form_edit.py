@@ -85,8 +85,9 @@ for beta in (0.0, 0.3, 0.6, 1.0):
 # flags degenerate situations (zero right-hand side, all-zero channel
 # information, a refinement that vanishes or moves away from `W0`), writes
 # a note in `warnings` for each raised flag (none here: `W*`'s rank below
-# `d_out`, recorded as `w_star_rank`, is the normal regime), and keeps the
-# stage outputs on `report.intermediates` for independent verification.
+# `d_out`, recorded as `w_star_rank`, is the normal regime). Beside these
+# values, `report.intermediates` keeps only the channel decoupler, so its
+# `alpha` can be checked; no weight-sized stage array outlives the run.
 
 # %%
 for key, value in report.to_dict().items():

@@ -12,6 +12,7 @@ Exit codes are stable: 0 success, 2 configuration error, 3 numerical error
 import argparse
 import csv as _csv
 import json
+import math
 import os
 import sys
 import time
@@ -142,7 +143,7 @@ def cmd_solve(args) -> int:
     m = read_smat(args.m)
     sol = sylvester_solve_spectral(b, a, m)
     write_smat(args.out, sol.w_star)
-    print(json.dumps({"path": sol.path, "residual": sol.residual, "out": str(args.out)}))
+    print(json.dumps({"residual": sol.residual, "out": str(args.out)}))
     return EXIT_OK
 
 
@@ -167,6 +168,17 @@ def cmd_mi(args) -> int:
     return EXIT_OK
 
 
+def _score(path, row, column) -> float:
+    """One score cell as a finite number; anything else names its row and column."""
+    try:
+        value = float(row[column])
+    except (TypeError, ValueError):  # TypeError: a short row leaves the cell None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ManifestError(f"{path}: row {row['label']!r}, column {column} is not a finite number")
+    return value
+
+
 def _read_scores(path, baseline_label):
     with open(path, newline="") as fh:
         reader = _csv.DictReader(fh)
@@ -179,7 +191,8 @@ def _read_scores(path, baseline_label):
                 f"{path}: score tables need exactly the columns label,unlearn,quality"
             )
         rows = [
-            MethodScore(r["label"], float(r["unlearn"]), float(r["quality"])) for r in reader
+            MethodScore(r["label"], _score(path, r, "unlearn"), _score(path, r, "quality"))
+            for r in reader
         ]
     baseline = None
     if baseline_label is not None:

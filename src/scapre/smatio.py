@@ -166,18 +166,23 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
             raise ManifestError(f"unknown {where} key '{key}'")
 
 
+def _number(raw, name: str) -> float:
+    """A JSON number as a finite float: ``1e999`` parses to inf, which no setting takes."""
+    try:
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
+            return float(raw)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ManifestError(f"{name} must be a number and finite, got {raw!r}")
+
+
 def _parse_lambda(raw) -> tuple[float | None, float]:
     if raw is None:
         return None, 0.1
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw), 0.1
     if isinstance(raw, dict):
         _reject_unknown(raw, {"relative"}, "lambda")
-        rel = raw.get("relative")
-        if not isinstance(rel, (int, float)) or isinstance(rel, bool):
-            raise ManifestError("lambda.relative must be a number")
-        return None, float(rel)
-    raise ManifestError("lambda must be a number or {\"relative\": number}")
+        return None, _number(raw.get("relative"), "lambda.relative")
+    return _number(raw, "lambda"), 0.1
 
 
 def load_manifest(path) -> RunManifest:
@@ -195,9 +200,7 @@ def load_manifest(path) -> RunManifest:
     _reject_unknown(doc, _TOP_KEYS, "manifest")
     lam, lam_scale = _parse_lambda(doc.get("lambda"))
 
-    beta = doc.get("beta", 0.5)
-    if not isinstance(beta, (int, float)) or isinstance(beta, bool):
-        raise ManifestError("beta must be a number")
+    beta = _number(doc.get("beta", 0.5), "beta")
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -223,7 +226,7 @@ def load_manifest(path) -> RunManifest:
         cfg = EditConfig(
             lam=lam,
             lam_scale=lam_scale,
-            beta=float(beta),
+            beta=beta,
             interpolation_mode=doc.get("interpolation_mode", BW_GEODESIC),
             target_mode=doc.get("target_mode", "substitute-target"),
         )

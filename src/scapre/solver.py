@@ -119,7 +119,7 @@ def assemble_m(w0, spec: EraseSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EditSolution:
-    """Solved weights with the relative equation residual and route taken.
+    """Solved weights with the relative equation residual.
 
     ``w_v`` is ``w_star @ V`` for the basis ``V`` of ``A``'s eigenpairs
     (d_out by k), which the solve forms on the way to ``w_star``.
@@ -131,7 +131,6 @@ class EditSolution:
 
     w_star: np.ndarray
     residual: float
-    path: str
     min_denominator: float
     w_v: np.ndarray | None = None
 
@@ -253,7 +252,7 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
                 w_blk += (left[rows] / shift) @ rest
         num2 += _squared_residual(times, b_blk, w_blk, m_blk)
         den2 += float(np.vdot(m_blk, m_blk))
-    return EditSolution(w, _relative(num2, den2), "spectral", min_denom, w_v)
+    return EditSolution(w, _relative(num2, den2), min_denom, w_v)
 
 
 def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
@@ -275,7 +274,7 @@ def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
     num2 = _squared_residual(lambda x: x @ a_mat, b_vals[:, None], w, m_)
-    return EditSolution(w, _relative(num2, float(np.vdot(m_, m_))), "kronecker", min_denom)
+    return EditSolution(w, _relative(num2, float(np.vdot(m_, m_))), min_denom)
 
 
 def objective_value(w, a, b_diag, m) -> float:

@@ -7,6 +7,7 @@ of ``S`` and ``R`` and keeps only its eigenpairs off the ridge; the dense
 ``build_s``, ``build_r`` and ``assemble_a`` are its reference route.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +90,10 @@ def build_r(c_e) -> np.ndarray:
 
 def _ridge(trace: float, d_in: int, scale: float) -> float:
     lam = scale * trace / d_in
-    if lam <= 0.0:
+    if not 0.0 < lam < math.inf:  # an infinite ridge would zero the edit
         raise ValueError(
-            "relative ridge rule needs a context matrix with positive trace; "
-            "supply an absolute ridge weight instead"
+            f"relative ridge rule gave lam={lam}: it needs a finite positive lam_scale "
+            "and a context matrix with positive trace; supply an absolute ridge weight instead"
         )
     return lam
 
@@ -227,8 +228,8 @@ def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> 
     g = xt[:n_tok]
     if lam is None:
         lam = _ridge(float(np.vdot(g, g)), d_in, lam_scale)
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     if len(xt) >= d_in:
         # Q would be square, so the identity basis does as well, without the QR
         dec = svd(c)
@@ -248,13 +249,13 @@ def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> 
 def assemble_a(lam: float, s, r) -> StabilizerA:
     """Assemble the positive definite stabilizer ``lam*I + s + r`` densely.
 
-    The reference route for ``build_a``: ``lam`` must be positive and ``s``,
-    ``r`` symmetric PSD of equal size; the full d_in-by-d_in
+    The reference route for ``build_a``: ``lam`` must be finite and positive
+    and ``s``, ``r`` symmetric PSD of equal size; the full d_in-by-d_in
     eigendecomposition then has minimum eigenvalue at least ``lam`` up to
     round-off, which is verified.
     """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     s_ = as_matrix(s, "s")
     r_ = as_matrix(r, "r")
     if s_.shape[0] != s_.shape[1] or s_.shape != r_.shape:

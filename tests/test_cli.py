@@ -76,6 +76,18 @@ class TestEditCommand:
         assert main(["edit", str(path)]) == 2
         assert "sqrt-blend mode was removed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ridge", ['1e999', '{"relative": 1e999}'])
+    def test_infinite_lambda_exit_2(self, tmp_path, capsys, ridge):
+        # JSON's 1e999 parses to inf, a ridge that would zero the weights
+        run_gen(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["lambda"] = "RIDGE"
+        path.write_text(json.dumps(doc).replace('"RIDGE"', ridge))
+        assert main(["edit", str(path)]) == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "w_edited.smat").exists()
+
     def test_missing_input_exit_4(self, tmp_path):
         run_gen(tmp_path)
         (tmp_path / "w0.smat").unlink()
@@ -112,7 +124,7 @@ class TestEditCommand:
 
 
 class TestSolveCommand:
-    def test_trivial_halving(self, tmp_path):
+    def test_trivial_halving(self, tmp_path, capsys):
         write_smat(tmp_path / "b.smat", np.ones((3, 1)))
         write_smat(tmp_path / "a.smat", np.eye(3))
         m = np.arange(9.0).reshape(3, 3) + 1.0
@@ -131,6 +143,7 @@ class TestSolveCommand:
             == 0
         )
         assert np.allclose(read_smat(out), m / 2.0)
+        assert sorted(json.loads(capsys.readouterr().out)) == ["out", "residual"]
 
     def test_indefinite_a_exit_3(self, tmp_path):
         write_smat(tmp_path / "b.smat", np.ones((2, 1)))
@@ -218,6 +231,18 @@ class TestEvalCommand:
         scores = tmp_path / "scores.csv"
         scores.write_text("name,acc\nx,1\n")
         assert main(["eval", "--scores", str(scores)]) == 2
+
+    def test_non_numeric_score_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("label,unlearn,quality\na,1,2\nb,x,4\n")
+        assert main(["eval", "--scores", str(scores)]) == 2
+        assert "row 'b', column unlearn" in capsys.readouterr().err
+
+    def test_non_finite_score_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("label,unlearn,quality\na,1,nan\nb,3,4\n")
+        assert main(["eval", "--scores", str(scores)]) == 2
+        assert "row 'a', column quality" in capsys.readouterr().err
 
 
 class TestOracleCommand:

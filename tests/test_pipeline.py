@@ -13,10 +13,18 @@ import pytest
 
 from scapre.geometry import BW_GEODESIC, RankDeficiencyWarning, refine_weights
 from scapre.harness import SyntheticModelSpec, generate_model
+from scapre.informax import build_decoupler
 from scapre.pipeline import EditConfig, PipelineStageError, ZeroTargetWarning, run_edit
 from scapre.smatio import write_report
-from scapre.solver import SUBSTITUTE_TARGET, ZERO_TARGET, EraseSpec, assemble_m
-from scapre.stabilizer import assemble_a, build_r, build_s, gate_singular
+from scapre.solver import (
+    SUBSTITUTE_TARGET,
+    ZERO_TARGET,
+    EraseSpec,
+    assemble_m,
+    resolve_v_star,
+    sylvester_solve_spectral,
+)
+from scapre.stabilizer import assemble_a, build_a, build_r, build_s, gate_singular
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +50,18 @@ def rel_err(got, want):
 def small_model(seed=0, **kw):
     spec = SyntheticModelSpec(d_in=48, d_out=24, m_targets=4, m_preserved=3, seed=seed, **kw)
     return generate_model(spec)
+
+
+def solve_stages(w0, spec, contexts, features, labels, cfg=EditConfig()):
+    """The stabilizer, decoupler and solve of ``run_edit``, from the stage functions.
+
+    Every stage is deterministic, so these are bit for bit the ones the edit
+    forms; the report keeps none of them but the decoupler.
+    """
+    stab = build_a(contexts, spec.concepts, cfg.lam, cfg.lam_scale)
+    dec = build_decoupler(w0, features, labels)
+    sol = sylvester_solve_spectral(dec.alpha, stab, (resolve_v_star(w0, spec), spec.concepts))
+    return stab, dec, sol
 
 
 def dense_reference_a(lam, model):
@@ -81,6 +101,8 @@ class TestRunEdit:
         # warnings reach the caller, and the report notes both flags
         model = small_model()
         spec = EraseSpec(model.erase_spec.concepts, mode=ZERO_TARGET)
+        inputs = (model.w0, spec, model.contexts, model.features, model.labels)
+        assert np.array_equal(solve_stages(*inputs)[2].w_star, np.zeros_like(model.w0))
         for beta in (0.0, 0.5):
             cfg = EditConfig(target_mode=ZERO_TARGET, beta=beta)
             with warnings.catch_warnings(record=True) as raised:
@@ -89,7 +111,6 @@ class TestRunEdit:
                     model.w0, spec, model.contexts, model.features, model.labels, cfg
                 )
             assert report.zero_target and report.refinement_degenerate == (beta > 0.0)
-            assert np.array_equal(report.intermediates.w_star, np.zeros_like(model.w0))
             assert np.array_equal(w_edit, np.zeros_like(model.w0))
             vanished = [RankDeficiencyWarning] if beta > 0.0 else []
             assert [entry.category for entry in raised] == [ZeroTargetWarning] + vanished
@@ -143,15 +164,14 @@ class TestRunEdit:
 
     def test_residual_recomputable_from_intermediates(self):
         model = small_model(seed=9)
-        _, report = run_edit(
-            model.w0, model.erase_spec, model.contexts, model.features, model.labels
-        )
-        inter = report.intermediates
-        w_star = inter.w_star
+        inputs = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        _, report = run_edit(*inputs)
+        stab, _, sol = solve_stages(*inputs)
+        w_star = sol.w_star
         m = assemble_m(model.w0, model.erase_spec)
         # the stabilizer's own dense A and the one the reference route assembles
-        for a in (inter.stabilizer.a, dense_reference_a(report.lam, model)):
-            lhs = inter.decoupler.alpha[:, None] * w_star + w_star @ a
+        for a in (stab.a, dense_reference_a(report.lam, model)):
+            lhs = report.intermediates.decoupler.alpha[:, None] * w_star + w_star @ a
             residual = np.linalg.norm(lhs - m) / np.linalg.norm(m)
             assert abs(residual - report.sylvester_residual) < 1e-12
 
@@ -201,6 +221,26 @@ class TestRunEdit:
         finally:
             tracemalloc.stop()
         assert peak <= 3.25 * d_out * d_in * 8
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_result_holds_one_weight_array(self, beta):
+        # once the edit returns, the weights are the only weight-sized array
+        # left alive: the report keeps values and the decoupler, not W*, the
+        # stabilizer basis V or the refinement
+        d_in, d_out = 1024, 512
+        model = generate_model(
+            SyntheticModelSpec(d_in=d_in, d_out=d_out, m_targets=20, tokens_per_concept=4, seed=3)
+        )
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        run_edit(*args, EditConfig(beta=beta))  # warm-up, so one-time caches are not counted
+        tracemalloc.start()
+        try:
+            result = run_edit(*args, EditConfig(beta=beta))  # kept alive while measured
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result[0].shape == (d_out, d_in)
+        assert held <= 1.10 * d_out * d_in * 8
 
     def test_kernel_calls_per_edit(self, monkeypatch):
         # one SVD of the concepts (of R's k x m concept block when k < d_in,
@@ -301,13 +341,14 @@ class TestRunEdit:
         contexts = [rng.standard_normal((1, 48)) for _ in range(4)]
         c = model.erase_spec.concepts
         assert gate_singular(np.linalg.svd(c, compute_uv=False)).max() == 0.0
-        w, report = run_edit(model.w0, model.erase_spec, contexts, model.features, model.labels)
-        inter = report.intermediates
-        vecs = inter.stabilizer.eig.eigvecs
+        inputs = (model.w0, model.erase_spec, contexts, model.features, model.labels)
+        w, report = run_edit(*inputs)
+        stab, _, sol = solve_stages(*inputs)
+        vecs = stab.eig.eigvecs
         assert vecs.shape[1] < report.d_out
         assert np.linalg.norm(c - vecs @ (vecs.T @ c)) <= 1e-12 * np.linalg.norm(c)
         assert report.sylvester_residual <= 1e-8
-        dense = refine_weights(inter.w_star, model.w0, report.config["beta"])
+        dense = refine_weights(sol.w_star, model.w0, report.config["beta"])
         assert rel_err(w, dense.w) <= 1e-12
 
     def test_degenerate_alpha_solves_w_a_equals_m(self):
@@ -316,14 +357,15 @@ class TestRunEdit:
         # the solve is W A = M
         model = small_model(seed=7)
         features = np.zeros_like(model.features)
-        w, report = run_edit(model.w0, model.erase_spec, model.contexts, features, model.labels)
+        inputs = (model.w0, model.erase_spec, model.contexts, features, model.labels)
+        w, report = run_edit(*inputs)
         assert report.alpha_degenerate
         assert report.alpha_min == report.alpha_max == 0.0
         assert report.sylvester_residual <= 1e-8
         assert np.isfinite(w).all()
-        inter = report.intermediates
+        w_star = solve_stages(*inputs)[2].w_star
         a = dense_reference_a(report.lam, model)
-        assert rel_err(inter.w_star @ a, assemble_m(model.w0, model.erase_spec)) <= 1e-8
+        assert rel_err(w_star @ a, assemble_m(model.w0, model.erase_spec)) <= 1e-8
 
     def test_no_output_sized_square_matrix(self):
         # d_out^2 float64 entries would be 32 MB; the geometry stage works in
@@ -359,16 +401,17 @@ class TestRunEdit:
     def test_report_stage_times_rank_and_moved_away(self, monkeypatch):
         model = small_model(seed=6)
         args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        stab, _, sol = solve_stages(*args)
         for cfg in (EditConfig(beta=0.0), EditConfig(beta=1.0)):
             _, report = run_edit(*args, cfg)
             stages = ["stabilizer", "informax", "solver", "geometry", "metrics"]
             assert list(report.stage_ms) == stages
             assert all(t >= 0.0 for t in report.stage_ms.values())
             assert sum(report.stage_ms.values()) <= report.wall_ms
-            ref = report.intermediates.refinement
+            ref = refine_weights(sol.w_star, model.w0, cfg.beta, (sol.w_v, stab.eig.eigvecs))
             assert report.w_star_rank == ref.basis.shape[1]
             # the eigenvalues of W* W*^T above its round-off floor, eps * lambda_max
-            sv = np.linalg.svd(report.intermediates.w_star, compute_uv=False)
+            sv = np.linalg.svd(sol.w_star, compute_uv=False)
             assert report.w_star_rank == np.sum(sv**2 > np.finfo(float).eps * sv[0] ** 2)
             doc = json.loads(json.dumps(report.to_dict()))
             assert doc["stage_ms"] == report.stage_ms
@@ -398,7 +441,7 @@ class TestRunEdit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, report = run_edit(*args, EditConfig(beta=0.0))
-        assert np.array_equal(w, report.intermediates.w_star)
+        assert np.array_equal(w, solve_stages(*args)[2].w_star)
         assert report.bures_after == report.bures_before
         assert not report.refinement_moved_away and report.warnings == []
         assert report.realization_gap == 0.0
@@ -545,6 +588,11 @@ class TestEditConfig:
             EditConfig(beta=1.5)
         with pytest.raises(ValueError, match="lam"):
             EditConfig(lam=0.0)
+        # an infinite ridge would solve to all-zero weights
+        with pytest.raises(ValueError, match="lam must be finite"):
+            EditConfig(lam=float("inf"))
+        with pytest.raises(ValueError, match="lam_scale must be finite"):
+            EditConfig(lam_scale=float("inf"))
         with pytest.raises(ValueError, match="interpolation_mode"):
             EditConfig(interpolation_mode="cubic")
         with pytest.raises(ValueError, match="sqrt-blend mode was removed"):

@@ -86,7 +86,6 @@ class TestSpectral:
         m = rng.standard_normal((3, 3))
         sol = sylvester_solve_spectral(np.ones(3), np.eye(3), m)
         assert rel_err(sol.w_star, m / 2.0) < 1e-12
-        assert sol.path == "spectral"
 
     def test_diagonal_decoupling(self):
         sol = sylvester_solve_spectral(
@@ -128,7 +127,6 @@ class TestKronecker:
         m = rng.standard_normal((2, 2))
         sol = sylvester_solve_kronecker(np.ones(2), np.eye(2), m)
         assert rel_err(sol.w_star, m / 2.0) < 1e-12
-        assert sol.path == "kronecker"
 
     def test_scalar(self):
         sol = sylvester_solve_kronecker(np.array([2.0]), np.array([[3.0]]), np.array([[10.0]]))

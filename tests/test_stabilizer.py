@@ -281,6 +281,18 @@ class TestBuildA:
         with pytest.raises(ValueError, match="positive"):
             build_a([np.ones((2, 4))], np.ones((4, 1)), lam=0.0)
 
+    def test_rejects_infinite_ridge(self):
+        # an infinite ridge solves to all-zero weights, so it is no ridge
+        ctx, c = [np.ones((2, 4))], np.ones((4, 1))
+        with pytest.raises(ValueError, match="lam must be finite"):
+            build_a(ctx, c, lam=np.inf)
+        with pytest.raises(ValueError, match="finite positive lam_scale"):
+            build_a(ctx, c, lam_scale=np.inf)
+        with pytest.raises(ValueError, match="finite positive lam_scale"):
+            relative_lambda(np.eye(4), scale=np.inf)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            assemble_a(np.inf, np.eye(4), np.zeros((4, 4)))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             build_a([np.ones((2, 4))], np.ones((5, 1)))
