@@ -36,6 +36,9 @@ _RANK_CUT = 1e-12
 # at _RANK_CUT instead would drop directions whose roots still count (the
 # root of a 1e-13 eigenvalue is 3e-7 of the largest).
 _ROUNDOFF_CUT = np.finfo(np.float64).eps
+# Rows per block of the refinement's lift, so that writing the refined
+# weights takes one block of scratch beside them.
+_LIFT_ROWS = 256
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -166,7 +169,9 @@ class RefinementResult:
         return _sym(self.basis @ self.sigma_r @ self.basis.T)
 
 
-def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
+def refine_weights(
+    w_star, w0, beta: float, factor=None, in_place: bool = False
+) -> RefinementResult:
     """Move edited weights a fraction ``beta`` of the way to the reference geometry.
 
     With ``S = w_star w_star^T`` and ``Z = w0 w0^T``, the optimal transport
@@ -197,12 +202,19 @@ def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
     Lam^{+1/2}``, so the refined weights are
     ``(1-beta) w_star + beta B (M B^T w_star)`` and the interpolated
     covariance is ``B sigma_r B^T``.
+
+    The refined weights are a new array, formed a block of rows at a time.
+    With ``in_place`` they are written over ``w_star`` instead, which must
+    then be a C-contiguous float64 array, and ``w_star`` itself is returned
+    as ``w``.
     """
     _check_beta(beta)
     w_ = as_matrix(w_star, "w_star")
     w0_ = as_matrix(w0, "w0")
     if w_.shape != w0_.shape:
         raise ValueError(f"w_star shape {w_.shape} does not match w0 {w0_.shape}")
+    if in_place and w_ is not w_star:
+        raise ValueError("in_place needs w_star as a C-contiguous float64 array")
     w_sq, w0_sq = float(np.vdot(w_, w_)), float(np.vdot(w0_, w0_))
     x, right = w_, None
     if factor is not None:
@@ -260,18 +272,22 @@ def refine_weights(w_star, w0, beta: float, factor=None) -> RefinementResult:
             RankDeficiencyWarning,
             stacklevel=2,
         )
-        return RefinementResult(
-            np.zeros_like(w_), basis, sigma_r, 0, True, 0.0, bures_before, bures_after
-        )
+        w = w_ if in_place else np.empty_like(w_)
+        w.fill(0.0)
+        return RefinementResult(w, basis, sigma_r, 0, True, 0.0, bures_before, bures_after)
     w_c = step @ w_r  # B^T w_tilde
     gap = float(np.linalg.norm(w_c @ w_c.T - sigma_r) / np.linalg.norm(sigma_r))
-    # The lift is the only d_out x d_in allocation: beta / (1 - beta) folds
-    # the two weights into it, so w_star is added in place, unscaled.
+    # beta / (1 - beta) folds the two weights into the lift, so each block of
+    # w_star is added to it unscaled and the sum scaled once
     mapped = transport @ w_r
-    if beta == 1.0:
-        w_tilde = basis @ mapped
-    else:
-        w_tilde = basis @ ((beta / (1.0 - beta)) * mapped)
-        w_tilde += w_
-        w_tilde *= 1.0 - beta
+    if beta != 1.0:
+        mapped *= beta / (1.0 - beta)
+    w_tilde = w_ if in_place else np.empty_like(w_)
+    for i in range(0, len(w_), _LIFT_ROWS):
+        rows = slice(i, i + _LIFT_ROWS)
+        blk = basis[rows] @ mapped
+        if beta != 1.0:
+            blk += w_[rows]
+            blk *= 1.0 - beta
+        w_tilde[rows] = blk
     return RefinementResult(w_tilde, basis, sigma_r, rank, False, gap, bures_before, bures_after)

@@ -20,9 +20,10 @@ __all__ = [
     "channel_thresholds",
 ]
 
-# Channels per partition block of the decoupler's thresholds, so that the
-# partition copies a block of the activations, not all of them.
-_THRESHOLD_ROWS = 128
+# Bytes of activations the decoupler forms at once: it scores a block of
+# channels at a time, so its scratch stays near this budget whatever the
+# sample count.
+_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -138,25 +139,36 @@ def _row_medians(block: np.ndarray) -> np.ndarray:
 def build_decoupler(w, features, labels, base: float | None = None) -> DecouplerAlpha:
     """Score every output channel of ``w`` against the labeled samples.
 
-    Activations are formed channel-major and binarized per channel at the
-    exact pooled median, read off one partition of each channel's row, a
-    block of channels at a time (the bits of ``channel_thresholds``; ties at
-    the threshold count as inactive). Only the bits are kept for counting.
+    Activations are formed channel-major, ``W F^T``, one block of channels
+    at a time under a fixed byte budget, and binarized per channel at the
+    exact pooled median, read off one partition of each channel's row (the
+    bits of ``channel_thresholds``; ties at the threshold count as
+    inactive). Only the bits are kept for counting.
     For each concept label the 2x2 table is built from that concept's samples
     (y=1) against the neutral samples (y=0); per-channel MI is the maximum
     over concepts and ``alpha`` is that maximum normalized by its largest value.
+    A channel's tables differ only in the concept's sample count s and its
+    active count in 0..s, so the MI is evaluated once per (s, active count)
+    on each channel and gathered into the (channel, concept) cells.
     """
     w_, f, y = _validate_samples(w, features, labels)
-    acts = w_ @ f.T
-    tau = np.empty(len(acts))
-    for i in range(0, len(acts), _THRESHOLD_ROWS):
-        tau[i : i + _THRESHOLD_ROWS] = _row_medians(acts[i : i + _THRESHOLD_ROWS])
-    z = (acts > tau[:, None]).T  # strict comparison: threshold ties are state 0
-    del acts  # only the bits are counted
+    bits = np.empty((len(w_), len(y)), dtype=bool)
+    step = max(1, _BLOCK_BYTES // (8 * len(y)))
+    for i in range(0, len(w_), step):
+        acts = w_[i : i + step] @ f.T
+        bits[i : i + step] = acts > _row_medians(acts)[:, None]  # strict: ties are state 0
+    z = bits.T
     # Active samples per (channel, label) pair; label 0 (neutral) sorts first.
     groups, sizes = np.unique(y, return_counts=True)
     on = np.stack([z[y == k].sum(axis=0) for k in groups], axis=1)
-    per = _mi_table(sizes[0] - on[:, :1], sizes[1:] - on[:, 1:], on[:, :1], on[:, 1:], base)
+
+    per = np.empty((len(w_), len(groups) - 1))
+    n0, on0 = sizes[0], on[:, :1]
+    for s in np.unique(sizes[1:]):
+        cols = np.flatnonzero(sizes[1:] == s)
+        grid = np.arange(s + 1)  # every active count a concept of s samples can have
+        table = _mi_table(n0 - on0, s - grid, on0, grid, base)
+        per[:, cols] = np.take_along_axis(table, on[:, 1 + cols], axis=1)
     concepts = tuple(int(k) for k in groups[1:])
 
     mi = per.max(axis=1)

@@ -221,48 +221,56 @@ def run_edit(
 
     with _stage("geometry", stage_ms):
         # W*'s rows lie in span(V): the stabilizer basis V spans the concepts,
-        # so M = V* C^T has no complement and the solve keeps span(V)
-        ref = refine_weights(sol.w_star, w0_, cfg.beta, (sol.w_v, stab.eig.eigvecs))
-        moved_away = ref.bures_after > ref.bures_before
-
-    with _stage("metrics", stage_ms):
-        probes: ProbeScores = probe_scores(ref.w, w0_, spec, preserved, v_star=v_star)
-        erased = probes.erasure[~np.isnan(probes.erasure)]
-        max_erasure = float(erased.max()) if erased.size else float("nan")
-        usable = probes.preservation[~np.isnan(probes.preservation)]
-        median_preserve = float(np.median(usable)) if usable.size else float("nan")
-
-    notes = [_ZERO_TARGET_NOTE] if zero_target else []
-    if ref.degenerate:
-        notes.append("refinement degenerated: the interpolated covariance and the weights are zero")
-    if moved_away:
-        notes.append(
-            f"refinement moved the covariance away from W0 W0^T: squared Bures "
-            f"distance {ref.bures_before:.6g} -> {ref.bures_after:.6g}"
+        # so M = V* C^T has no complement and the solve keeps span(V). The
+        # refined weights are written over W*.
+        ref = refine_weights(
+            sol.w_star, w0_, cfg.beta, (sol.w_v, stab.eig.eigvecs), in_place=True
         )
-
-    report = EditReport(
-        m=spec.n_concepts,
-        d_in=w0_.shape[1],
-        d_out=w0_.shape[0],
+    w = ref.w
+    # The report's values; V, W* V and the refinement's basis are dropped
+    # before the probes are scored.
+    health = dict(
         lam=stab.lam,
         sylvester_residual=sol.residual,
         stabilizer_rank=stab.rank,
         a_eig_min=stab.eig_min,
         a_eig_max=stab.eig_max,
         min_denominator=sol.min_denominator,
+        bures_before=ref.bures_before,
+        bures_after=ref.bures_after,
+        w_star_rank=ref.basis.shape[1],
+        refinement_rank=ref.rank,
+        refinement_moved_away=ref.bures_after > ref.bures_before,
+        refinement_degenerate=ref.degenerate,
+        realization_gap=ref.realization_gap,
+    )
+    del stab, sol, ref
+
+    with _stage("metrics", stage_ms):
+        probes: ProbeScores = probe_scores(w, w0_, spec, preserved, v_star=v_star)
+        erased = probes.erasure[~np.isnan(probes.erasure)]
+        max_erasure = float(erased.max()) if erased.size else float("nan")
+        usable = probes.preservation[~np.isnan(probes.preservation)]
+        median_preserve = float(np.median(usable)) if usable.size else float("nan")
+
+    notes = [_ZERO_TARGET_NOTE] if zero_target else []
+    if health["refinement_degenerate"]:
+        notes.append("refinement degenerated: the interpolated covariance and the weights are zero")
+    if health["refinement_moved_away"]:
+        notes.append(
+            f"refinement moved the covariance away from W0 W0^T: squared Bures "
+            f"distance {health['bures_before']:.6g} -> {health['bures_after']:.6g}"
+        )
+
+    report = EditReport(
+        m=spec.n_concepts,
+        d_in=w0_.shape[1],
+        d_out=w0_.shape[0],
         zero_target=zero_target,
         alpha_degenerate=dec.degenerate,
         alpha_min=float(dec.alpha.min()),
         alpha_median=float(np.median(dec.alpha)),
         alpha_max=float(dec.alpha.max()),
-        bures_before=ref.bures_before,
-        bures_after=ref.bures_after,
-        w_star_rank=ref.basis.shape[1],
-        refinement_rank=ref.rank,
-        refinement_moved_away=moved_away,
-        refinement_degenerate=ref.degenerate,
-        realization_gap=ref.realization_gap,
         warnings=notes,
         erasure_errors=[float(x) for x in probes.erasure],
         preservation_errors=(
@@ -276,5 +284,6 @@ def run_edit(
         stage_ms=stage_ms,
         config=cfg.to_dict(),
         intermediates=EditIntermediates(dec),
+        **health,
     )
-    return ref.w, report
+    return w, report

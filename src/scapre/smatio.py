@@ -72,8 +72,10 @@ class ManifestError(ValueError):
     """Malformed run manifest (unknown keys, bad values, missing entries)."""
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+def _write_atomic(path, *chunks) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    Each chunk is a bytes-like object, such as a C-contiguous array.
 
     A failure part-way leaves the previous file (or no file) in place and
     removes the temporary one, so readers never see a truncated output.
@@ -83,7 +85,8 @@ def _write_atomic(path, data: bytes) -> None:
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -91,39 +94,62 @@ def _write_atomic(path, data: bytes) -> None:
 
 
 def write_smat(path, m) -> None:
-    """Write ``m`` to ``path`` in SMAT form, atomically."""
+    """Write ``m`` to ``path`` in SMAT form, atomically.
+
+    The header is followed by the array's own buffer, so a C-ordered
+    little-endian float64 matrix is written without a copy; any other
+    layout or byte order is converted once.
+    """
     arr = np.ascontiguousarray(as_matrix(m, "matrix"), dtype="<f8")
     header = _HEADER.pack(_MAGIC, _VERSION, 0, arr.shape[0], arr.shape[1])
-    _write_atomic(path, header + arr.tobytes())
+    _write_atomic(path, header, arr)
+
+
+def _read_exact(fh, buf, path) -> None:
+    """Fill ``buf`` from ``fh``; a file that ends first is a short read."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            raise SmatFormatError(f"{path}: short read, expected {len(view)} bytes, got {got}")
+        got += n
 
 
 def read_smat(path) -> np.ndarray:
-    """Read a SMAT file back into a float64 array, bit-exactly."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise SmatFormatError(
-            f"{path}: truncated header, expected at least {_HEADER.size} bytes, "
-            f"got {len(blob)}"
-        )
-    magic, version, flags, rows, cols = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise SmatFormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise SmatFormatError(f"{path}: unsupported version {version}")
-    if flags != 0:
-        raise SmatFormatError(f"{path}: unsupported flags {flags:#06x}")
-    if rows < 1 or cols < 1:
-        raise SmatFormatError(f"{path}: dimensions must be positive, got {rows}x{cols}")
-    expected = _HEADER.size + 8 * rows * cols
-    if len(blob) != expected:
-        raise SmatFormatError(
-            f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(blob)}"
-        )
-    arr = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
-    arr = arr.astype(np.float64, copy=True)
+    """Read a SMAT file back into a float64 array, bit-exactly.
+
+    The header is checked against the file's size before anything is
+    allocated, and the payload is read straight into the returned array.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise SmatFormatError(
+                f"{path}: truncated header, expected at least {_HEADER.size} bytes, "
+                f"got {size}"
+            )
+        head = bytearray(_HEADER.size)
+        _read_exact(fh, head, path)
+        magic, version, flags, rows, cols = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise SmatFormatError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise SmatFormatError(f"{path}: unsupported version {version}")
+        if flags != 0:
+            raise SmatFormatError(f"{path}: unsupported flags {flags:#06x}")
+        if rows < 1 or cols < 1:
+            raise SmatFormatError(f"{path}: dimensions must be positive, got {rows}x{cols}")
+        expected = _HEADER.size + 8 * rows * cols
+        if size != expected:
+            raise SmatFormatError(
+                f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
+            )
+        arr = np.empty((rows, cols), dtype="<f8")
+        _read_exact(fh, arr, path)
     if not np.isfinite(arr).all():
         raise SmatFormatError(f"{path}: payload contains non-finite entries")
-    return arr
+    return arr.astype(np.float64, copy=False)  # a copy only on a big-endian host
 
 
 _TOP_KEYS = {

@@ -193,6 +193,28 @@ class TestRefineWeights:
         assert res.degenerate and res.rank == 0
         assert res.bures_after == np.sum(w0 * w0)  # Bures(0, W0 W0^T) = |W0|^2
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_in_place_writes_the_same_weights_over_w_star(self, beta):
+        # more rows than one block of the lift, so its seams are covered
+        rng = np.random.default_rng(22)
+        w_star = rng.standard_normal((600, 3)) @ rng.standard_normal((3, 40))
+        w0 = rng.standard_normal((600, 40))
+        kept = w_star.copy()
+        want = refine_weights(w_star, w0, beta)
+        assert np.array_equal(w_star, kept)  # by default w_star is left alone
+        got = refine_weights(w_star, w0, beta, in_place=True)
+        assert got.w is w_star
+        assert np.array_equal(got.w, want.w)
+        assert (got.bures_after, got.rank) == (want.bures_after, want.rank)
+
+    def test_in_place_zero_edit_and_layout(self):
+        w0 = np.random.default_rng(8).standard_normal((3, 6))
+        w_star = np.zeros((3, 6))
+        with pytest.warns(RankDeficiencyWarning):
+            assert refine_weights(w_star, w0, 0.5, in_place=True).w is w_star
+        with pytest.raises(ValueError, match="in_place"):
+            refine_weights(np.asfortranarray(np.ones((3, 6))), w0, 0.5, in_place=True)
+
     def test_covariance_realization(self):
         rng = np.random.default_rng(9)
         w_star = rng.standard_normal((8, 16))

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scapre import informax
 from scapre.informax import (
+    _BLOCK_BYTES,
     JointCounts,
     _mi_table,
     build_decoupler,
@@ -224,7 +226,7 @@ def _threshold_case(name):
         labels[:2] = [0, 1]
         return rng.standard_normal((16, 6)), rng.standard_normal((n, 6)), labels
     if name == "many-channels":
-        # more channels than one threshold block, and an odd sample count
+        # many channels, and an odd sample count
         labels = rng.integers(0, 3, 41)
         labels[:2] = [0, 1]
         return rng.standard_normal((300, 6)), rng.standard_normal((41, 6)), labels
@@ -269,6 +271,17 @@ class TestDecouplerThresholds:
         assert np.array_equal(dec.per_concept_mi, per)
         assert np.array_equal(dec.alpha, alpha)
 
+    @pytest.mark.parametrize("per_block", [1, 7, 299])
+    def test_channel_blocks_are_bit_identical(self, monkeypatch, per_block):
+        # blocks of 1, 7 and 299 of the 300 channels: the seams between
+        # blocks change no bit
+        w, feats, labels = _threshold_case("many-channels")
+        monkeypatch.setattr(informax, "_BLOCK_BYTES", per_block * 8 * len(labels))
+        dec = build_decoupler(w, feats, labels)
+        alpha, per = reference_decoupler(w, feats, labels)
+        assert np.array_equal(dec.per_concept_mi, per)
+        assert np.array_equal(dec.alpha, alpha)
+
     def test_middle_ties_case_thresholds(self):
         w, feats, labels = _threshold_case("middle-ties")
         assert np.array_equal(channel_thresholds(w, feats, labels), [2.5, 2.0])
@@ -282,11 +295,16 @@ class TestDecouplerThresholds:
         assert np.array_equal(base.alpha, shuffled.alpha)
         assert np.array_equal(base.per_concept_mi, shuffled.per_concept_mi)
 
-    def test_peak_memory_is_two_activation_arrays(self):
+    def test_peak_memory_is_two_activation_blocks(self):
+        # the activations come a block of channels at a time under one byte
+        # budget: the block and its partition copy, the bits (a byte per
+        # activation), the features' finite check (a byte per entry) and the
+        # (channel, label) count and MI tables. All the activations at once
+        # would be 37.5 MiB here.
         rng = np.random.default_rng(13)
-        n, d = 2400, 512
-        w = rng.standard_normal((d, d))
-        feats = rng.standard_normal((n, d))
+        n, d_in, d = 2400, 512, 2048
+        w = rng.standard_normal((d, d_in))
+        feats = rng.standard_normal((n, d_in))
         labels = np.arange(n) % 100
         tracemalloc.start()
         try:
@@ -294,4 +312,4 @@ class TestDecouplerThresholds:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * n * d * 8
+        assert peak <= 2 * _BLOCK_BYTES + n * d + n * d_in + 2 * d * 100 * 8

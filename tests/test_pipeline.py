@@ -222,6 +222,23 @@ class TestRunEdit:
             tracemalloc.stop()
         assert peak <= 3.25 * d_out * d_in * 8
 
+    def test_peak_is_the_result_plus_factors_and_a_block_budget(self):
+        # the refinement writes over W*, so no second weight-sized array lives
+        # beside it: the peak is the result, the O((d_in + d_out) k) factors
+        # and row blocks within a 4 MiB budget. Tall, so the weights dominate.
+        d_in, d_out = 256, 4096
+        model = generate_model(SyntheticModelSpec(d_in=d_in, d_out=d_out, m_targets=8, seed=3))
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        run_edit(*args, EditConfig(beta=0.5))  # warm-up, so one-time caches are not counted
+        tracemalloc.start()
+        try:
+            _, report = run_edit(*args, EditConfig(beta=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = report.stabilizer_rank
+        assert peak <= d_out * d_in * 8 + 4 * (d_in + d_out) * k * 8 + 4 * 2**20
+
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_result_holds_one_weight_array(self, beta):
         # once the edit returns, the weights are the only weight-sized array

@@ -1,6 +1,8 @@
 import builtins
+import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +72,31 @@ class TestSmatErrors:
         with pytest.raises(SmatFormatError, match=r"expected 152 bytes.*got 144"):
             read_smat(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.smat"
+        write_smat(path, np.ones((2, 2)))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(SmatFormatError, match=r"expected 56 bytes.*got 57"):
+            read_smat(path)
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # a header claiming 2^20 x 2^20 entries (8 TiB) on a 24-byte file
+        path = tmp_path / "huge.smat"
+        path.write_bytes(struct.pack("<4sHHQQ", b"SMAT", 1, 0, 2**20, 2**20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SmatFormatError, match=r"expected 8796093022232 bytes.*got 24"):
+                read_smat(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_short_read_rejected(self):
+        # a file that ends before its size said it would
+        with pytest.raises(SmatFormatError, match="short read, expected 16 bytes, got 8"):
+            smatio._read_exact(io.BytesIO(b"x" * 8), bytearray(16), "f.smat")
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "h.smat"
         path.write_bytes(b"SMAT\x01\x00")
@@ -106,6 +133,39 @@ class TestSmatErrors:
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             write_smat(tmp_path / "x.smat", np.array([[np.inf]]))
+
+
+class TestSmatBuffers:
+    @pytest.mark.parametrize("layout", ["fortran", "big-endian", "strided"])
+    def test_layouts_write_their_c_ordered_little_endian_bytes(self, tmp_path, layout):
+        source = np.random.default_rng(5).standard_normal((12, 30))
+        m = {
+            "fortran": np.asfortranarray(source),
+            "big-endian": source.astype(">f8"),
+            "strided": source[::2, 1::3],
+        }[layout]
+        write_smat(tmp_path / "m.smat", m)
+        write_smat(tmp_path / "ref.smat", np.ascontiguousarray(m, dtype="<f8"))
+        assert (tmp_path / "m.smat").read_bytes() == (tmp_path / "ref.smat").read_bytes()
+        assert np.array_equal(read_smat(tmp_path / "m.smat"), m)
+
+    def test_write_and_read_make_no_copy(self, tmp_path):
+        # the writer sends the array's own buffer, the reader fills the
+        # array it returns; both keep only the finite check's byte per entry
+        m = np.random.default_rng(6).standard_normal((256, 512))
+        path = tmp_path / "big.smat"
+        tracemalloc.start()
+        try:
+            write_smat(path, m)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_smat(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - back.nbytes
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 0.25 * m.nbytes
+        assert read_peak < 0.25 * m.nbytes
+        assert back.tobytes() == m.tobytes()
 
 
 def minimal_manifest(tmp_path, **overrides):
