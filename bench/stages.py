@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_16.json
+    python bench/stages.py --out BENCH_17.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
@@ -9,7 +9,9 @@ wall time and the median of each stage's `stage_ms`; one more, untimed run
 under tracemalloc gives the traced peak and the memory still held after it
 returns (the result kept alive). The quality numbers are those of that run.
 Last, one `scapre edit` of a `scapre gen` manifest at 512x512, m=300,
-beta=0 runs traced, with its outputs written to a temporary directory.
+beta=0 runs traced, with its outputs written to a temporary directory,
+and so does `build_decoupler` on that manifest's samples, once given as a
+loaded array (its bytes not counted) and once read from their file.
 
 The BLAS thread count is read from the environment, as NumPy reads it:
 set `OPENBLAS_NUM_THREADS` before running. The sources edited are those of
@@ -35,7 +37,9 @@ import numpy as np  # noqa: E402
 
 from scapre import cli  # noqa: E402
 from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
+from scapre.informax import build_decoupler  # noqa: E402
 from scapre.pipeline import EditConfig, run_edit  # noqa: E402
+from scapre.smatio import SmatRows, read_smat  # noqa: E402
 
 MIB = 2**20
 SEED = 42
@@ -120,6 +124,14 @@ def bench_cli(d_in, d_out, m) -> dict:
         if code != 0:
             raise RuntimeError(f"scapre edit exited with {code}")
         report = json.loads((Path(tmp) / "report.json").read_text())
+        w0 = read_smat(Path(tmp) / "w0.smat")
+        labels = read_smat(Path(tmp) / "samples_labels.smat").ravel()
+        samples = Path(tmp) / "samples_features.smat"
+        features = read_smat(samples)
+        _, array_peak, _ = _traced(lambda: build_decoupler(w0, features, labels))
+        del features
+        with SmatRows(samples) as rows:
+            _, file_peak, _ = _traced(lambda: build_decoupler(w0, rows, labels))
     return {
         "d_in": d_in,
         "d_out": d_out,
@@ -127,6 +139,8 @@ def bench_cli(d_in, d_out, m) -> dict:
         "beta": 0.0,
         "traced_wall_s": wall,
         "traced_peak_mib": peak,
+        "decoupler_array_peak_mib": array_peak,
+        "decoupler_file_peak_mib": file_peak,
         "max_erasure_err": report["max_erasure_err"],
         "median_preserve_err": report["median_preserve_err"],
         "sylvester_residual": report["sylvester_residual"],
@@ -166,7 +180,11 @@ def main(argv=None) -> int:
             f"median preserve {s['median_preserve_err']:.4f}"
         )
     c = doc["cli_edit"]
-    print(f"scapre edit {c['d_in']}x{c['d_out']} m={c['m']}: peak {c['traced_peak_mib']:.1f} MiB")
+    print(
+        f"scapre edit {c['d_in']}x{c['d_out']} m={c['m']}: peak {c['traced_peak_mib']:.1f} MiB; "
+        f"build_decoupler on the array {c['decoupler_array_peak_mib']:.1f} MiB, "
+        f"on the file {c['decoupler_file_peak_mib']:.1f} MiB"
+    )
     print(f"wrote {args.out}")
     return 0
 

@@ -30,6 +30,7 @@ from .smatio import (
     ManifestError,
     RunManifest,
     SmatFormatError,
+    SmatRows,
     load_manifest,
     read_smat,
     write_csv,
@@ -111,15 +112,16 @@ def cmd_edit(args) -> int:
     contexts = _split_contexts(
         read_smat(manifest.inputs["contexts"]), manifest.inputs["context_groups"]
     )
-    features = read_smat(manifest.inputs["sample_features"])
-    labels = _read_labels(manifest.inputs["sample_labels"])
-    preserved = (
-        read_smat(manifest.inputs["preserved"]) if "preserved" in manifest.inputs else None
-    )
-
-    w_edit, report = run_edit(
-        w0, spec, contexts, features, labels, manifest.cfg, preserved=preserved
-    )
+    # The samples stay in their file: the decoupler reads them a block of
+    # rows at a time.
+    with SmatRows(manifest.inputs["sample_features"]) as features:
+        labels = _read_labels(manifest.inputs["sample_labels"])
+        preserved = (
+            read_smat(manifest.inputs["preserved"]) if "preserved" in manifest.inputs else None
+        )
+        w_edit, report = run_edit(
+            w0, spec, contexts, features, labels, manifest.cfg, preserved=preserved
+        )
 
     write_smat(manifest.outputs["weights"], w_edit)
     doc = report.to_dict()
@@ -149,9 +151,9 @@ def cmd_solve(args) -> int:
 
 def cmd_mi(args) -> int:
     w = read_smat(args.weights)
-    features = read_smat(args.features)
-    labels = _read_labels(args.labels)
-    dec = build_decoupler(w, features, labels)
+    with SmatRows(args.features) as features:
+        labels = _read_labels(args.labels)
+        dec = build_decoupler(w, features, labels)
     write_smat(args.out, dec.alpha[:, None])
     print(
         json.dumps(
@@ -417,6 +419,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PipelineStageError as exc:
+        if isinstance(exc.__cause__, (SmatFormatError, OSError)):
+            # a stage that reads its samples from their file failed the read
+            print(f"io error: {exc.__cause__}", file=sys.stderr)
+            return EXIT_IO
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (SmatFormatError, OSError) as exc:

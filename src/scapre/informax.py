@@ -86,29 +86,30 @@ def _mi_table(n00, n01, n10, n11, base: float | None) -> np.ndarray:
     return np.maximum(mi, 0.0)
 
 
-def _validate_samples(w, features, labels):
+def _validate_samples(w, shape, labels):
+    """``w`` as a matrix and ``labels`` as integers, checked against samples of ``shape``."""
     w_ = as_matrix(w, "w")
-    f = as_matrix(features, "features")
     y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != f.shape[0]:
+    if y.ndim != 1 or y.shape[0] != shape[0]:
         raise ValueError("labels must be one entry per feature row")
     if not np.equal(np.mod(y, 1), 0).all() or (y < 0).any():
         raise ValueError("labels must be nonnegative integers (0 = neutral)")
     y = y.astype(np.int64)
-    if f.shape[1] != w_.shape[1]:
+    if shape[1] != w_.shape[1]:
         raise ValueError(
-            f"feature length {f.shape[1]} does not match weight input size {w_.shape[1]}"
+            f"feature length {shape[1]} does not match weight input size {w_.shape[1]}"
         )
-    if f.shape[0] < 2:
+    if shape[0] < 2:
         raise ValueError("need at least two activation samples")
     if not (y == 0).any() or not (y > 0).any():
         raise ValueError("samples must include at least one neutral and one target input")
-    return w_, f, y
+    return w_, y
 
 
 def channel_thresholds(w, features, labels) -> np.ndarray:
     """Per-channel median activation over the pooled target + neutral samples."""
-    w_, f, _ = _validate_samples(w, features, labels)
+    f = as_matrix(features, "features")
+    w_, _ = _validate_samples(w, f.shape, labels)
     return np.median(f @ w_.T, axis=0)
 
 
@@ -139,6 +140,10 @@ def _row_medians(block: np.ndarray) -> np.ndarray:
 def build_decoupler(w, features, labels, base: float | None = None) -> DecouplerAlpha:
     """Score every output channel of ``w`` against the labeled samples.
 
+    ``features`` holds one sample per row: an array, or a row-block source
+    such as ``smatio.SmatRows``, which has a ``shape`` and a ``blocks()``
+    pass yielding ``(first_row, block)`` and is read once per block of
+    channels. An array is one block, itself.
     Activations are formed channel-major, ``W F^T``, one block of channels
     at a time under a fixed byte budget, and binarized per channel at the
     exact pooled median, read off one partition of each channel's row (the
@@ -151,12 +156,22 @@ def build_decoupler(w, features, labels, base: float | None = None) -> Decoupler
     active count in 0..s, so the MI is evaluated once per (s, active count)
     on each channel and gathered into the (channel, concept) cells.
     """
-    w_, f, y = _validate_samples(w, features, labels)
+    if hasattr(features, "blocks"):
+        shape, blocks = features.shape, features.blocks
+    else:
+        f = as_matrix(features, "features")
+        shape, blocks = f.shape, lambda: [(0, f)]
+    w_, y = _validate_samples(w, shape, labels)
     bits = np.empty((len(w_), len(y)), dtype=bool)
     step = max(1, _BLOCK_BYTES // (8 * len(y)))
+    acts = np.empty((min(step, len(w_)), len(y)))
     for i in range(0, len(w_), step):
-        acts = w_[i : i + step] @ f.T
-        bits[i : i + step] = acts > _row_medians(acts)[:, None]  # strict: ties are state 0
+        w_blk = w_[i : i + step]
+        a = acts[: len(w_blk)]
+        for start, f_blk in blocks():
+            np.matmul(w_blk, f_blk.T, out=a[:, start : start + len(f_blk)])
+        bits[i : i + step] = a > _row_medians(a)[:, None]  # strict: ties are state 0
+    del acts, a
     z = bits.T
     # Active samples per (channel, label) pair; label 0 (neutral) sorts first.
     groups, sizes = np.unique(y, return_counts=True)

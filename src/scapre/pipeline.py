@@ -183,7 +183,10 @@ def run_edit(
     ``contexts`` holds one token array per target concept, ``features`` and
     ``labels`` the activation samples for the decoupler (label 0 = neutral,
     k = concept k), and ``preserved`` optional probe directions scored for
-    preservation. Deterministic: identical inputs give bit-identical weights.
+    preservation. ``features`` is an array or a row-block source such as
+    ``smatio.SmatRows``, passed to ``build_decoupler`` as it is; the two give
+    the same weights. Deterministic: identical inputs give bit-identical
+    weights.
     """
     t0 = time.perf_counter()
     w0_ = as_matrix(w0, "w0")

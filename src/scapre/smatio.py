@@ -25,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from . import informax
 from .geometry import BW_GEODESIC
 from .matkernel import as_matrix
 from .pipeline import EditConfig
@@ -34,6 +35,7 @@ __all__ = [
     "ManifestError",
     "RunManifest",
     "SmatFormatError",
+    "SmatRows",
     "format_csv",
     "load_manifest",
     "read_smat",
@@ -116,6 +118,42 @@ def _read_exact(fh, buf, path) -> None:
         got += n
 
 
+def _read_header(fh, path) -> tuple[int, int]:
+    """Check the header of the SMAT file open as ``fh`` against its size; return its shape.
+
+    Leaves ``fh`` at the start of the payload; nothing is allocated first, so
+    a header that claims more than the file holds fails at once.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if size < _HEADER.size:
+        raise SmatFormatError(
+            f"{path}: truncated header, expected at least {_HEADER.size} bytes, got {size}"
+        )
+    head = bytearray(_HEADER.size)
+    _read_exact(fh, head, path)
+    magic, version, flags, rows, cols = _HEADER.unpack(head)
+    if magic != _MAGIC:
+        raise SmatFormatError(f"{path}: bad magic {magic!r}")
+    if version != _VERSION:
+        raise SmatFormatError(f"{path}: unsupported version {version}")
+    if flags != 0:
+        raise SmatFormatError(f"{path}: unsupported flags {flags:#06x}")
+    if rows < 1 or cols < 1:
+        raise SmatFormatError(f"{path}: dimensions must be positive, got {rows}x{cols}")
+    expected = _HEADER.size + 8 * rows * cols
+    if size != expected:
+        raise SmatFormatError(f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}")
+    return rows, cols
+
+
+def _read_payload(fh, arr, path) -> np.ndarray:
+    """Fill the little-endian ``arr`` from ``fh``, check it is finite, return it as float64."""
+    _read_exact(fh, arr, path)
+    if not np.isfinite(arr).all():
+        raise SmatFormatError(f"{path}: payload contains non-finite entries")
+    return arr.astype(np.float64, copy=False)  # a copy only on a big-endian host
+
+
 def read_smat(path) -> np.ndarray:
     """Read a SMAT file back into a float64 array, bit-exactly.
 
@@ -123,33 +161,51 @@ def read_smat(path) -> np.ndarray:
     allocated, and the payload is read straight into the returned array.
     """
     with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _HEADER.size:
-            raise SmatFormatError(
-                f"{path}: truncated header, expected at least {_HEADER.size} bytes, "
-                f"got {size}"
-            )
-        head = bytearray(_HEADER.size)
-        _read_exact(fh, head, path)
-        magic, version, flags, rows, cols = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise SmatFormatError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise SmatFormatError(f"{path}: unsupported version {version}")
-        if flags != 0:
-            raise SmatFormatError(f"{path}: unsupported flags {flags:#06x}")
-        if rows < 1 or cols < 1:
-            raise SmatFormatError(f"{path}: dimensions must be positive, got {rows}x{cols}")
-        expected = _HEADER.size + 8 * rows * cols
-        if size != expected:
-            raise SmatFormatError(
-                f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
-            )
-        arr = np.empty((rows, cols), dtype="<f8")
-        _read_exact(fh, arr, path)
-    if not np.isfinite(arr).all():
-        raise SmatFormatError(f"{path}: payload contains non-finite entries")
-    return arr.astype(np.float64, copy=False)  # a copy only on a big-endian host
+        shape = _read_header(fh, path)
+        return _read_payload(fh, np.empty(shape, dtype="<f8"), path)
+
+
+class SmatRows:
+    """A SMAT matrix read a block of rows at a time, never whole.
+
+    Opening checks the header against the file's size, as ``read_smat``
+    does, and keeps that one descriptor until ``close``: every pass reads
+    the file that was opened, even after another is renamed over the path.
+    Each pass of ``blocks`` reads the payload into one buffer of about
+    ``informax._BLOCK_BYTES`` (at least one row) and checks each block for
+    finite values, so a bad payload fails on the first pass.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb", buffering=0)
+        try:
+            self.shape = _read_header(self._fh, path)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def blocks(self):
+        """Yield ``(first_row, block)`` over the rows in order.
+
+        Each block is a view of the pass's buffer, which the next block
+        overwrites.
+        """
+        rows, cols = self.shape
+        step = min(rows, max(1, informax._BLOCK_BYTES // (8 * cols)))
+        buf = np.empty((step, cols), dtype="<f8")
+        self._fh.seek(_HEADER.size)
+        for start in range(0, rows, step):
+            yield start, _read_payload(self._fh, buf[: min(step, rows - start)], self.path)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 _TOP_KEYS = {

@@ -12,7 +12,8 @@ SHAPE_KEYS = {
 }  # fmt: skip
 STAGES = {"stabilizer", "informax", "solver", "geometry", "metrics"}
 CLI_KEYS = {
-    "d_in", "d_out", "m", "beta", "traced_wall_s", "traced_peak_mib", "max_erasure_err",
+    "d_in", "d_out", "m", "beta", "traced_wall_s", "traced_peak_mib",
+    "decoupler_array_peak_mib", "decoupler_file_peak_mib", "max_erasure_err",
     "median_preserve_err", "sylvester_residual",
 }  # fmt: skip
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from scapre.cli import main
-from scapre.smatio import read_smat, write_smat
+from scapre.pipeline import run_edit
+from scapre.smatio import load_manifest, read_smat, write_smat
+from scapre.solver import EraseSpec
 
 
 def run_gen(tmp_path, *extra):
@@ -22,6 +24,18 @@ def run_gen(tmp_path, *extra):
         "--out-dir", str(tmp_path),
     ]
     assert main(args + list(extra)) == 0
+
+
+def _spoil(path, fault):
+    """Cut a SMAT file short, give it trailing bytes, or put a NaN in its last entry."""
+    blob = bytearray(path.read_bytes())
+    if fault == "truncated":
+        blob = blob[:-8]
+    elif fault == "trailing":
+        blob += bytes(8)
+    else:
+        blob[-8:] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
 
 
 class TestEditCommand:
@@ -98,6 +112,32 @@ class TestEditCommand:
         w0 = tmp_path / "w0.smat"
         w0.write_bytes(w0.read_bytes()[:-4])
         assert main(["edit", str(tmp_path / "manifest.json")]) == 4
+
+    def test_weights_equal_run_edit_on_the_same_arrays(self, tmp_path):
+        # the CLI streams the samples from their file; run_edit gets them as an array
+        run_gen(tmp_path)
+        assert main(["edit", str(tmp_path / "manifest.json")]) == 0
+        run = load_manifest(tmp_path / "manifest.json")
+        inputs = {k: read_smat(v) for k, v in run.inputs.items() if k != "context_groups"}
+        bounds = np.cumsum(run.inputs["context_groups"])[:-1]
+        spec = EraseSpec(
+            inputs["concepts"], mode=run.cfg.target_mode, substitutes=inputs["substitutes"]
+        )
+        w, _ = run_edit(
+            inputs["w0"], spec, np.split(inputs["contexts"], bounds),
+            inputs["sample_features"], inputs["sample_labels"].ravel().astype(np.int64),
+            run.cfg, preserved=inputs["preserved"],
+        )  # fmt: skip
+        assert read_smat(tmp_path / "w_edited.smat").tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("fault", ["truncated", "trailing", "non-finite"])
+    def test_bad_sample_file_exit_4_names_it(self, tmp_path, capsys, fault):
+        run_gen(tmp_path)
+        path = tmp_path / "samples_features.smat"
+        _spoil(path, fault)
+        assert main(["edit", str(tmp_path / "manifest.json")]) == 4
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "w_edited.smat").exists()
 
     def test_fifty_concept_manifest(self, tmp_path):
         args = [
@@ -185,6 +225,20 @@ class TestMiCommand:
         assert (alpha >= 0).all() and (alpha <= 1).all()
         summary = json.loads(capsys.readouterr().out)
         assert summary["channels"] == 6
+
+
+    @pytest.mark.parametrize("fault", ["truncated", "trailing", "non-finite"])
+    def test_bad_sample_file_exit_4_names_it(self, tmp_path, capsys, fault):
+        rng = np.random.default_rng(1)
+        write_smat(tmp_path / "w.smat", rng.standard_normal((6, 4)))
+        write_smat(tmp_path / "f.smat", rng.standard_normal((40, 4)))
+        write_smat(tmp_path / "l.smat", np.repeat([0.0, 1.0], 20)[:, None])
+        _spoil(tmp_path / "f.smat", fault)
+        argv = ["mi", "--weights", str(tmp_path / "w.smat"), "--features", str(tmp_path / "f.smat"),
+                "--labels", str(tmp_path / "l.smat"), "--out", str(tmp_path / "alpha.smat")]  # fmt: skip
+        assert main(argv) == 4
+        assert str(tmp_path / "f.smat") in capsys.readouterr().err
+        assert not (tmp_path / "alpha.smat").exists()
 
 
 class TestEvalCommand:

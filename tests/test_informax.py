@@ -14,6 +14,7 @@ from scapre.informax import (
     channel_thresholds,
 )
 from scapre.oracle import mi_bruteforce
+from scapre.smatio import SmatRows, write_smat
 
 
 def direct_mi(n00, n01, n10, n11):
@@ -313,3 +314,52 @@ class TestDecouplerThresholds:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * _BLOCK_BYTES + n * d + n * d_in + 2 * d * 100 * 8
+
+
+class TestDecouplerFromFile:
+    @pytest.mark.parametrize("name", ["odd", "unequal-groups"])
+    @pytest.mark.parametrize("per_block", [1, 7, 11])
+    def test_streamed_samples_are_bit_identical(self, tmp_path, monkeypatch, name, per_block):
+        # sample blocks of 1 and 7 rows and of 11, which divides neither
+        # case's sample count (91 and 90 samples)
+        w, feats, labels = _threshold_case(name)
+        assert len(labels) % 11
+        ref = build_decoupler(w, feats, labels)
+        write_smat(tmp_path / "f.smat", feats)
+        monkeypatch.setattr(informax, "_BLOCK_BYTES", per_block * 8 * feats.shape[1])
+        with SmatRows(tmp_path / "f.smat") as source:
+            dec = build_decoupler(w, source, labels)
+        assert np.array_equal(dec.alpha, ref.alpha)
+        assert np.array_equal(dec.mi_raw, ref.mi_raw)
+        assert np.array_equal(dec.per_concept_mi, ref.per_concept_mi)
+        assert dec.concept_labels == ref.concept_labels
+
+    def test_file_source_is_checked_like_an_array(self, tmp_path):
+        w, feats, labels = _threshold_case("odd")
+        write_smat(tmp_path / "f.smat", feats)
+        with SmatRows(tmp_path / "f.smat") as source:
+            with pytest.raises(ValueError, match="one entry per feature row"):
+                build_decoupler(w, source, labels[1:])
+            with pytest.raises(ValueError, match="does not match weight input size"):
+                build_decoupler(w[:, 1:], source, labels)
+
+    def test_peak_memory_stays_below_the_sample_matrix(self, tmp_path):
+        # 18.75 MiB of samples on file: the decoupler holds a read block, a
+        # block of activations and its partition copy, the bits and the
+        # (channel, label) tables, never the samples
+        rng = np.random.default_rng(14)
+        n, d_in, d = 4800, 512, 128
+        w = rng.standard_normal((d, d_in))
+        feats = rng.standard_normal((n, d_in))
+        labels = np.arange(n) % 300
+        write_smat(tmp_path / "f.smat", feats)
+        del feats
+        with SmatRows(tmp_path / "f.smat") as source:
+            tracemalloc.start()
+            try:
+                build_decoupler(w, source, labels)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3 * _BLOCK_BYTES + n * d + 2 * d * 300 * 8
+        assert peak < n * d_in * 8

@@ -1,17 +1,19 @@
 import builtins
 import io
 import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from scapre import smatio
+from scapre import informax, smatio
 from scapre.smatio import (
     CSV_COLUMNS,
     ManifestError,
     SmatFormatError,
+    SmatRows,
     format_csv,
     load_manifest,
     read_smat,
@@ -166,6 +168,94 @@ class TestSmatBuffers:
         assert write_peak < 0.25 * m.nbytes
         assert read_peak < 0.25 * m.nbytes
         assert back.tobytes() == m.tobytes()
+
+
+def _passes(rows: SmatRows, count: int = 1) -> list[np.ndarray]:
+    """Each of ``count`` passes of ``rows``, stacked, checking that blocks start where the last ended."""
+    out = []
+    for _ in range(count):
+        parts, at = [], 0
+        for start, block in rows.blocks():
+            assert start == at
+            parts.append(block.copy())
+            at += len(block)
+        out.append(np.vstack(parts))
+    return out
+
+
+def _malformed(path, kind):
+    write_smat(path, np.ones((4, 3)))
+    blob = path.read_bytes()
+    path.write_bytes(
+        {
+            "truncated": blob[:-8],
+            "trailing": blob + b"\0" * 8,
+            "oversized": struct.pack("<4sHHQQ", b"SMAT", 1, 0, 2**20, 2**20),
+            "bad-magic": b"NOPE" + blob[4:],
+            "short-header": blob[:6],
+        }[kind]
+    )
+
+
+class TestSmatRows:
+    @pytest.mark.parametrize("per_block", [1, 7, 37, 100])
+    def test_blocks_are_the_rows_of_read_smat(self, tmp_path, monkeypatch, per_block):
+        # blocks of 1 and 7 rows, one block of all 37 and a budget beyond the file
+        m = np.random.default_rng(7).standard_normal((37, 5))
+        path = tmp_path / "f.smat"
+        write_smat(path, m)
+        monkeypatch.setattr(informax, "_BLOCK_BYTES", per_block * 8 * 5)
+        with SmatRows(path) as rows:
+            assert rows.shape == (37, 5)
+            first, second = _passes(rows, 2)
+        assert first.tobytes() == second.tobytes() == read_smat(path).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", ["truncated", "trailing", "oversized", "bad-magic", "short-header"]
+    )
+    def test_header_errors_are_read_smats(self, tmp_path, kind):
+        path = tmp_path / "bad.smat"
+        _malformed(path, kind)
+        with pytest.raises(SmatFormatError) as expected:
+            read_smat(path)
+        with pytest.raises(SmatFormatError) as got:
+            SmatRows(path)
+        assert str(got.value) == str(expected.value)
+        assert str(path) in str(got.value)
+
+    def test_non_finite_block_fails_its_pass(self, tmp_path, monkeypatch):
+        m = np.ones((9, 2))
+        m[7, 1] = np.inf
+        path = tmp_path / "n.smat"
+        write_smat(path, np.ones((9, 2)))
+        with open(path, "r+b") as fh:  # write_smat itself rejects the inf
+            fh.seek(24)
+            fh.write(m.tobytes())
+        monkeypatch.setattr(informax, "_BLOCK_BYTES", 2 * 8 * 2)
+        with SmatRows(path) as rows:
+            starts = []
+            with pytest.raises(SmatFormatError, match=f"{path}: payload contains non-finite"):
+                for start, _ in rows.blocks():
+                    starts.append(start)
+        assert starts == [0, 2, 4]  # the block of rows 6 and 7 fails
+
+    def test_keeps_reading_its_own_file_after_a_rename_over_the_path(self, tmp_path):
+        old = np.arange(12.0).reshape(4, 3)
+        path = tmp_path / "f.smat"
+        write_smat(path, old)
+        with SmatRows(path) as rows:
+            write_smat(path, -np.ones((6, 3)))  # a new file renamed over the path
+            (got,) = _passes(rows)
+        assert np.array_equal(got, old)
+        assert read_smat(path).shape == (6, 3)
+
+    def test_a_file_cut_short_after_opening_is_a_short_read(self, tmp_path):
+        path = tmp_path / "f.smat"
+        write_smat(path, np.ones((4, 3)))
+        with SmatRows(path) as rows:
+            os.truncate(path, 24 + 8 * 3 * 2)
+            with pytest.raises(SmatFormatError, match=f"{path}: short read"):
+                _passes(rows)
 
 
 def minimal_manifest(tmp_path, **overrides):
