@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_17.json
+    python bench/stages.py --out BENCH_18.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
@@ -8,10 +8,15 @@ edited with the default `EditConfig`: `--runs` timed runs give the median
 wall time and the median of each stage's `stage_ms`; one more, untimed run
 under tracemalloc gives the traced peak and the memory still held after it
 returns (the result kept alive). The quality numbers are those of that run.
-Last, one `scapre edit` of a `scapre gen` manifest at 512x512, m=300,
-beta=0 runs traced, with its outputs written to a temporary directory,
-and so does `build_decoupler` on that manifest's samples, once given as a
-loaded array (its bytes not counted) and once read from their file.
+A high-rank edit follows: the seed-42 model at 512x512, m=300, beta=0, with
+a distinct replacement output per concept (V* drawn from a fixed seed), so
+that W* has full rank where the default edit's has rank 2-3; `--runs`
+timed runs give its median wall time and `stage_ms`. Last, one
+`scapre edit` of a `scapre gen` manifest at 512x512, m=300, beta=0 runs
+traced, with its outputs written to a temporary directory, and its
+report's `stage_ms` kept; `build_decoupler` on that manifest's samples runs
+traced too, once given as a loaded array (its bytes not counted) and once
+read from their file.
 
 The BLAS thread count is read from the environment, as NumPy reads it:
 set `OPENBLAS_NUM_THREADS` before running. The sources edited are those of
@@ -40,6 +45,7 @@ from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
 from scapre.informax import build_decoupler  # noqa: E402
 from scapre.pipeline import EditConfig, run_edit  # noqa: E402
 from scapre.smatio import SmatRows, read_smat  # noqa: E402
+from scapre.solver import SUBSTITUTE_TARGET, EraseSpec  # noqa: E402
 
 MIB = 2**20
 SEED = 42
@@ -50,8 +56,12 @@ SHAPES = {
     "full": [(768, 320, 50, 1), (2048, 1024, 100, 4), (4096, 1024, 200, 4)],
     "tiny": [(48, 16, 4, 1), (64, 32, 6, 4)],
 }
-# (d_in, d_out, m) of the traced CLI edit; beta is 0 at every size.
+# (d_in, d_out, m) of the traced CLI edit and of the high-rank edit; beta
+# is 0 at every size.
 CLI_SHAPE = {"full": (512, 512, 300), "tiny": (32, 32, 12)}
+HIGH_RANK_SHAPE = CLI_SHAPE
+# Seed of the high-rank edit's replacement outputs V*.
+V_STAR_SEED = 7
 
 
 def _traced(fn):
@@ -93,7 +103,7 @@ def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
         "m": m,
         "tokens_per_concept": tokens,
         "wall_s": statistics.median(walls),
-        "stage_ms": {k: statistics.median(s[k] for s in stages) for k in stages[0]},
+        "stage_ms": _median_stages(stages),
         "traced_peak_mib": peak,
         "held_after_mib": held,
         "max_erasure_err": report.max_erasure_err,
@@ -105,6 +115,36 @@ def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
             "median": float(np.median(alpha)),
             "max": float(alpha.max()),
         },
+    }
+
+
+def _median_stages(stages: list[dict]) -> dict:
+    return {k: statistics.median(s[k] for s in stages) for k in stages[0]}
+
+
+def bench_high_rank(d_in, d_out, m, runs) -> dict:
+    model = generate_model(SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, seed=SEED))
+    v_star = np.random.default_rng(V_STAR_SEED).standard_normal((d_out, m))
+    spec = EraseSpec(model.erase_spec.concepts, mode=SUBSTITUTE_TARGET, v_star=v_star)
+    cfg = EditConfig(beta=0.0)
+    walls, stages = [], []
+    for _ in range(runs):
+        t = time.perf_counter()
+        _, report = run_edit(
+            model.w0, spec, model.contexts, model.features, model.labels, cfg,
+            preserved=model.preserved,
+        )  # fmt: skip
+        walls.append(time.perf_counter() - t)
+        stages.append(report.stage_ms)
+    return {
+        "d_in": d_in,
+        "d_out": d_out,
+        "m": m,
+        "beta": 0.0,
+        "v_star_seed": V_STAR_SEED,
+        "wall_s": statistics.median(walls),
+        "stage_ms": _median_stages(stages),
+        "w_star_rank": report.w_star_rank,
     }
 
 
@@ -138,6 +178,7 @@ def bench_cli(d_in, d_out, m) -> dict:
         "m": m,
         "beta": 0.0,
         "traced_wall_s": wall,
+        "stage_ms": report["stage_ms"],
         "traced_peak_mib": peak,
         "decoupler_array_peak_mib": array_peak,
         "decoupler_file_peak_mib": file_peak,
@@ -158,6 +199,7 @@ def run(size: str, runs: int) -> dict:
         },
         "environment": {"python": platform.python_version(), **cli._environment()},
         "shapes": [bench_shape(*shape, runs) for shape in SHAPES[size]],
+        "high_rank": bench_high_rank(*HIGH_RANK_SHAPE[size], runs),
         "cli_edit": bench_cli(*CLI_SHAPE[size]),
     }
 
@@ -179,9 +221,15 @@ def main(argv=None) -> int:
             f"max erasure {s['max_erasure_err']:.3f}, "
             f"median preserve {s['median_preserve_err']:.4f}"
         )
+    h = doc["high_rank"]
+    print(
+        f"high-rank {h['d_in']}x{h['d_out']} m={h['m']}: {h['wall_s']:.3f} s, "
+        f"geometry {h['stage_ms']['geometry']:.1f} ms, w_star_rank {h['w_star_rank']}"
+    )
     c = doc["cli_edit"]
     print(
-        f"scapre edit {c['d_in']}x{c['d_out']} m={c['m']}: peak {c['traced_peak_mib']:.1f} MiB; "
+        f"scapre edit {c['d_in']}x{c['d_out']} m={c['m']}: "
+        f"geometry {c['stage_ms']['geometry']:.1f} ms, peak {c['traced_peak_mib']:.1f} MiB; "
         f"build_decoupler on the array {c['decoupler_array_peak_mib']:.1f} MiB, "
         f"on the file {c['decoupler_file_peak_mib']:.1f} MiB"
     )

@@ -146,18 +146,19 @@ def _b_vector(b):
 
 
 def _split_a(a):
-    """The stabilizer as a ``StabilizerA`` plus its product ``w -> w @ A``.
+    """The stabilizer as a ``StabilizerA``, plus the ``A`` the residual multiplies by.
 
-    A ``StabilizerA`` is used through its factors. A raw symmetric matrix is
-    eigendecomposed in full, so its basis has no complement and any ridge
-    represents it; its smallest eigenvalue keeps ``eig_min`` exact. Products
-    with a raw matrix stay dense, so the residual is of the equation as given.
+    A ``StabilizerA`` is used through its factors, for both. A raw symmetric
+    matrix is eigendecomposed in full, so its basis has no complement and any
+    ridge represents it; its smallest eigenvalue keeps ``eig_min`` exact.
+    Products with a raw matrix stay dense, so the residual is of the equation
+    as given.
     """
     if isinstance(a, StabilizerA):
-        return a, a.times
+        return a, a
     a_ = as_matrix(a, "a")
     eig = sym_eig(a_)
-    return StabilizerA(float(eig.eigvals.min()), eig), lambda w: w @ a_
+    return StabilizerA(float(eig.eigvals.min()), eig), a_
 
 
 def _dense_a(a) -> np.ndarray:
@@ -178,12 +179,24 @@ def _check_uniqueness(b_vals: np.ndarray, stab: StabilizerA) -> float:
     return float(b_vals.min() + a_min)
 
 
-def _squared_residual(times, b_blk, w_blk, m_blk) -> float:
-    """Squared Frobenius norm of ``B W + W A - M`` on a block of rows."""
-    r = times(w_blk)
-    r += b_blk * w_blk
-    r -= m_blk
-    return float(np.vdot(r, r))
+def _squared_residual(a, b_blk, w_blk, m_blk, out, scratch) -> float:
+    """Squared Frobenius norm of ``B W + W A - M`` on a block of rows, formed in ``out``.
+
+    ``a`` is a ``StabilizerA``, applied through its factors as
+    ``((W V) d') V^T + lam W`` with ``d' = eigvals - lam``, or a dense matrix.
+    ``scratch``, of the shape of ``out``, may be the buffer that holds
+    ``m_blk``: it is written only after ``M`` has been subtracted.
+    """
+    if isinstance(a, StabilizerA):
+        vecs = a.eig.eigvecs
+        np.matmul((w_blk @ vecs) * (a.eig.eigvals - a.lam), vecs.T, out=out)
+        diag = b_blk + a.lam
+    else:
+        np.matmul(w_blk, a, out=out)
+        diag = b_blk
+    out -= m_blk
+    out += np.multiply(diag, w_blk, out=scratch)
+    return float(np.vdot(out, out))
 
 
 def _relative(num2: float, den2: float) -> float:
@@ -192,7 +205,7 @@ def _relative(num2: float, den2: float) -> float:
 
 
 # Rows of W* per block of the spectral solve's complement and residual, so
-# that its scratch beside W* is a few block-by-d_in arrays.
+# that its scratch beside W* is two block-by-d_in arrays.
 _SOLVE_ROWS = 256
 
 
@@ -209,11 +222,13 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     (d_out by m and d_in by m): then ``M V = V* (C^T V)`` and the complement
     is ``(V* / (b + lam)) (C^T - (C^T V) V^T)``. The complement and the
     residual ``B W + W A - M`` are evaluated in blocks of rows of the
-    stored ``W``, each with its rows of ``M``, so beside ``W`` the solve
-    forms no d_out-by-d_in array: neither the dense ``M`` nor ``W A``.
+    stored ``W``, each with its rows of ``M``, in two reusable block
+    buffers: one for the rows of a factored ``M``, one for the complement
+    and then the residual. So beside ``W`` the solve forms no
+    d_out-by-d_in array: neither the dense ``M`` nor ``W A``.
     """
     b_vals = _b_vector(b_diag)
-    stab, times = _split_a(a)
+    stab, a_res = _split_a(a)
     vecs, vals = stab.eig
     d_out, d_in = b_vals.shape[0], vecs.shape[0]
     # M = left @ right_t, with no left factor (the identity) for a dense M
@@ -238,20 +253,23 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
     if complement and left is not None:
         rest = right_t - right_v @ vecs.T  # the complement's right factor, m by d_in
     num2 = den2 = 0.0
+    out_buf, m_buf = (np.empty((min(d_out, _SOLVE_ROWS), d_in)) for _ in range(2))
     for i in range(0, d_out, _SOLVE_ROWS):
         rows = slice(i, i + _SOLVE_ROWS)
-        m_blk = right_t[rows] if left is None else left[rows] @ right_t
         w_blk, b_blk = w[rows], b_vals[rows, None]
+        out, scratch = out_buf[: len(w_blk)], m_buf[: len(w_blk)]
+        m_blk = right_t[rows] if left is None else np.matmul(left[rows], right_t, out=scratch)
         if complement:
             shift = b_blk + stab.lam
             if left is None:
-                gap = m_blk - right_v[rows] @ vecs.T  # M - M V V^T on the block
-                gap /= shift
-                w_blk += gap
+                np.matmul(right_v[rows], vecs.T, out=out)
+                np.subtract(m_blk, out, out=out)  # M - M V V^T on the block
+                out /= shift
             else:
-                w_blk += (left[rows] / shift) @ rest
-        num2 += _squared_residual(times, b_blk, w_blk, m_blk)
+                np.matmul(left[rows] / shift, rest, out=out)
+            w_blk += out
         den2 += float(np.vdot(m_blk, m_blk))
+        num2 += _squared_residual(a_res, b_blk, w_blk, m_blk, out, scratch)
     return EditSolution(w, _relative(num2, den2), min_denom, w_v)
 
 
@@ -273,7 +291,7 @@ def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
     lhs = kron_assemble(np.eye(d_in), np.diag(b_vals)) + kron_assemble(a_mat.T, np.eye(d_out))
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
-    num2 = _squared_residual(lambda x: x @ a_mat, b_vals[:, None], w, m_)
+    num2 = _squared_residual(a_mat, b_vals[:, None], w, m_, np.empty_like(w), np.empty_like(w))
     return EditSolution(w, _relative(num2, float(np.vdot(m_, m_))), min_denom)
 
 

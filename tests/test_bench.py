@@ -11,8 +11,11 @@ SHAPE_KEYS = {
     "w_star_rank", "alpha",
 }  # fmt: skip
 STAGES = {"stabilizer", "informax", "solver", "geometry", "metrics"}
+HIGH_RANK_KEYS = {
+    "d_in", "d_out", "m", "beta", "v_star_seed", "wall_s", "stage_ms", "w_star_rank",
+}  # fmt: skip
 CLI_KEYS = {
-    "d_in", "d_out", "m", "beta", "traced_wall_s", "traced_peak_mib",
+    "d_in", "d_out", "m", "beta", "traced_wall_s", "stage_ms", "traced_peak_mib",
     "decoupler_array_peak_mib", "decoupler_file_peak_mib", "max_erasure_err",
     "median_preserve_err", "sylvester_residual",
 }  # fmt: skip
@@ -37,7 +40,7 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert stages.main(["--out", str(out), "--size", "tiny", "--runs", "2"]) == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"config", "environment", "shapes", "cli_edit"}
+    assert set(doc) == {"config", "environment", "shapes", "high_rank", "cli_edit"}
     assert doc["config"]["size"] == "tiny" and doc["config"]["runs"] == 2
     assert {"numpy", "blas", "OPENBLAS_NUM_THREADS"} <= set(doc["environment"])
     assert len(doc["shapes"]) == len(stages.SHAPES["tiny"])
@@ -48,6 +51,12 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
         assert 0.0 <= shape["alpha"]["min"] <= shape["alpha"]["max"] <= 1.0
         assert shape["held_after_mib"] <= shape["traced_peak_mib"]
         assert shape["sylvester_residual"] <= 1e-8
+    high = doc["high_rank"]
+    assert set(high) == HIGH_RANK_KEYS and set(high["stage_ms"]) == STAGES
+    # a distinct replacement output per concept: W* is far from the default
+    # edit's rank 2-3
+    assert high["w_star_rank"] > 3
     assert set(doc["cli_edit"]) == CLI_KEYS
+    assert set(doc["cli_edit"]["stage_ms"]) == STAGES
     found = list(numbers(doc))
     assert found and all(math.isfinite(x) for x in found)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scapre import geometry
 from scapre.geometry import (
     BW_GEODESIC,
     RankDeficiencyWarning,
@@ -424,3 +425,85 @@ class TestColumnSpaceRoute:
                 refine_weights(w_star, w0, 0.5, factor=(scale * left, right))
         with pytest.raises(ValueError, match="row space"):
             refine_weights(w_star, w0, 0.5, factor=(left[:, 1:], right[:, 1:]))
+
+
+class TestRangeFinder:
+    # W* of rank 3 in 10 rows whose 8 columns repeat three
+    EDITS = {
+        "full-rank-wide": lambda rng: rng.standard_normal((6, 10)),
+        "full-rank-tall": lambda rng: rng.standard_normal((12, 5)),
+        "duplicated-columns": lambda rng: rng.standard_normal((10, 3))[:, [0, 1, 1, 2, 0, 2, 2, 1]],
+    }
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_no_eigendecomposition_of_a_gram_matrix(self, monkeypatch, beta):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refine_weights eigendecomposed a Gram matrix")
+
+        monkeypatch.setattr(geometry, "sym_eig", refuse)
+        rng = np.random.default_rng(24)
+        w_star, factor = spanned_edit(rng, 12, 20, 4)
+        w0 = rng.standard_normal((12, 20))
+        for fac in (factor, None):
+            assert refine_weights(w_star, w0, beta, factor=fac).basis.shape == (12, 4)
+
+    @pytest.mark.parametrize("kind", sorted(EDITS))
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_matches_dense_oracles(self, kind, beta):
+        rng = np.random.default_rng(25)
+        w_star = self.EDITS[kind](rng)
+        w0 = rng.standard_normal(w_star.shape)
+        factor = orthonormal_factor(w_star, w_star.T)
+        width = TestColumnSpaceRoute.check_against_dense(
+            w_star, w0, beta, dense_transport, factor, 1e-12, 1e-12
+        )
+        assert width == np.linalg.matrix_rank(w_star)
+
+    def test_full_row_rank_reaches_the_reference(self):
+        # at beta=1 a W* of rank d_out is mapped onto the covariance of W0,
+        # so bures_after is round-off of the traces
+        rng = np.random.default_rng(25)
+        w_star = self.EDITS["full-rank-wide"](rng)
+        w0 = rng.standard_normal(w_star.shape)
+        res = refine_weights(w_star, w0, 1.0, factor=orthonormal_factor(w_star, w_star.T))
+        assert rel_err(gram(res.w), gram(w0)) < 1e-12
+        assert rel_err(res.w, dense_transport(w_star, w0, 1.0)) < 1e-12
+        assert res.bures_after <= 1e-12 * np.sum(w0 * w0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_zero_edit_against_dense_distance(self, beta):
+        rng = np.random.default_rng(27)
+        w0 = rng.standard_normal((12, 6))
+        w_star = np.zeros((12, 6))
+        want = bures_distance(gram(w_star), gram(w0))
+        for fac in (None, (np.zeros((12, 3)), random_orthonormal(rng, 6, 3))):
+            with warnings.catch_warnings():
+                # only the interpolated covariance vanishing warns
+                warnings.simplefilter("ignore" if beta else "error", RankDeficiencyWarning)
+                res = refine_weights(w_star, w0, beta, factor=fac)
+            assert not res.w.any() and res.basis.shape == (12, 0) and res.rank == 0
+            assert res.degenerate == (beta > 0.0)
+            assert res.bures_before == res.bures_after == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "sv",
+        [
+            [1.0, 1e-3, 1e-6, 1e-7, 1e-9, 1e-12],
+            [1.0] * 5 + [1e-10] * 3,
+            [3.0, 2.0, 1e-5, 1e-14],
+            [1.0] * 12,
+        ],
+    )
+    def test_rank_counts_the_singular_values_above_the_round_off_floor(self, sv):
+        # the basis width is the report's w_star_rank
+        rng = np.random.default_rng(26)
+        sv = np.array(sv)
+        v = random_orthonormal(rng, 30, sv.size)
+        w_star = (random_orthonormal(rng, 12, sv.size) * sv) @ v.T
+        w0 = rng.standard_normal((12, 30))
+        s = np.linalg.svd(w_star, compute_uv=False)
+        want = int((s**2 > np.finfo(np.float64).eps * s[0] ** 2).sum())
+        assert want == int((sv**2 > np.finfo(np.float64).eps).sum())
+        for fac in (None, orthonormal_factor(w_star, v)):
+            for beta in (0.0, 0.5):
+                assert refine_weights(w_star, w0, beta, factor=fac).basis.shape[1] == want

@@ -261,12 +261,12 @@ class TestRunEdit:
 
     def test_kernel_calls_per_edit(self, monkeypatch):
         # one SVD of the concepts (of R's k x m concept block when k < d_in,
-        # since C = Q R_C), a Rayleigh-Ritz SVD of W* on the kept
-        # eigenvectors of its Gram matrix, the SVD of Lam^(1/2) B^T W0
-        # (bures_before and the cross root) and one of the refined factor
-        # against w0 (bures_after); the transport map needs no alignment SVD.
-        # The only stabilizer eigendecomposition is k x k, and the only QR is
-        # the stabilizer's Householder QR, which T+m >= d_in skips
+        # since C = Q R_C), a Rayleigh-Ritz SVD of W* on the range finder's
+        # basis, the SVD of Lam^(1/2) B^T W0 (bures_before and the cross
+        # root) and one of the refined factor against w0 (bures_after); the
+        # transport map needs no alignment SVD. The only stabilizer
+        # eigendecomposition is k x k, and the only QR is the stabilizer's
+        # Householder QR, which T+m >= d_in skips
         for tokens in (1, 11):
             model = small_model(seed=5, tokens_per_concept=tokens)
             calls = []
@@ -315,13 +315,11 @@ class TestRunEdit:
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     @pytest.mark.parametrize("mode", [BW_GEODESIC])
     def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
-        # refinement starts in the column space of W*, whose rows lie in the
-        # span of the stabilizer basis V: q = min(d_out, k) = 8 < 24 = d_out.
-        # One eigh of size q finds the numerical rank r of W*; the
-        # roots of the diagonal Lam need none, the cross root comes from an
-        # SVD, and at beta > 0 one eigvalsh of size r gives the rank of the
-        # interpolated covariance, which is never re-factored. The only other
-        # eigh is the stabilizer's k x k
+        # the range finder takes W*'s rank-r range from the solve's W* V with
+        # no eigendecomposition, and the roots of the diagonal Lam need none;
+        # the cross root comes from an SVD, and at beta > 0 one eigvalsh of
+        # size r gives the rank of the interpolated covariance, which is never
+        # re-factored. The only eigh is the stabilizer's k x k
         model = small_model(seed=5)
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -341,11 +339,10 @@ class TestRunEdit:
             EditConfig(beta=beta, interpolation_mode=mode),
         )
         k = report.stabilizer_rank
-        q = min(report.d_out, k)
         r = report.w_star_rank
-        assert (k, q, report.d_out) == (8, 8, 24) and r < q
+        assert (k, report.d_out) == (8, 24) and r < k
         refined = [("eigvalsh", r)] if beta > 0.0 else []
-        assert sorted(calls) == sorted([("eigh", k), ("eigh", q)] + refined)
+        assert sorted(calls) == sorted([("eigh", k)] + refined)
 
     def test_rows_stay_in_the_basis_when_every_gate_underflows(self):
         # at embed scale 800 every singular value of the concepts passes 709,

@@ -14,7 +14,7 @@ from scapre.solver import (
     sylvester_solve_kronecker,
     sylvester_solve_spectral,
 )
-from scapre.stabilizer import assemble_a
+from scapre.stabilizer import assemble_a, build_a
 
 
 def rel_err(got, want):
@@ -113,6 +113,30 @@ class TestSpectral:
         # a is technically PD but the eigenvalue sum falls under the floor
         with pytest.raises(ValueError, match="ill-posed"):
             sylvester_solve_spectral(np.zeros(2), 1e-13 * np.eye(2), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored-m", "dense-m"])
+    def test_scratch_is_two_row_blocks(self, factored):
+        # beside W*, W* V and the stabilizer basis V (made before the solve),
+        # the complement and the residual take two 256-row blocks of d_in:
+        # the rows of a factored M, and the complement, then the residual
+        rng = np.random.default_rng(23)
+        d_out, d_in, m = 512, 1024, 8
+        c = rng.standard_normal((d_in, m))
+        stab = build_a([rng.standard_normal((4, d_in)) for _ in range(4)], c)
+        assert stab.rank < d_in  # the complement is evaluated
+        b = rng.uniform(0.0, 1.0, d_out)
+        v_star = rng.standard_normal((d_out, m))
+        rhs = (v_star, c) if factored else v_star @ c.T
+        tracemalloc.start()
+        try:
+            sol = sylvester_solve_spectral(b, stab, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 256 * d_in * 8
+        extra = peak - sol.w_star.nbytes - sol.w_v.nbytes
+        assert extra <= 2.25 * block
+        assert sol.residual < 1e-12
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="must be"):
