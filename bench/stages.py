@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_18.json
+    python bench/stages.py --out BENCH_19.json --reference BENCH_18.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
@@ -10,13 +10,22 @@ under tracemalloc gives the traced peak and the memory still held after it
 returns (the result kept alive). The quality numbers are those of that run.
 A high-rank edit follows: the seed-42 model at 512x512, m=300, beta=0, with
 a distinct replacement output per concept (V* drawn from a fixed seed), so
-that W* has full rank where the default edit's has rank 2-3; `--runs`
-timed runs give its median wall time and `stage_ms`. Last, one
+that M = V* C^T has rank m where the default edit's has rank 1; `--runs`
+timed runs give its median wall time and `stage_ms`. Then one
 `scapre edit` of a `scapre gen` manifest at 512x512, m=300, beta=0 runs
 traced, with its outputs written to a temporary directory, and its
 report's `stage_ms` kept; `build_decoupler` on that manifest's samples runs
 traced too, once given as a loaded array (its bytes not counted) and once
 read from their file.
+
+Last, the frontier: on every shape above and on the CLI edit's model (the
+seed-42 model `scapre gen` writes), one `run_edit` per point of the grid
+`LAM_SCALES` x `BETAS` gives max erasure and median preservation. With
+`--reference`, a stage-bench JSON of an earlier commit, the frontier also
+records the largest `lam_scale` by the rule fixed before measuring: max
+erasure at most `RULE_RATIO` times the reference's on every shape at
+beta=0.5, and on the CLI shape at beta=0. `EditConfig.lam_scale` is
+recorded beside it.
 
 The BLAS thread count is read from the environment, as NumPy reads it:
 set `OPENBLAS_NUM_THREADS` before running. The sources edited are those of
@@ -62,6 +71,11 @@ CLI_SHAPE = {"full": (512, 512, 300), "tiny": (32, 32, 12)}
 HIGH_RANK_SHAPE = CLI_SHAPE
 # Seed of the high-rank edit's replacement outputs V*.
 V_STAR_SEED = 7
+# The frontier's grid, and the rule that picks the default lam_scale from it.
+LAM_SCALES = (0.03, 0.05, 0.07, 0.1, 0.15)
+BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+RULE_RATIO = 1.05
+RULE_BETA = 0.5
 
 
 def _traced(fn):
@@ -109,7 +123,6 @@ def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
         "max_erasure_err": report.max_erasure_err,
         "median_preserve_err": report.median_preserve_err,
         "sylvester_residual": report.sylvester_residual,
-        "w_star_rank": report.w_star_rank,
         "alpha": {
             "min": float(alpha.min()),
             "median": float(np.median(alpha)),
@@ -144,7 +157,6 @@ def bench_high_rank(d_in, d_out, m, runs) -> dict:
         "v_star_seed": V_STAR_SEED,
         "wall_s": statistics.median(walls),
         "stage_ms": _median_stages(stages),
-        "w_star_rank": report.w_star_rank,
     }
 
 
@@ -188,7 +200,75 @@ def bench_cli(d_in, d_out, m) -> dict:
     }
 
 
-def run(size: str, runs: int) -> dict:
+def frontier_shape(d_in, d_out, m, tokens) -> dict:
+    """Max erasure and median preservation at every point of the grid on one model."""
+    model = generate_model(
+        SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, tokens_per_concept=tokens, seed=SEED)
+    )
+    points = []
+    for lam_scale in LAM_SCALES:
+        for beta in BETAS:
+            _, report = run_edit(
+                model.w0, model.erase_spec, model.contexts, model.features, model.labels,
+                EditConfig(lam_scale=lam_scale, beta=beta), preserved=model.preserved,
+            )  # fmt: skip
+            points.append(
+                {
+                    "lam_scale": lam_scale,
+                    "beta": beta,
+                    "max_erasure_err": report.max_erasure_err,
+                    "median_preserve_err": report.median_preserve_err,
+                    "sylvester_residual": report.sylvester_residual,
+                }
+            )
+    return {"d_in": d_in, "d_out": d_out, "m": m, "tokens_per_concept": tokens, "points": points}
+
+
+def rule_pick(shapes: list[dict], reference: dict) -> float | None:
+    """The largest ``lam_scale`` whose max erasure meets the rule on every shape, or None.
+
+    ``shapes`` are the frontier's, the CLI shape last; ``reference`` is a
+    stage-bench document whose ``shapes`` and ``cli_edit`` give the max
+    erasure each must stay within ``RULE_RATIO`` of.
+    """
+    refs = [*reference["shapes"], reference["cli_edit"]]
+    betas = [RULE_BETA] * (len(shapes) - 1) + [0.0]
+    dims = [[(s["d_in"], s["d_out"], s["m"]) for s in x] for x in (shapes, refs)]
+    if dims[0] != dims[1]:
+        raise ValueError(f"the reference's shapes {dims[1]} are not the frontier's {dims[0]}")
+
+    def meets(lam_scale):
+        return all(
+            p["max_erasure_err"] <= RULE_RATIO * ref["max_erasure_err"]
+            for shape, ref, beta in zip(shapes, refs, betas)
+            for p in shape["points"]
+            if p["lam_scale"] == lam_scale and p["beta"] == beta
+        )
+
+    passing = [x for x in LAM_SCALES if meets(x)]
+    return max(passing) if passing else None
+
+
+def frontier(size: str, reference: dict | None) -> dict:
+    shapes = [frontier_shape(*shape) for shape in [*SHAPES[size], (*CLI_SHAPE[size], 1)]]
+    return {
+        "config": {
+            "seed": SEED,
+            "m_preserved": M_PRESERVED,
+            "lam_scales": list(LAM_SCALES),
+            "betas": list(BETAS),
+            "rule": (
+                f"largest lam_scale with max erasure <= {RULE_RATIO} x the reference's on "
+                f"every shape at beta={RULE_BETA} and on the CLI shape (last) at beta=0"
+            ),
+        },
+        "shapes": shapes,
+        "rule_pick": rule_pick(shapes, reference) if reference is not None else None,
+        "chosen_lam_scale": EditConfig().lam_scale,
+    }
+
+
+def run(size: str, runs: int, reference: dict | None = None) -> dict:
     return {
         "config": {
             "size": size,
@@ -201,6 +281,7 @@ def run(size: str, runs: int) -> dict:
         "shapes": [bench_shape(*shape, runs) for shape in SHAPES[size]],
         "high_rank": bench_high_rank(*HIGH_RANK_SHAPE[size], runs),
         "cli_edit": bench_cli(*CLI_SHAPE[size]),
+        "frontier": frontier(size, reference),
     }
 
 
@@ -209,10 +290,14 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="where to write the JSON results")
     p.add_argument("--size", choices=sorted(SHAPES), default="full")
     p.add_argument("--runs", type=int, default=5, help="timed runs per shape")
+    p.add_argument(
+        "--reference", default=None, help="an earlier stage-bench JSON the frontier's rule reads"
+    )
     args = p.parse_args(argv)
     if args.runs < 1:
         p.error("--runs must be at least 1")
-    doc = run(args.size, args.runs)
+    reference = json.loads(Path(args.reference).read_text()) if args.reference else None
+    doc = run(args.size, args.runs, reference)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for s in doc["shapes"]:
         print(
@@ -224,7 +309,7 @@ def main(argv=None) -> int:
     h = doc["high_rank"]
     print(
         f"high-rank {h['d_in']}x{h['d_out']} m={h['m']}: {h['wall_s']:.3f} s, "
-        f"geometry {h['stage_ms']['geometry']:.1f} ms, w_star_rank {h['w_star_rank']}"
+        f"geometry {h['stage_ms']['geometry']:.1f} ms"
     )
     c = doc["cli_edit"]
     print(
@@ -233,6 +318,8 @@ def main(argv=None) -> int:
         f"build_decoupler on the array {c['decoupler_array_peak_mib']:.1f} MiB, "
         f"on the file {c['decoupler_file_peak_mib']:.1f} MiB"
     )
+    f = doc["frontier"]
+    print(f"frontier: rule pick {f['rule_pick']}, chosen lam_scale {f['chosen_lam_scale']}")
     print(f"wrote {args.out}")
     return 0
 

@@ -1,5 +1,5 @@
 # %% [markdown]
-# # Covariance geometry: distance, interpolation, refinement
+# # Covariance geometry and the step back toward W0
 #
 # Treating the rows of a weight matrix as a covariance factor, `W W^T`
 # captures the second-order structure the matrix imposes on its outputs.
@@ -10,53 +10,52 @@
 # %%
 import numpy as np
 
-from scapre import bures_distance, geodesic_interpolate, refine_weights
-
-rng = np.random.default_rng(21)
+from scapre import (
+    EditConfig,
+    SyntheticModelSpec,
+    bures_distance,
+    generate_model,
+    probe_scores,
+    refine_weights,
+    run_edit,
+)
 
 sigma = np.diag([1.0, 4.0])
 sigma_swapped = np.diag([4.0, 1.0])
 print("commuting pair distance:", bures_distance(sigma, sigma_swapped), "= (1-2)^2 + (2-1)^2")
 
 # %% [markdown]
-# ## The Bures-Wasserstein geodesic
+# ## The beta line
 #
-# The optimal transport map `T = S^{-1/2} (S^{1/2} Z S^{1/2})^{1/2} S^{-1/2}`
-# carries the covariance `S` onto `Z`: `T S T = Z`. Moving a fraction beta
-# of the way, `C = (1-beta) I + beta T`, gives the geodesic point `C S C`,
-# which starts at `S` and ends at the reference `Z` itself — in 1x1 the
-# roots move linearly, from 2 to 3:
+# The solve anchors the edit to `W0` (the ridge `lam` also weighs
+# `lam |W - W0|^2`) and returns the edit `D = W* - W0`. The geometry stage
+# then steps back along the line `W = W0 + (1 - beta/2) D`: beta=0 keeps the
+# closed-form `W*`, beta=1 the midpoint of `W0` and `W*`. Along the line,
+# erasure error (how far each target's output is from its replacement)
+# rises and preservation error (how far each held-out probe's output moved)
+# falls, both almost linearly in beta.
 
 # %%
-s, z = np.array([[4.0]]), np.array([[9.0]])
-for beta in (0.0, 0.5, 1.0):
-    geo = geodesic_interpolate(s, z, beta)[0, 0]
-    print(f"beta={beta:.1f}:  covariance {geo:5.2f}   root {np.sqrt(geo):4.2f}")
-
-# %% [markdown]
-# ## Refinement: apply the map to the weights
-#
-# Given an edited matrix `W*`, the refinement applies `C` to the weights
-# themselves: `W = C W*`, so `W W^T = C S C` is the geodesic point, with no
-# covariance re-factored. Because `W*^T C W*` is symmetric PSD, `C W*` is
-# also the factor of `C S C` that an orthogonal Procrustes alignment would
-# rotate onto the edit: as close to the edit as any rotation can be.
-
-# %%
-w_star = rng.standard_normal((6, 12))
-w0 = rng.standard_normal((6, 12))
-for beta in (0.0, 0.5, 1.0):
-    res = refine_weights(w_star, w0, beta)
-    realized = np.linalg.norm(res.w @ res.w.T - res.sigma_plus)
-    dist = bures_distance(res.w @ res.w.T, w0 @ w0.T)
+model = generate_model(SyntheticModelSpec(d_in=128, d_out=48, m_targets=8, m_preserved=6, seed=11))
+w_star, report = run_edit(
+    model.w0, model.erase_spec, model.contexts, model.features, model.labels,
+    EditConfig(beta=0.0), preserved=model.preserved,
+)  # fmt: skip
+delta = w_star - model.w0
+z = model.w0 @ model.w0.T
+for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
+    w = refine_weights(delta, model.w0, beta)
+    scores = probe_scores(w, model.w0, model.erase_spec, model.preserved)
     print(
-        f"beta={beta:.1f}:  |WW^T - target| = {realized:.2e}   "
-        f"covariance gap to reference = {dist:8.4f}   "
-        f"moved from edit = {np.linalg.norm(res.w - w_star):6.3f}"
+        f"beta={beta:.2f}:  max erasure err {np.nanmax(scores.erasure):.4f}   "
+        f"median preserve err {np.nanmedian(scores.preservation):.4f}   "
+        f"covariance gap to W0 {bures_distance(w @ w.T, z):8.2f}"
     )
 
 # %% [markdown]
-# At beta=0 the refinement is skipped and returns the edit itself; at
-# beta=1 the output's covariance matches the reference exactly. In between
-# the weights move linearly, and the squared Bures distance to the
-# reference is `(1 - beta)^2` times the starting one.
+# The line replaced a Bures-Wasserstein step, which moved `W* W*^T` along
+# the geodesic toward `W0 W0^T`. The anchored `W*` has full rank, so that
+# step would need d_out-sized matrix roots on every edit; the line needs
+# none. It does not follow the geodesic: the covariance gap printed above
+# need not fall as beta grows. The README compares the two steps'
+# (erasure, preservation) frontiers.

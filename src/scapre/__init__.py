@@ -4,20 +4,15 @@ The library edits a projection ``W0`` so that chosen concept directions map
 to replacement outputs: it assembles an input-side stabilizer from context
 statistics and gated concept-subspace energy, weights output channels by
 their mutual information with the targets, solves the resulting matrix
-equation in closed form, and refines the result toward the original
-covariance geometry. Brute-force oracles, evaluation metrics, a synthetic
-benchmark harness, and a CLI with a bit-exact matrix format round it out.
+equation in closed form for an edit anchored to ``W0``, and steps the
+result back toward ``W0``. Brute-force oracles, evaluation metrics, a
+synthetic benchmark harness, and a CLI with a bit-exact matrix format
+round it out.
 """
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    BW_GEODESIC,
-    RefinementResult,
-    bures_distance,
-    geodesic_interpolate,
-    refine_weights,
-)
+from .geometry import BW_GEODESIC, bures_distance, refine_weights
 from .harness import (
     SyntheticModel,
     SyntheticModelSpec,
@@ -61,7 +56,6 @@ __all__ = [
     "JointCounts",
     "MethodScore",
     "OracleConfig",
-    "RefinementResult",
     "StabilizerA",
     "SyntheticModel",
     "SyntheticModelSpec",
@@ -79,7 +73,6 @@ __all__ = [
     "gate_singular",
     "gd_minimize",
     "generate_model",
-    "geodesic_interpolate",
     "kron_assemble",
     "mi_bruteforce",
     "objective_perturbation_check",

@@ -303,7 +303,7 @@ def cmd_gen(args) -> int:
         inputs["preserved"] = "preserved.smat"
 
     manifest = {
-        "lambda": {"relative": 0.1},
+        "lambda": {"relative": EditConfig.lam_scale},
         "beta": args.beta,
         "target_mode": args.target_mode,
         "seed": spec.seed,

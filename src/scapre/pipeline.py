@@ -2,8 +2,9 @@
 
 Fixed stage order: stabilizer assembly from the context tokens and the
 gated concept energy, channel decoupler (scored on the unedited weights),
-right-hand side, closed-form solve, geometry refinement, probe scoring.
-Every run returns the edited weights plus a self-describing report.
+right-hand side, closed-form solve of the edit anchored to the unedited
+weights, the line step back toward them, probe scoring. Every run returns
+the edited weights plus a self-describing report.
 """
 
 import math
@@ -16,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import geometry, solver
-# Unused here since run_edit takes bures_after from refine_weights; perfbench/tracing.py patches it.
+# run_edit reports no Bures distance; perfbench/tracing.py patches bures_distance here.
 from .geometry import bures_distance, refine_weights  # noqa: F401
 from .informax import DecouplerAlpha, build_decoupler
 from .matkernel import as_matrix
@@ -46,12 +47,16 @@ class PipelineStageError(RuntimeError):
 
 
 class ZeroTargetWarning(UserWarning):
-    """The right-hand side vanished, so the closed-form solution is zero."""
+    """The replacement outputs are all zero, so the edit maps the concepts toward zero.
+
+    The anchor to ``W0`` still holds the rest of the layer: the edited
+    weights are not zero.
+    """
 
 
 _ZERO_TARGET_NOTE = (
-    "right-hand side is zero: the closed-form solution is the zero "
-    "matrix and preservation rests entirely on the refinement stage"
+    "replacement outputs are zero: the edit maps the concepts toward zero, "
+    "and the anchor to W0 holds the rest of the layer"
 )
 
 
@@ -73,15 +78,19 @@ class EditConfig:
     """Run settings echoed into every report.
 
     ``lam`` is the absolute ridge weight; leave it ``None`` to use the
-    relative rule ``lam_scale * mean diag(S)``. ``beta`` steers the geometry
-    refinement: at 0 the refinement is skipped and the closed-form ``W*`` is
-    returned as it is (``bures_after`` equals ``bures_before``).
-    ``interpolation_mode`` names the refinement's interpolation, echoed into
-    the report and the CSV ``mode`` column; ``"bw-geodesic"`` is the only one.
+    relative rule ``lam_scale * mean diag(S)``. The ridge is also the
+    weight of the anchor ``lam |W - W0|^2``. ``lam_scale``'s default is the
+    one home of the relative rule's default; it was picked from the
+    frontier ``bench/stages.py`` measures (see the README). ``beta`` steers
+    the step back toward ``W0``: the weights are ``W0 + (1 - beta/2) D`` for
+    the solved edit ``D``, so at 0 the closed-form ``W*`` is returned as it
+    is. ``interpolation_mode`` is echoed into the report and the CSV
+    ``mode`` column; ``"bw-geodesic"`` is the only value, a name kept for
+    the benchmark's configs.
     """
 
     lam: float | None = None
-    lam_scale: float = 0.1
+    lam_scale: float = 0.07
     beta: float = 0.5
     interpolation_mode: str = geometry.BW_GEODESIC
     target_mode: str = solver.SUBSTITUTE_TARGET
@@ -122,13 +131,15 @@ class EditReport:
     """Everything one run produced (weights travel separately).
 
     Numbers, plus ``warnings``: one note per raised flag, written from the
-    flags themselves, in the order ``zero_target``, ``refinement_degenerate``,
-    ``refinement_moved_away`` (``bures_after > bures_before``); nothing is
-    captured or silenced, so warnings the stages raise reach the caller.
-    ``w_star_rank`` is the numerical rank of ``W*`` the geometry works at;
-    below d_out is the normal regime, not a fault. ``stage_ms`` is the wall
-    time of each stage in milliseconds; ``config`` echoes the ``EditConfig``
-    and ``lam`` is the ridge it resolved to.
+    flags themselves (only ``zero_target`` raises one); nothing is captured
+    or silenced, so warnings the stages raise reach the caller.
+    ``bures_before``, ``bures_after`` and ``refinement_rank`` are NaN (null
+    in JSON): the anchored edit has full rank, so they would cost a
+    d_out-sized decomposition, and no stage needs them; the names stay for
+    the benchmark. ``sylvester_residual`` is that of the anchored equation
+    for the edit ``D = W* - W0``. ``stage_ms`` is the wall time of each
+    stage in milliseconds; ``config`` echoes the ``EditConfig`` and ``lam``
+    is the ridge it resolved to.
     """
 
     m: int
@@ -147,11 +158,7 @@ class EditReport:
     alpha_max: float
     bures_before: float
     bures_after: float
-    w_star_rank: int
-    refinement_rank: int
-    refinement_moved_away: bool
-    refinement_degenerate: bool
-    realization_gap: float
+    refinement_rank: float
     warnings: list[str]
     erasure_errors: list[float]
     preservation_errors: list[float] | None
@@ -220,18 +227,12 @@ def run_edit(
         zero_target = not v_star.any()
         if zero_target:
             warnings.warn(_ZERO_TARGET_NOTE, ZeroTargetWarning, stacklevel=2)
-        sol = sylvester_solve_spectral(dec.alpha, stab, (v_star, spec.concepts))
+        sol = sylvester_solve_spectral(dec.alpha, stab, (v_star, spec.concepts), w0_)
 
     with _stage("geometry", stage_ms):
-        # W*'s rows lie in span(V): the stabilizer basis V spans the concepts,
-        # so M = V* C^T has no complement and the solve keeps span(V). The
-        # refined weights are written over W*.
-        ref = refine_weights(
-            sol.w_star, w0_, cfg.beta, (sol.w_v, stab.eig.eigvecs), in_place=True
-        )
-    w = ref.w
-    # The report's values; V, W* V and the refinement's basis are dropped
-    # before the probes are scored.
+        # the weights are written over the solved edit
+        w = refine_weights(sol.w_star, w0_, cfg.beta, in_place=True)
+    # The report's values; V is dropped before the probes are scored.
     health = dict(
         lam=stab.lam,
         sylvester_residual=sol.residual,
@@ -239,15 +240,11 @@ def run_edit(
         a_eig_min=stab.eig_min,
         a_eig_max=stab.eig_max,
         min_denominator=sol.min_denominator,
-        bures_before=ref.bures_before,
-        bures_after=ref.bures_after,
-        w_star_rank=ref.basis.shape[1],
-        refinement_rank=ref.rank,
-        refinement_moved_away=ref.bures_after > ref.bures_before,
-        refinement_degenerate=ref.degenerate,
-        realization_gap=ref.realization_gap,
+        bures_before=math.nan,
+        bures_after=math.nan,
+        refinement_rank=math.nan,
     )
-    del stab, sol, ref
+    del stab, sol
 
     with _stage("metrics", stage_ms):
         probes: ProbeScores = probe_scores(w, w0_, spec, preserved, v_star=v_star)
@@ -255,15 +252,6 @@ def run_edit(
         max_erasure = float(erased.max()) if erased.size else float("nan")
         usable = probes.preservation[~np.isnan(probes.preservation)]
         median_preserve = float(np.median(usable)) if usable.size else float("nan")
-
-    notes = [_ZERO_TARGET_NOTE] if zero_target else []
-    if health["refinement_degenerate"]:
-        notes.append("refinement degenerated: the interpolated covariance and the weights are zero")
-    if health["refinement_moved_away"]:
-        notes.append(
-            f"refinement moved the covariance away from W0 W0^T: squared Bures "
-            f"distance {health['bures_before']:.6g} -> {health['bures_after']:.6g}"
-        )
 
     report = EditReport(
         m=spec.n_concepts,
@@ -274,7 +262,7 @@ def run_edit(
         alpha_min=float(dec.alpha.min()),
         alpha_median=float(np.median(dec.alpha)),
         alpha_max=float(dec.alpha.max()),
-        warnings=notes,
+        warnings=[_ZERO_TARGET_NOTE] if zero_target else [],
         erasure_errors=[float(x) for x in probes.erasure],
         preservation_errors=(
             [float(x) for x in probes.preservation] if preserved is not None else None

@@ -258,13 +258,14 @@ def _number(raw, name: str) -> float:
     raise ManifestError(f"{name} must be a number and finite, got {raw!r}")
 
 
-def _parse_lambda(raw) -> tuple[float | None, float]:
+def _parse_lambda(raw) -> dict[str, float]:
+    """The ridge's ``EditConfig`` fields; with no ``"lambda"`` key, the config's default."""
     if raw is None:
-        return None, 0.1
+        return {}
     if isinstance(raw, dict):
         _reject_unknown(raw, {"relative"}, "lambda")
-        return None, _number(raw.get("relative"), "lambda.relative")
-    return _number(raw, "lambda"), 0.1
+        return {"lam_scale": _number(raw.get("relative"), "lambda.relative")}
+    return {"lam": _number(raw, "lambda")}
 
 
 def load_manifest(path) -> RunManifest:
@@ -280,7 +281,7 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "manifest")
-    lam, lam_scale = _parse_lambda(doc.get("lambda"))
+    ridge = _parse_lambda(doc.get("lambda"))
 
     beta = _number(doc.get("beta", 0.5), "beta")
 
@@ -306,8 +307,7 @@ def load_manifest(path) -> RunManifest:
 
     try:
         cfg = EditConfig(
-            lam=lam,
-            lam_scale=lam_scale,
+            **ridge,
             beta=beta,
             interpolation_mode=doc.get("interpolation_mode", BW_GEODESIC),
             target_mode=doc.get("target_mode", "substitute-target"),

@@ -1,12 +1,17 @@
 """Closed-form editor core.
 
-Solves ``B W + W A = M`` for the edited projection, where ``A`` is the
-input-side stabilizer, ``B = diag(alpha)`` the channel decoupler, and
-``M = V* C_E^T`` encodes the concepts to erase and their replacement
-outputs. The one route solves in the eigenbasis of ``A``; the vectorized
-Kronecker solve is its dense oracle, not a second route, and
-``baseline_eq2`` the ridge-anchored normal-equation baseline editor. ``B``
-is always diagonal and passed as its vector of entries.
+Solves ``B D + D A = M - W0 (A - lam I)`` for the edit ``D = W - W0`` of a
+projection ``W0``, where ``A = lam I + S + R`` is the input-side
+stabilizer, ``B = diag(alpha)`` the channel decoupler, and ``M = V* C_E^T``
+encodes the concepts to erase and their replacement outputs. ``W`` then
+minimizes ``tr(W (S+R) W^T) - 2 tr(W M^T) + lam |W - W0|^2
++ tr((W - W0)^T B (W - W0))``: the ridge ``lam`` is also the weight of the
+anchor to ``W0`` (as in UCE, Gandikota et al., arXiv 2308.14761). With
+``W0 = 0`` the equation is ``B W + W A = M``. The one route solves in the
+eigenbasis of ``A``; the vectorized Kronecker solve is its dense oracle,
+not a second route, and ``baseline_eq2`` the ridge-anchored
+normal-equation baseline editor. ``B`` is always diagonal and passed as
+its vector of entries.
 """
 
 import math
@@ -119,20 +124,19 @@ def assemble_m(w0, spec: EraseSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EditSolution:
-    """Solved weights with the relative equation residual.
+    """The solved unknown with the relative equation residual.
 
-    ``w_v`` is ``w_star @ V`` for the basis ``V`` of ``A``'s eigenpairs
-    (d_out by k), which the solve forms on the way to ``w_star``.
-    ``min_denominator`` is the smallest ``b_i + eigval_j`` over the
-    eigenvalues of ``A``, the complement's ``lam`` included: the smallest
-    divisor of the spectral route and the smallest eigenvalue of the
-    vectorized operator.
+    ``w_star`` is the unknown of the equation solved: the edit
+    ``D = W - W0`` of an anchored solve, the weights ``W`` themselves when
+    ``W0 = 0``. ``min_denominator`` is the smallest ``b_i + eigval_j`` over
+    the eigenvalues of ``A``, the complement's ``lam`` included: the
+    smallest divisor of the spectral route and the smallest eigenvalue of
+    the vectorized operator.
     """
 
     w_star: np.ndarray
     residual: float
     min_denominator: float
-    w_v: np.ndarray | None = None
 
 
 def _b_vector(b):
@@ -179,17 +183,23 @@ def _check_uniqueness(b_vals: np.ndarray, stab: StabilizerA) -> float:
     return float(b_vals.min() + a_min)
 
 
-def _squared_residual(a, b_blk, w_blk, m_blk, out, scratch) -> float:
-    """Squared Frobenius norm of ``B W + W A - M`` on a block of rows, formed in ``out``.
+def _squared_residual(a, b_blk, w_blk, m_blk, out, scratch, w0_v_blk) -> float:
+    """Squared Frobenius norm of ``B D + D A - M + W0 (A - lam I)`` on a block of rows.
 
-    ``a`` is a ``StabilizerA``, applied through its factors as
-    ``((W V) d') V^T + lam W`` with ``d' = eigvals - lam``, or a dense matrix.
-    ``scratch``, of the shape of ``out``, may be the buffer that holds
-    ``m_blk``: it is written only after ``M`` has been subtracted.
+    Formed in ``out``. ``a`` is a ``StabilizerA``, applied through its
+    factors with ``d' = eigvals - lam``: the two products with ``A - lam I``
+    are formed as one, ``((D V + W0 V) d') V^T``, and ``lam D`` is added
+    on the diagonal. ``w0_v_blk`` is the block's rows of ``W0 V``. Or ``a``
+    is a dense matrix, with no ``W0`` (``w0_v_blk`` is None). ``scratch``,
+    of the shape of ``out``, may be the buffer that holds ``m_blk``: it is
+    written only after ``M`` has been subtracted.
     """
     if isinstance(a, StabilizerA):
         vecs = a.eig.eigvecs
-        np.matmul((w_blk @ vecs) * (a.eig.eigvals - a.lam), vecs.T, out=out)
+        wv = w_blk @ vecs
+        wv += w0_v_blk
+        wv *= a.eig.eigvals - a.lam
+        np.matmul(wv, vecs.T, out=out)
         diag = b_blk + a.lam
     else:
         np.matmul(w_blk, a, out=out)
@@ -209,23 +219,27 @@ def _relative(num2: float, den2: float) -> float:
 _SOLVE_ROWS = 256
 
 
-def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
-    """Solve ``B W + W A = M`` in the eigenbasis of ``A``.
+def sylvester_solve_spectral(b_diag, a, m, w0=None) -> EditSolution:
+    """Solve ``B D + D A = M - W0 (A - lam I)`` in the eigenbasis of ``A``.
 
     With diagonal ``B`` and ``A = lam*I + V diag(eigvals - lam) V^T`` the
     system decouples entrywise:
-    ``W = ((M V) / (b + eigvals)) V^T + (M - M V V^T) / (b + lam)``, where
-    the second term is the complement of ``V`` and vanishes when ``V`` spans
-    all of d_in. ``a`` is a ``StabilizerA`` (no d_in-by-d_in array is formed)
-    or a raw symmetric matrix (eigendecomposed in full). ``m`` is the dense
-    d_out-by-d_in ``M`` or its factors ``(V*, C)`` with ``M = V* C^T``
-    (d_out by m and d_in by m): then ``M V = V* (C^T V)`` and the complement
-    is ``(V* / (b + lam)) (C^T - (C^T V) V^T)``. The complement and the
-    residual ``B W + W A - M`` are evaluated in blocks of rows of the
-    stored ``W``, each with its rows of ``M``, in two reusable block
-    buffers: one for the rows of a factored ``M``, one for the complement
-    and then the residual. So beside ``W`` the solve forms no
-    d_out-by-d_in array: neither the dense ``M`` nor ``W A``.
+    ``D = ((M V - (W0 V) diag(eigvals - lam)) / (b + eigvals)) V^T
+    + (M - M V V^T) / (b + lam)``. The anchor term lies in the span of
+    ``V``, so only ``M`` has a complement, which vanishes when ``V`` spans
+    all of d_in. ``w0`` is the d_out-by-d_in ``W0`` (``None`` is zero, and
+    the equation is ``B W + W A = M``). ``a`` is a ``StabilizerA`` (no
+    d_in-by-d_in array is formed) or, with no ``w0``, a raw symmetric matrix
+    (eigendecomposed in full). ``m`` is the dense d_out-by-d_in ``M`` or its
+    factors ``(V*, C)`` with ``M = V* C^T`` (d_out by m and d_in by m): then
+    ``M V = V* (C^T V)`` and the complement is
+    ``(V* / (b + lam)) (C^T - (C^T V) V^T)``. The complement and the
+    residual are evaluated in blocks of rows of the stored ``D``, each with
+    its rows of ``M``, in two reusable block buffers: one for the rows of a
+    factored ``M``, one for the complement and then the residual. So beside
+    ``D`` the solve forms no d_out-by-d_in array: neither the dense ``M``,
+    nor ``W0 A``, nor ``D A``. The residual is relative to the norm of the
+    right-hand side, taken as ``|M|^2 - |M V|^2 + |M V - (W0 V) d'|^2``.
     """
     b_vals = _b_vector(b_diag)
     stab, a_res = _split_a(a)
@@ -241,18 +255,33 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
         left, right_t = None, as_matrix(m, "m")
         if right_t.shape != (d_out, d_in):
             raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {right_t.shape}")
+    if w0 is None:
+        w0_v = np.zeros((d_out, vecs.shape[1]))
+    elif a_res is not stab:
+        raise ValueError("an anchored solve needs a as a StabilizerA, whose ridge weighs the anchor")
+    else:
+        w0_ = as_matrix(w0, "w0")
+        if w0_.shape != (d_out, d_in):
+            raise ValueError(f"w0 must be {d_out}x{d_in} to match b and a, got {w0_.shape}")
+        w0_v = w0_ @ vecs
     min_denom = _check_uniqueness(b_vals, stab)
     if min_denom < 1e-12:
         raise ValueError(
             f"ill-posed system: smallest eigenvalue sum {min_denom:.6e} is below 1e-12"
         )
     right_v = right_t @ vecs
-    w_v = (right_v if left is None else left @ right_v) / (b_vals[:, None] + vals[None, :])
-    w = w_v @ vecs.T
+    m_v = right_v if left is None else left @ right_v
+    rhs_v = w0_v * (vals - stab.lam)
+    np.subtract(m_v, rhs_v, out=rhs_v)  # the right-hand side times V
+    # |rhs|^2 = |M|^2 - |M V|^2 + |rhs V|^2; the last two cancel exactly at W0 = 0
+    num2, den2 = 0.0, float(np.vdot(rhs_v, rhs_v)) - float(np.vdot(m_v, m_v))
+    del m_v
+    rhs_v /= b_vals[:, None] + vals[None, :]
+    w = rhs_v @ vecs.T
+    del rhs_v
     complement = stab.rank < d_in
     if complement and left is not None:
         rest = right_t - right_v @ vecs.T  # the complement's right factor, m by d_in
-    num2 = den2 = 0.0
     out_buf, m_buf = (np.empty((min(d_out, _SOLVE_ROWS), d_in)) for _ in range(2))
     for i in range(0, d_out, _SOLVE_ROWS):
         rows = slice(i, i + _SOLVE_ROWS)
@@ -269,8 +298,8 @@ def sylvester_solve_spectral(b_diag, a, m) -> EditSolution:
                 np.matmul(left[rows] / shift, rest, out=out)
             w_blk += out
         den2 += float(np.vdot(m_blk, m_blk))
-        num2 += _squared_residual(a_res, b_blk, w_blk, m_blk, out, scratch)
-    return EditSolution(w, _relative(num2, den2), min_denom, w_v)
+        num2 += _squared_residual(a_res, b_blk, w_blk, m_blk, out, scratch, w0_v[rows])
+    return EditSolution(w, _relative(num2, max(den2, 0.0)), min_denom)
 
 
 def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
@@ -291,7 +320,9 @@ def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
     lhs = kron_assemble(np.eye(d_in), np.diag(b_vals)) + kron_assemble(a_mat.T, np.eye(d_out))
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
-    num2 = _squared_residual(a_mat, b_vals[:, None], w, m_, np.empty_like(w), np.empty_like(w))
+    num2 = _squared_residual(
+        a_mat, b_vals[:, None], w, m_, np.empty_like(w), np.empty_like(w), None
+    )
     return EditSolution(w, _relative(num2, float(np.vdot(m_, m_))), min_denom)
 
 
@@ -299,7 +330,9 @@ def objective_value(w, a, b_diag, m) -> float:
     """Quadratic edit objective ``tr(W A W^T) + tr(W^T B W) - 2 tr(W M^T)``.
 
     The linear coefficient is 2 so that the unique minimizer is exactly the
-    solution of ``B W + W A = M``.
+    solution of ``B W + W A = M``. Given the edit ``D`` and
+    ``M - W0 (A - lam I)``, it is the anchored objective of ``W0 + D`` less
+    a constant.
     """
     w_ = as_matrix(w, "w")
     a_mat = _dense_a(a)

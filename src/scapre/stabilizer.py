@@ -88,7 +88,9 @@ def build_r(c_e) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def _ridge(trace: float, d_in: int, scale: float) -> float:
+def _ridge(trace: float, d_in: int, scale: float | None) -> float:
+    if scale is None:
+        raise ValueError("no ridge given: pass an absolute lam or a relative lam_scale")
     lam = scale * trace / d_in
     if not 0.0 < lam < math.inf:  # an infinite ridge would zero the edit
         raise ValueError(
@@ -98,12 +100,13 @@ def _ridge(trace: float, d_in: int, scale: float) -> float:
     return lam
 
 
-def relative_lambda(s, scale: float = 0.1) -> float:
-    """Ridge weight as a fraction of the mean diagonal of ``S``.
+def relative_lambda(s, scale: float) -> float:
+    """Ridge weight as a fraction ``scale`` of the mean diagonal of ``S``.
 
     Keeps the ridge proportionate to the context energy regardless of the
-    embedding magnitude. Raises if ``S`` has nonpositive trace; pass an
-    absolute weight in that case.
+    embedding magnitude; ``EditConfig.lam_scale`` holds the default
+    fraction. Raises if ``S`` has nonpositive trace; pass an absolute
+    weight in that case.
     """
     s_ = as_matrix(s, "s")
     return _ridge(float(np.trace(s_)), s_.shape[0], scale)
@@ -200,7 +203,9 @@ def _reflector_basis(h: np.ndarray, tau: np.ndarray, e: np.ndarray) -> np.ndarra
     return v
 
 
-def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> StabilizerA:
+def build_a(
+    contexts, c_e, lam: float | None = None, lam_scale: float | None = None
+) -> StabilizerA:
     """Stabilizer ``lam*I + S + R`` from its factors, with no d_in-by-d_in array.
 
     With ``G`` the stacked context tokens and ``C = U diag(sigma) W^T`` the
@@ -214,7 +219,9 @@ def build_a(contexts, c_e, lam: float | None = None, lam_scale: float = 0.1) -> 
     its direction in the basis with eigenvalue ``lam``. When T+m >= d_in,
     ``Q`` would be square and ``G^T G + U diag(gate(sigma)) U^T`` is
     eigendecomposed directly. ``lam=None`` applies the relative rule
-    ``lam_scale * |G|_F^2 / d_in``, which is ``lam_scale * trace(S) / d_in``.
+    ``lam_scale * |G|_F^2 / d_in``, which is ``lam_scale * trace(S) / d_in``;
+    one of the two must be given (``EditConfig.lam_scale`` holds the
+    default fraction).
     Same result as ``assemble_a(lam, build_s(contexts), build_r(c_e))`` up
     to round-off, in O(d_in*k) memory.
     """

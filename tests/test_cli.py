@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scapre.cli import main
-from scapre.pipeline import run_edit
+from scapre.pipeline import EditConfig, run_edit
 from scapre.smatio import load_manifest, read_smat, write_smat
 from scapre.solver import EraseSpec
 
@@ -53,8 +53,9 @@ class TestEditCommand:
         assert isinstance(report["warnings"], list)
         assert report["alpha_min"] <= report["alpha_median"] <= report["alpha_max"]
         assert sorted(report["stage_ms"]) == ["geometry", "informax", "metrics", "solver", "stabilizer"]
-        assert 1 <= report["w_star_rank"] <= 12
-        assert isinstance(report["refinement_moved_away"], bool)
+        # kept for the benchmark, no longer computed: null in the JSON
+        assert report["refinement_rank"] is report["bures_before"] is report["bures_after"] is None
+        assert "w_star_rank" not in report and "refinement_moved_away" not in report
         env = report["environment"]
         assert sorted(env) == sorted(
             ["numpy", "blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
@@ -62,6 +63,18 @@ class TestEditCommand:
         assert env["numpy"] == np.__version__
         csv_text = (tmp_path / "report_row.csv").read_text()
         assert csv_text.startswith("run_id,m,d_in,d_out,lambda,beta,mode,")
+
+    def test_gen_manifest_and_no_lambda_take_the_default_ridge(self, tmp_path):
+        # the relative ridge's default lives in EditConfig alone
+        run_gen(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        assert doc["lambda"] == {"relative": EditConfig().lam_scale}
+        assert load_manifest(path).cfg.lam_scale == EditConfig().lam_scale
+        del doc["lambda"]
+        path.write_text(json.dumps(doc))
+        cfg = load_manifest(path).cfg
+        assert cfg.lam is None and cfg.lam_scale == EditConfig().lam_scale
 
     def test_edit_deterministic_outputs(self, tmp_path):
         run_gen(tmp_path)

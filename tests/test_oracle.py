@@ -53,7 +53,7 @@ class TestGdMinimize:
         rng = np.random.default_rng(3)
         for d_in, tokens in ((24, 1), (6, 3)):
             ctx = [rng.standard_normal((tokens, d_in)) for _ in range(3)]
-            stab = build_a(ctx, 3.0 * rng.standard_normal((d_in, 3)))
+            stab = build_a(ctx, 3.0 * rng.standard_normal((d_in, 3)), lam_scale=0.1)
             b = rng.uniform(0, 1, 4)
             m = rng.standard_normal((4, d_in))
             closed = sylvester_solve_spectral(b, stab, m).w_star

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scapre.oracle import OracleConfig, gd_minimize
 from scapre.solver import (
     SUBSTITUTE_TARGET,
     ZERO_TARGET,
@@ -116,25 +117,27 @@ class TestSpectral:
 
     @pytest.mark.parametrize("factored", [True, False], ids=["factored-m", "dense-m"])
     def test_scratch_is_two_row_blocks(self, factored):
-        # beside W*, W* V and the stabilizer basis V (made before the solve),
-        # the complement and the residual take two 256-row blocks of d_in:
-        # the rows of a factored M, and the complement, then the residual
+        # beside the edit D, the d_out-by-k products with V and the
+        # stabilizer basis V (made before the solve), the complement and the
+        # anchored residual take two 256-row blocks of d_in: the rows of a
+        # factored M, and the complement, then the residual
         rng = np.random.default_rng(23)
         d_out, d_in, m = 512, 1024, 8
         c = rng.standard_normal((d_in, m))
-        stab = build_a([rng.standard_normal((4, d_in)) for _ in range(4)], c)
+        stab = build_a([rng.standard_normal((4, d_in)) for _ in range(4)], c, lam_scale=0.1)
         assert stab.rank < d_in  # the complement is evaluated
         b = rng.uniform(0.0, 1.0, d_out)
         v_star = rng.standard_normal((d_out, m))
+        w0 = rng.standard_normal((d_out, d_in))
         rhs = (v_star, c) if factored else v_star @ c.T
         tracemalloc.start()
         try:
-            sol = sylvester_solve_spectral(b, stab, rhs)
+            sol = sylvester_solve_spectral(b, stab, rhs, w0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         block = 256 * d_in * 8
-        extra = peak - sol.w_star.nbytes - sol.w_v.nbytes
+        extra = peak - sol.w_star.nbytes
         assert extra <= 2.25 * block
         assert sol.residual < 1e-12
 
@@ -143,6 +146,88 @@ class TestSpectral:
             sylvester_solve_spectral(np.ones(2), np.eye(3), np.ones((2, 2)))
         with pytest.raises(ValueError, match=r"1-D .*shape \(2, 2\)"):
             sylvester_solve_spectral(np.eye(2), np.eye(2), np.ones((2, 2)))
+
+
+def anchored_case(d_in, tokens, m, d_out=7, seed=0):
+    """A stabilizer, decoupler, factored M and W0 for one anchored edit.
+
+    The right-hand side's concepts are drawn apart from the stabilizer's,
+    so ``M`` has a complement where k < d_in.
+    """
+    rng = np.random.default_rng(seed)
+    ctx = [rng.standard_normal((tokens, d_in)) for _ in range(m)]
+    stab = build_a(ctx, 3.0 * rng.standard_normal((d_in, m)), lam_scale=0.1)
+    b = rng.uniform(0.0, 1.0, d_out)
+    v_star, c = rng.standard_normal((d_out, 2)), rng.standard_normal((d_in, 2))
+    return stab, b, (v_star, c), rng.standard_normal((d_out, d_in))
+
+
+def shifted_rhs(stab, m, w0):
+    """``M' = M - W0 (A - lam I)``, densely: the anchored equation's right-hand side."""
+    a = stab.a
+    return m[0] @ m[1].T - w0 @ (a - stab.lam * np.eye(a.shape[0]))
+
+
+# (d_in, tokens, m): k = T + m below d_in (a complement) and at d_in (none).
+ANCHORED_CASES = {"k<d_in": (30, 2, 3), "k=d_in": (12, 2, 4)}
+
+
+class TestAnchored:
+    """The anchored solve: ``B D + D A = M - W0 (A - lam I)`` for ``D = W - W0``."""
+
+    @pytest.mark.parametrize("case", sorted(ANCHORED_CASES))
+    def test_matches_kronecker_on_the_shifted_rhs(self, case):
+        stab, b, m, w0 = anchored_case(*ANCHORED_CASES[case])
+        rhs = shifted_rhs(stab, m, w0)
+        want = sylvester_solve_kronecker(b, stab, rhs).w_star
+        for given in (m, m[0] @ m[1].T):
+            sol = sylvester_solve_spectral(b, stab, given, w0)
+            assert rel_err(sol.w_star, want) < 1e-10
+            dense = b[:, None] * sol.w_star + sol.w_star @ stab.a - rhs
+            assert abs(sol.residual - np.linalg.norm(dense) / np.linalg.norm(rhs)) < 1e-12
+            assert sol.residual < 1e-12
+
+    def test_matches_gradient_descent(self):
+        stab, b, m, w0 = anchored_case(24, 1, 3)
+        rhs = shifted_rhs(stab, m, w0)
+        delta = sylvester_solve_spectral(b, stab, m, w0).w_star
+        tol = 1e-6 * max(1.0, float(np.linalg.norm(rhs)))
+        got = gd_minimize(stab, b, rhs, OracleConfig(grad_tol=tol))
+        assert rel_err(got, delta) < 1e-4
+
+    def test_zero_w0_is_the_unanchored_solve(self):
+        stab, b, m, w0 = anchored_case(*ANCHORED_CASES["k<d_in"])
+        plain = sylvester_solve_spectral(b, stab, m)
+        zero = sylvester_solve_spectral(b, stab, m, np.zeros_like(w0))
+        assert np.array_equal(plain.w_star, zero.w_star)
+        assert plain.residual == zero.residual
+
+    def test_the_edit_minimizes_the_anchored_objective(self):
+        # W = W0 + D beats nearby W on tr(W (S+R) W^T) - 2 tr(W M^T)
+        # + lam |W - W0|^2 + tr((W - W0)^T B (W - W0))
+        stab, b, m, w0 = anchored_case(*ANCHORED_CASES["k<d_in"])
+        s_r = stab.a - stab.lam * np.eye(stab.a.shape[0])
+        m_ = m[0] @ m[1].T
+
+        def objective(w):
+            d = w - w0
+            return (
+                np.sum((w @ s_r) * w) - 2.0 * np.sum(w * m_)
+                + stab.lam * np.sum(d * d) + np.sum(b[:, None] * d * d)
+            )  # fmt: skip
+
+        w = w0 + sylvester_solve_spectral(b, stab, m, w0).w_star
+        rng = np.random.default_rng(5)
+        best = objective(w)
+        for _ in range(50):
+            assert best <= objective(w + 1e-3 * rng.standard_normal(w.shape))
+
+    def test_rejects_a_raw_matrix_and_a_misshapen_w0(self):
+        stab, b, m, w0 = anchored_case(*ANCHORED_CASES["k=d_in"])
+        with pytest.raises(ValueError, match="StabilizerA"):
+            sylvester_solve_spectral(b, stab.a, m, w0)
+        with pytest.raises(ValueError, match="w0 must be"):
+            sylvester_solve_spectral(b, stab, m, w0[:, :-1])
 
 
 class TestKronecker:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scapre.pipeline import EditConfig
 from scapre.solver import sylvester_solve_spectral
 from scapre.stabilizer import (
     assemble_a,
@@ -12,6 +13,9 @@ from scapre.stabilizer import (
     gate_singular,
     relative_lambda,
 )
+
+# The relative ridge rule's default fraction.
+SCALE = EditConfig.lam_scale
 
 
 def naive_s(groups):
@@ -157,12 +161,12 @@ class TestPsdProperties:
 class TestRelativeLambda:
     def test_scales_with_mean_diagonal(self):
         s = np.diag([2.0, 4.0])
-        assert relative_lambda(s) == pytest.approx(0.1 * 3.0)
+        assert relative_lambda(s, 0.1) == pytest.approx(0.1 * 3.0)
         assert relative_lambda(s, scale=0.5) == pytest.approx(1.5)
 
     def test_rejects_zero_trace(self):
         with pytest.raises(ValueError, match="positive trace"):
-            relative_lambda(np.zeros((3, 3)))
+            relative_lambda(np.zeros((3, 3)), SCALE)
 
 
 def factored_case(d_in, tokens, m, d_out=5, seed=0, stack=None):
@@ -185,7 +189,7 @@ def factored_case(d_in, tokens, m, d_out=5, seed=0, stack=None):
 
 def dense_reference(ctx, c, lam=None):
     s = build_s(ctx)
-    return assemble_a(lam if lam is not None else relative_lambda(s), s, build_r(c))
+    return assemble_a(lam if lam is not None else relative_lambda(s, SCALE), s, build_r(c))
 
 
 def rel(x, ref):
@@ -209,7 +213,7 @@ class TestBuildA:
     def test_solve_matches_dense_route(self, case):
         d_in, tokens, m, stack, lam = FACTORED_CASES[case]
         ctx, c, b, rhs = factored_case(d_in, tokens, m, stack=stack)
-        stab = build_a(ctx, c, lam)
+        stab = build_a(ctx, c, lam, SCALE)
         dense = dense_reference(ctx, c, lam)
         assert stab.rank == min(d_in, sum(g.shape[0] for g in ctx) + m)
         vecs = stab.eig.eigvecs
@@ -228,7 +232,7 @@ class TestBuildA:
         rng = np.random.default_rng(3)
         ctx = [rng.standard_normal((2, 30)) for _ in range(3)]
         c = 800.0 * np.linalg.qr(rng.standard_normal((30, 3)))[0]
-        stab = build_a(ctx, c)
+        stab = build_a(ctx, c, lam_scale=SCALE)
         vecs = stab.eig.eigvecs
         assert stab.rank == 9
         assert np.linalg.norm(c - vecs @ (vecs.T @ c)) <= 1e-12 * np.linalg.norm(c)
@@ -240,7 +244,7 @@ class TestBuildA:
         # complement of V is not empty where k < d_in
         d_in, tokens, m, _, lam = FACTORED_CASES[case]
         ctx, c, b, _ = factored_case(d_in, tokens, m)
-        stab = build_a(ctx, c, lam)
+        stab = build_a(ctx, c, lam, SCALE)
         rng = np.random.default_rng(4)
         v_star, c_rhs = rng.standard_normal((b.size, 2)), rng.standard_normal((d_in, 2))
         rhs = v_star @ c_rhs.T
@@ -248,13 +252,13 @@ class TestBuildA:
         want = sylvester_solve_spectral(b, stab, rhs)
         assert rel(got.w_star, want.w_star) < 1e-12
         assert got.residual < 1e-12
-        assert rel(got.w_v, got.w_star @ stab.eig.eigvecs) < 1e-12
         with pytest.raises(ValueError, match="do not multiply"):
             sylvester_solve_spectral(b, stab, (v_star, c_rhs[:-1]))
 
     def test_zero_target_solves_to_zero(self):
         ctx, c, b, rhs = factored_case(30, 2, 3)
-        sol = sylvester_solve_spectral(b, build_a(ctx, c), np.zeros_like(rhs))
+        stab = build_a(ctx, c, lam_scale=SCALE)
+        sol = sylvester_solve_spectral(b, stab, np.zeros_like(rhs))
         assert np.array_equal(sol.w_star, np.zeros_like(rhs))
         assert sol.residual == 0.0
 
@@ -262,7 +266,7 @@ class TestBuildA:
         for case in FACTORED_CASES.values():
             d_in, tokens, m, stack, lam = case
             ctx, c, _, _ = factored_case(d_in, tokens, m, seed=1, stack=stack)
-            stab = build_a(ctx, c, lam)
+            stab = build_a(ctx, c, lam, SCALE)
             vals = np.linalg.eigvalsh(dense_reference(ctx, c, lam).a)
             assert stab.eig_min == pytest.approx(vals.min(), rel=1e-12)
             assert stab.eig_max == pytest.approx(vals.max(), rel=1e-12)
@@ -270,16 +274,20 @@ class TestBuildA:
 
     def test_times_is_the_dense_product(self):
         ctx, c, _, rhs = factored_case(40, 2, 3)
-        stab = build_a(ctx, c)
+        stab = build_a(ctx, c, lam_scale=SCALE)
         assert rel(stab.times(rhs), rhs @ dense_reference(ctx, c).a) < 1e-13
 
     def test_rejects_zero_context_energy(self):
         with pytest.raises(ValueError, match="positive trace"):
-            build_a([np.zeros((2, 4))], np.ones((4, 1)))
+            build_a([np.zeros((2, 4))], np.ones((4, 1)), lam_scale=SCALE)
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError, match="positive"):
             build_a([np.ones((2, 4))], np.ones((4, 1)), lam=0.0)
+
+    def test_needs_a_ridge(self):
+        with pytest.raises(ValueError, match="no ridge given"):
+            build_a([np.ones((2, 4))], np.ones((4, 1)))
 
     def test_rejects_infinite_ridge(self):
         # an infinite ridge solves to all-zero weights, so it is no ridge
