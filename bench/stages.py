@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_19.json --reference BENCH_18.json
+    python bench/stages.py --out BENCH_21.json --reference BENCH_19.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
@@ -8,10 +8,13 @@ edited with the default `EditConfig`: `--runs` timed runs give the median
 wall time and the median of each stage's `stage_ms`; one more, untimed run
 under tracemalloc gives the traced peak and the memory still held after it
 returns (the result kept alive). The quality numbers are those of that run.
-A high-rank edit follows: the seed-42 model at 512x512, m=300, beta=0, with
-a distinct replacement output per concept (V* drawn from a fixed seed), so
-that M = V* C^T has rank m where the default edit's has rank 1; `--runs`
-timed runs give its median wall time and `stage_ms`. Then one
+Each of these edits builds its stabilizer: the slot that keeps the last one
+is emptied before it. The shared-concepts edit follows: one concept set
+(the seed-42 model at the cross-attention shape) and one `W0` per
+projection width, edited by consecutive `run_edit` calls from an empty
+slot, as a UCE-style edit of every projection does; `--runs` such
+sequences give each projection's median wall time and stabilizer
+`stage_ms`, and whether it reused the stabilizer. Then one
 `scapre edit` of a `scapre gen` manifest at 512x512, m=300, beta=0 runs
 traced, with its outputs written to a temporary directory, and its
 report's `stage_ms` kept; `build_decoupler` on that manifest's samples runs
@@ -52,9 +55,8 @@ import numpy as np  # noqa: E402
 from scapre import cli  # noqa: E402
 from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
 from scapre.informax import build_decoupler  # noqa: E402
-from scapre.pipeline import EditConfig, run_edit  # noqa: E402
+from scapre.pipeline import EditConfig, _clear_stabilizer_slot, run_edit  # noqa: E402
 from scapre.smatio import SmatRows, read_smat  # noqa: E402
-from scapre.solver import SUBSTITUTE_TARGET, EraseSpec  # noqa: E402
 
 MIB = 2**20
 SEED = 42
@@ -65,12 +67,11 @@ SHAPES = {
     "full": [(768, 320, 50, 1), (2048, 1024, 100, 4), (4096, 1024, 200, 4)],
     "tiny": [(48, 16, 4, 1), (64, 32, 6, 4)],
 }
-# (d_in, d_out, m) of the traced CLI edit and of the high-rank edit; beta
-# is 0 at every size.
+# (d_in, projection widths d_out, m, tokens per concept) of the
+# shared-concepts edit: the SD-1.x cross-attention shape.
+SHARED_SHAPE = {"full": (768, (320, 640, 1280), 50, 1), "tiny": (48, (8, 16, 24), 5, 1)}
+# (d_in, d_out, m) of the traced CLI edit; beta is 0 at every size.
 CLI_SHAPE = {"full": (512, 512, 300), "tiny": (32, 32, 12)}
-HIGH_RANK_SHAPE = CLI_SHAPE
-# Seed of the high-rank edit's replacement outputs V*.
-V_STAR_SEED = 7
 # The frontier's grid, and the rule that picks the default lam_scale from it.
 LAM_SCALES = (0.03, 0.05, 0.07, 0.1, 0.15)
 BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -98,6 +99,7 @@ def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
     cfg = EditConfig()
 
     def edit():
+        _clear_stabilizer_slot()  # every run builds its stabilizer
         return run_edit(
             model.w0, model.erase_spec, model.contexts, model.features, model.labels,
             cfg, preserved=model.preserved,
@@ -135,28 +137,41 @@ def _median_stages(stages: list[dict]) -> dict:
     return {k: statistics.median(s[k] for s in stages) for k in stages[0]}
 
 
-def bench_high_rank(d_in, d_out, m, runs) -> dict:
-    model = generate_model(SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, seed=SEED))
-    v_star = np.random.default_rng(V_STAR_SEED).standard_normal((d_out, m))
-    spec = EraseSpec(model.erase_spec.concepts, mode=SUBSTITUTE_TARGET, v_star=v_star)
-    cfg = EditConfig(beta=0.0)
-    walls, stages = [], []
+def bench_shared(d_in, d_outs, m, tokens, runs) -> dict:
+    """Consecutive edits of one concept set, one ``W0`` per projection width."""
+    model = generate_model(
+        SyntheticModelSpec(d_in, d_outs[0], m, M_PRESERVED, tokens_per_concept=tokens, seed=SEED)
+    )
+    w0s = [model.w0] + [
+        generate_model(SyntheticModelSpec(d_in, d_out, m, seed=SEED + part)).w0
+        for part, d_out in enumerate(d_outs[1:], start=1)
+    ]
+    walls, stabilizer_ms = [[] for _ in w0s], [[] for _ in w0s]
+    reused = [None] * len(w0s)  # the same in every run: each starts from an empty slot
     for _ in range(runs):
-        t = time.perf_counter()
-        _, report = run_edit(
-            model.w0, spec, model.contexts, model.features, model.labels, cfg,
-            preserved=model.preserved,
-        )  # fmt: skip
-        walls.append(time.perf_counter() - t)
-        stages.append(report.stage_ms)
+        _clear_stabilizer_slot()
+        for i, w0 in enumerate(w0s):
+            t = time.perf_counter()
+            _, report = run_edit(
+                w0, model.erase_spec, model.contexts, model.features, model.labels,
+                preserved=model.preserved,
+            )  # fmt: skip
+            walls[i].append(time.perf_counter() - t)
+            stabilizer_ms[i].append(report.stage_ms["stabilizer"])
+            reused[i] = report.stabilizer_reused
     return {
         "d_in": d_in,
-        "d_out": d_out,
         "m": m,
-        "beta": 0.0,
-        "v_star_seed": V_STAR_SEED,
-        "wall_s": statistics.median(walls),
-        "stage_ms": _median_stages(stages),
+        "tokens_per_concept": tokens,
+        "projections": [
+            {
+                "d_out": d_out,
+                "wall_s": statistics.median(walls[i]),
+                "stabilizer_ms": statistics.median(stabilizer_ms[i]),
+                "stabilizer_reused": reused[i],
+            }
+            for i, d_out in enumerate(d_outs)
+        ],
     }
 
 
@@ -279,7 +294,7 @@ def run(size: str, runs: int, reference: dict | None = None) -> dict:
         },
         "environment": {"python": platform.python_version(), **cli._environment()},
         "shapes": [bench_shape(*shape, runs) for shape in SHAPES[size]],
-        "high_rank": bench_high_rank(*HIGH_RANK_SHAPE[size], runs),
+        "shared_concepts": bench_shared(*SHARED_SHAPE[size], runs),
         "cli_edit": bench_cli(*CLI_SHAPE[size]),
         "frontier": frontier(size, reference),
     }
@@ -306,11 +321,13 @@ def main(argv=None) -> int:
             f"max erasure {s['max_erasure_err']:.3f}, "
             f"median preserve {s['median_preserve_err']:.4f}"
         )
-    h = doc["high_rank"]
-    print(
-        f"high-rank {h['d_in']}x{h['d_out']} m={h['m']}: {h['wall_s']:.3f} s, "
-        f"geometry {h['stage_ms']['geometry']:.1f} ms"
-    )
+    shared = doc["shared_concepts"]
+    for p in shared["projections"]:
+        print(
+            f"shared concepts {shared['d_in']}x{p['d_out']} m={shared['m']}: "
+            f"{p['wall_s']:.3f} s, stabilizer {p['stabilizer_ms']:.1f} ms, "
+            f"reused {p['stabilizer_reused']}"
+        )
     c = doc["cli_edit"]
     print(
         f"scapre edit {c['d_in']}x{c['d_out']} m={c['m']}: "

@@ -1,9 +1,13 @@
 """Dense real-matrix kernels shared by every other module.
 
-All routines take and return float64 row-major arrays, produce deterministic
-output (descending spectra, sign-fixed bases), and hold no global state.
+All routines take and return float64 row-major arrays and produce
+deterministic output (descending spectra, sign-fixed bases). The one piece
+of shared state is the set of arrays a ``checked_finite`` block vouches
+for, held per thread (a context variable) and only for the block.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import NamedTuple
 
 import numpy as np
@@ -14,6 +18,7 @@ __all__ = [
     "SpectralDecomposition",
     "as_matrix",
     "check_symmetric",
+    "checked_finite",
     "kron_assemble",
     "procrustes",
     "psd_sqrt",
@@ -24,19 +29,41 @@ __all__ = [
 # Largest entry count an assembled Kronecker product may hold.
 KRON_BUDGET = 2**24
 
+# The arrays the innermost ``checked_finite`` block vouches for, by id; the
+# dict holds them, so no id is reused while the block runs.
+_CHECKED: ContextVar[dict[int, np.ndarray]] = ContextVar("checked_finite", default={})
+
+
+@contextmanager
+def checked_finite(*arrays: np.ndarray):
+    """Within the block, ``as_matrix`` skips the finite check of these exact arrays.
+
+    For a caller that has checked its inputs once and hands the same
+    objects to several routines: ``run_edit`` checks ``w0`` on entry and
+    each stage then takes it as it is. Only the objects themselves are
+    trusted, never a copy or a result computed from them, and only in the
+    calling thread.
+    """
+    token = _CHECKED.set({**_CHECKED.get(), **{id(a): a for a in arrays}})
+    try:
+        yield
+    finally:
+        _CHECKED.reset(token)
+
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Validate ``x`` as a finite 2-D float64 array and return it row-major.
 
     Raises ``ValueError`` if the input is not 2-D, has an empty dimension,
-    or contains NaN/Inf entries.
+    or contains NaN/Inf entries. An array a ``checked_finite`` block
+    vouches for is not scanned again.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if _CHECKED.get().get(id(arr)) is not arr and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 

@@ -7,7 +7,9 @@ weights, the line step back toward them, probe scoring. Every run returns
 the edited weights plus a self-describing report.
 """
 
+import hashlib
 import math
+import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -20,13 +22,22 @@ from . import geometry, solver
 # run_edit reports no Bures distance; perfbench/tracing.py patches bures_distance here.
 from .geometry import bures_distance, refine_weights  # noqa: F401
 from .informax import DecouplerAlpha, build_decoupler
-from .matkernel import as_matrix
+from .matkernel import as_matrix, checked_finite
 from .metrics import ProbeScores, probe_scores
 # run_edit forms M from the resolved V*; perfbench/tracing.py patches assemble_m here.
 from .solver import EraseSpec, assemble_m, resolve_v_star, sylvester_solve_spectral  # noqa: F401
 # run_edit assembles A with build_a; the dense reference route stays importable
 # here because perfbench/tracing.py patches these names.
-from .stabilizer import assemble_a, build_a, build_r, build_s, relative_lambda  # noqa: F401
+from .stabilizer import (  # noqa: F401
+    StabilizerA,
+    assemble_a,
+    build_a,
+    build_r,
+    build_s,
+    relative_lambda,
+    validate_concepts,
+    validate_contexts,
+)
 
 __all__ = [
     "EditConfig",
@@ -71,6 +82,49 @@ def _stage(name: str, stage_ms: dict[str, float]):
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
     stage_ms[name] = (time.perf_counter() - t0) * 1e3
+
+
+# The last stabilizer run_edit built, with the key of its inputs, so that
+# consecutive edits of one concept set (every cross-attention projection of
+# a UCE-style edit) build it once. Read and replaced under the lock.
+_stabilizer_slot: tuple[tuple, StabilizerA] | None = None
+_stabilizer_lock = threading.Lock()
+
+
+def _stabilizer_key(groups, c, lam, lam_scale) -> tuple:
+    """The exact content ``build_a`` reads: shapes, float64 bytes and ridge settings."""
+    h = hashlib.sha256()
+    for arr in (*groups, c):
+        h.update(arr)  # C-contiguous float64, as validated
+    return (tuple(g.shape for g in groups), c.shape, h.digest(), lam, lam_scale)
+
+
+def _shared_stabilizer(groups, c, lam, lam_scale) -> tuple[StabilizerA, bool]:
+    """``build_a(groups, c, lam, lam_scale)``, reused when the last build had the same key.
+
+    Returns the stabilizer and whether it was reused. On a miss the slot is
+    emptied before the build, so it never holds a basis beside a new one;
+    the stored basis is made read-only, as every later edit shares it.
+    """
+    global _stabilizer_slot
+    key = _stabilizer_key(groups, c, lam, lam_scale)
+    with _stabilizer_lock:
+        if _stabilizer_slot is not None and _stabilizer_slot[0] == key:
+            return _stabilizer_slot[1], True
+        _stabilizer_slot = None
+    stab = build_a(groups, c, lam, lam_scale)
+    for arr in stab.eig:
+        arr.flags.writeable = False
+    with _stabilizer_lock:
+        _stabilizer_slot = (key, stab)
+    return stab, False
+
+
+def _clear_stabilizer_slot() -> None:
+    """Forget the stored stabilizer, so the next edit builds its own (for tests and benches)."""
+    global _stabilizer_slot
+    with _stabilizer_lock:
+        _stabilizer_slot = None
 
 
 @dataclass(frozen=True)
@@ -137,9 +191,11 @@ class EditReport:
     in JSON): the anchored edit has full rank, so they would cost a
     d_out-sized decomposition, and no stage needs them; the names stay for
     the benchmark. ``sylvester_residual`` is that of the anchored equation
-    for the edit ``D = W* - W0``. ``stage_ms`` is the wall time of each
-    stage in milliseconds; ``config`` echoes the ``EditConfig`` and ``lam``
-    is the ridge it resolved to.
+    for the edit ``D = W* - W0``. ``stabilizer_reused`` is true when the
+    edit took the stabilizer that the previous build made from the same
+    contexts, concepts and ridge settings. ``stage_ms`` is the wall time of
+    each stage in milliseconds; ``config`` echoes the ``EditConfig`` and
+    ``lam`` is the ridge it resolved to.
     """
 
     m: int
@@ -148,6 +204,7 @@ class EditReport:
     lam: float
     sylvester_residual: float
     stabilizer_rank: int
+    stabilizer_reused: bool
     a_eig_min: float
     a_eig_max: float
     min_denominator: float
@@ -193,7 +250,11 @@ def run_edit(
     preservation. ``features`` is an array or a row-block source such as
     ``smatio.SmatRows``, passed to ``build_decoupler`` as it is; the two give
     the same weights. Deterministic: identical inputs give bit-identical
-    weights.
+    weights. Each array given is checked for non-finite values once, in the
+    stage that first uses it (``w0`` on entry). An edit with the same
+    contexts, concepts and ridge settings as the last stabilizer build takes
+    that stabilizer (``stabilizer_reused`` in the report), with the same
+    weights as a fresh build.
     """
     t0 = time.perf_counter()
     w0_ = as_matrix(w0, "w0")
@@ -215,53 +276,54 @@ def run_edit(
             raise ValueError(
                 f"{len(contexts)} context groups for {spec.n_concepts} concepts"
             )
-        stab = build_a(contexts, spec.concepts, cfg.lam, cfg.lam_scale)
+        groups, c = validate_contexts(contexts), validate_concepts(spec.concepts)
+        with checked_finite(*groups, c):
+            stab, reused = _shared_stabilizer(groups, c, cfg.lam, cfg.lam_scale)
 
-    with _stage("informax", stage_ms):
-        dec = build_decoupler(w0_, features, labels)
+    # w0 and the concepts were checked above; the stages take them as they are
+    with checked_finite(w0_, c):
+        with _stage("informax", stage_ms):
+            dec = build_decoupler(w0_, features, labels)
 
-    with _stage("solver", stage_ms):
-        # M = V* C^T travels as its factors; the solve forms it only a block
-        # of rows at a time, for the complement and the residual
-        v_star = resolve_v_star(w0_, spec)
-        zero_target = not v_star.any()
-        if zero_target:
-            warnings.warn(_ZERO_TARGET_NOTE, ZeroTargetWarning, stacklevel=2)
-        sol = sylvester_solve_spectral(dec.alpha, stab, (v_star, spec.concepts), w0_)
+        with _stage("solver", stage_ms):
+            # M = V* C^T travels as its factors; the solve forms it only a
+            # block of rows at a time, for the complement and the residual
+            v_star = resolve_v_star(w0_, spec)
+            zero_target = not v_star.any()
+            if zero_target:
+                warnings.warn(_ZERO_TARGET_NOTE, ZeroTargetWarning, stacklevel=2)
+            sol = sylvester_solve_spectral(dec.alpha, stab, (v_star, c), w0_)
 
-    with _stage("geometry", stage_ms):
-        # the weights are written over the solved edit
-        w = refine_weights(sol.w_star, w0_, cfg.beta, in_place=True)
-    # The report's values; V is dropped before the probes are scored.
-    health = dict(
-        lam=stab.lam,
-        sylvester_residual=sol.residual,
-        stabilizer_rank=stab.rank,
-        a_eig_min=stab.eig_min,
-        a_eig_max=stab.eig_max,
-        min_denominator=sol.min_denominator,
-        bures_before=math.nan,
-        bures_after=math.nan,
-        refinement_rank=math.nan,
-    )
-    del stab, sol
+        with _stage("geometry", stage_ms):
+            # the weights are written over the solved edit
+            w = refine_weights(sol.w_star, w0_, cfg.beta, in_place=True)
 
-    with _stage("metrics", stage_ms):
-        probes: ProbeScores = probe_scores(w, w0_, spec, preserved, v_star=v_star)
-        erased = probes.erasure[~np.isnan(probes.erasure)]
-        max_erasure = float(erased.max()) if erased.size else float("nan")
-        usable = probes.preservation[~np.isnan(probes.preservation)]
-        median_preserve = float(np.median(usable)) if usable.size else float("nan")
+        with _stage("metrics", stage_ms):
+            probes: ProbeScores = probe_scores(w, w0_, spec, preserved, v_star=v_star)
+            erased = probes.erasure[~np.isnan(probes.erasure)]
+            max_erasure = float(erased.max()) if erased.size else float("nan")
+            usable = probes.preservation[~np.isnan(probes.preservation)]
+            median_preserve = float(np.median(usable)) if usable.size else float("nan")
 
     report = EditReport(
         m=spec.n_concepts,
         d_in=w0_.shape[1],
         d_out=w0_.shape[0],
+        lam=stab.lam,
+        sylvester_residual=sol.residual,
+        stabilizer_rank=stab.rank,
+        stabilizer_reused=reused,
+        a_eig_min=stab.eig_min,
+        a_eig_max=stab.eig_max,
+        min_denominator=sol.min_denominator,
         zero_target=zero_target,
         alpha_degenerate=dec.degenerate,
         alpha_min=float(dec.alpha.min()),
         alpha_median=float(np.median(dec.alpha)),
         alpha_max=float(dec.alpha.max()),
+        bures_before=math.nan,
+        bures_after=math.nan,
+        refinement_rank=math.nan,
         warnings=[_ZERO_TARGET_NOTE] if zero_target else [],
         erasure_errors=[float(x) for x in probes.erasure],
         preservation_errors=(
@@ -275,6 +337,5 @@ def run_edit(
         stage_ms=stage_ms,
         config=cfg.to_dict(),
         intermediates=EditIntermediates(dec),
-        **health,
     )
     return w, report

@@ -10,9 +10,8 @@ SHAPE_KEYS = {
     "held_after_mib", "max_erasure_err", "median_preserve_err", "sylvester_residual", "alpha",
 }  # fmt: skip
 STAGES = {"stabilizer", "informax", "solver", "geometry", "metrics"}
-HIGH_RANK_KEYS = {
-    "d_in", "d_out", "m", "beta", "v_star_seed", "wall_s", "stage_ms",
-}  # fmt: skip
+SHARED_KEYS = {"d_in", "m", "tokens_per_concept", "projections"}
+PROJECTION_KEYS = {"d_out", "wall_s", "stabilizer_ms", "stabilizer_reused"}
 CLI_KEYS = {
     "d_in", "d_out", "m", "beta", "traced_wall_s", "stage_ms", "traced_peak_mib",
     "decoupler_array_peak_mib", "decoupler_file_peak_mib", "max_erasure_err",
@@ -47,7 +46,9 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
     argv = ["--out", str(out), "--size", "tiny", "--runs", "2", "--reference", str(reference)]
     assert stages.main(argv) == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"config", "environment", "shapes", "high_rank", "cli_edit", "frontier"}
+    assert set(doc) == {
+        "config", "environment", "shapes", "shared_concepts", "cli_edit", "frontier"
+    }  # fmt: skip
     assert doc["config"]["size"] == "tiny" and doc["config"]["runs"] == 2
     assert {"numpy", "blas", "OPENBLAS_NUM_THREADS"} <= set(doc["environment"])
     assert len(doc["shapes"]) == len(stages.SHAPES["tiny"])
@@ -58,8 +59,13 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
         assert 0.0 <= shape["alpha"]["min"] <= shape["alpha"]["max"] <= 1.0
         assert shape["held_after_mib"] <= shape["traced_peak_mib"]
         assert shape["sylvester_residual"] <= 1e-8
-    high = doc["high_rank"]
-    assert set(high) == HIGH_RANK_KEYS and set(high["stage_ms"]) == STAGES
+    shared = doc["shared_concepts"]
+    assert set(shared) == SHARED_KEYS
+    projections = shared["projections"]
+    assert [p["d_out"] for p in projections] == list(stages.SHARED_SHAPE["tiny"][1])
+    assert all(set(p) == PROJECTION_KEYS for p in projections)
+    # the first edit builds the stabilizer, the later ones take it
+    assert [p["stabilizer_reused"] for p in projections] == [False, True, True]
     assert set(doc["cli_edit"]) == CLI_KEYS
     assert set(doc["cli_edit"]["stage_ms"]) == STAGES
     frontier = doc["frontier"]

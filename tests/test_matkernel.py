@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
 from scapre.matkernel import (
     KRON_BUDGET,
     as_matrix,
+    checked_finite,
     kron_assemble,
     procrustes,
     psd_sqrt,
@@ -37,6 +40,32 @@ class TestAsMatrix:
     def test_row_major_float64(self):
         out = as_matrix(np.asfortranarray(np.arange(6.0).reshape(2, 3)))
         assert out.flags["C_CONTIGUOUS"] and out.dtype == np.float64
+
+    def test_checked_finite_trusts_only_the_objects_and_the_block(self):
+        # the finite scan is skipped for the vouched-for object alone: a
+        # copy, a slice, another thread and code after the block scan it
+        bad = np.array([[1.0, np.nan], [2.0, 3.0]])
+        with checked_finite(bad):
+            assert as_matrix(bad) is bad
+            for other in (bad.copy(), bad[:1]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    as_matrix(other)
+            errors = []
+
+            def scan():
+                try:
+                    as_matrix(bad)
+                except ValueError as exc:
+                    errors.append(exc)
+
+            t = threading.Thread(target=scan)
+            t.start()
+            t.join(timeout=60)
+            assert len(errors) == 1
+            with checked_finite():  # nested blocks keep the outer's arrays
+                assert as_matrix(bad) is bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(bad)
 
 
 class TestSymEig:

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scapre import pipeline
 from scapre.geometry import BW_GEODESIC, refine_weights
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.informax import build_decoupler
+from scapre.metrics import probe_scores
 from scapre.pipeline import EditConfig, PipelineStageError, ZeroTargetWarning, run_edit
 from scapre.smatio import write_report
 from scapre.solver import (
@@ -63,6 +65,20 @@ def solve_stages(w0, spec, contexts, features, labels, cfg=EditConfig()):
     m = (resolve_v_star(w0, spec), spec.concepts)
     sol = sylvester_solve_spectral(dec.alpha, stab, m, w0)
     return stab, dec, sol
+
+
+def count_eigendecompositions(monkeypatch) -> list:
+    """Record ``(kernel, size)`` for every ``eigh`` and ``eigvalsh`` from here on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        kernel = getattr(np.linalg, name)
+
+        def counted(a, *args, _kernel=kernel, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)[0]))
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def anchored_rhs(w0, spec, a, lam):
@@ -272,6 +288,7 @@ class TestRunEdit:
         # QR, which T+m >= d_in skips
         for tokens in (1, 11):
             model = small_model(seed=5, tokens_per_concept=tokens)
+            pipeline._clear_stabilizer_slot()  # count a cold edit
             calls = []
             for name in ("eigh", "svd", "qr"):
                 kernel = getattr(np.linalg, name)
@@ -298,18 +315,12 @@ class TestRunEdit:
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     @pytest.mark.parametrize("mode", [BW_GEODESIC])
     def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
-        # the line step decomposes nothing: the only eigh is the
-        # stabilizer's k x k, at every beta
+        # the line step decomposes nothing: the only eigh of a cold edit is
+        # the stabilizer's k x k, at every beta. Every parametrization edits
+        # the same model, so the slot is emptied first.
         model = small_model(seed=5)
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            kernel = getattr(np.linalg, name)
-
-            def counted(a, *args, _kernel=kernel, _name=name, **kwargs):
-                calls.append((_name, np.shape(a)[0]))
-                return _kernel(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        pipeline._clear_stabilizer_slot()
+        calls = count_eigendecompositions(monkeypatch)
         _, report = run_edit(
             model.w0,
             model.erase_spec,
@@ -321,6 +332,19 @@ class TestRunEdit:
         k = report.stabilizer_rank
         assert (k, report.d_out) == (8, 24)
         assert calls == [("eigh", k)]
+
+    def test_repeated_edit_makes_no_eigendecomposition(self, monkeypatch):
+        # the second edit of the same concept set takes the stored stabilizer
+        model = small_model(seed=5)
+        args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+        _, first = run_edit(*args)
+        calls = count_eigendecompositions(monkeypatch)
+        _, second = run_edit(*args, EditConfig(beta=0.0))
+        assert calls == []
+        assert second.stabilizer_reused and second.stage_ms["stabilizer"] >= 0.0
+        assert (second.lam, second.a_eig_min, second.a_eig_max) == (
+            first.lam, first.a_eig_min, first.a_eig_max
+        )  # fmt: skip
 
     def test_rows_stay_in_the_basis_when_every_gate_underflows(self):
         # at embed scale 800 every singular value of the concepts passes 709,
@@ -548,6 +572,192 @@ class TestRunEdit:
                 model.features,
                 model.labels,
             )
+
+
+def edit_args(model):
+    return (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
+
+
+def cold_edit(*args, **kwargs):
+    """``run_edit`` with the stabilizer built from scratch."""
+    pipeline._clear_stabilizer_slot()
+    return run_edit(*args, **kwargs)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of every ``build_a`` call ``run_edit`` makes from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_a(*args, **kwargs)
+
+    monkeypatch.setattr("scapre.pipeline.build_a", counted)
+    return calls
+
+
+class TestStabilizerSlot:
+    def test_identical_edits_build_once_and_match_a_cold_build(self, builds):
+        model = small_model(seed=11)
+        args = edit_args(model)
+        w_cold, cold = cold_edit(*args, preserved=model.preserved)
+        pipeline._clear_stabilizer_slot()
+        del builds[:]
+        runs = [run_edit(*args, preserved=model.preserved) for _ in range(2)]
+        assert len(builds) == 1
+        assert [r.stabilizer_reused for _, r in runs] == [False, True]
+        assert not cold.stabilizer_reused
+        for w, report in runs:
+            assert w.tobytes() == w_cold.tobytes()
+            assert report.sylvester_residual == cold.sylvester_residual
+
+    @pytest.mark.parametrize("change", ["context", "concept", "lam", "lam_scale"])
+    def test_changed_inputs_rebuild(self, builds, change):
+        model = small_model(seed=12)
+        cfg = EditConfig(lam=2.0) if change == "lam" else EditConfig()
+        run_edit(*edit_args(model), cfg)
+        if change == "context":
+            model.contexts[1][0, 3] += 0.5  # in place: same object, new content
+        elif change == "concept":
+            model.erase_spec.concepts[5, 2] += 0.5
+        elif change == "lam":
+            cfg = EditConfig(lam=2.5)
+        else:
+            cfg = EditConfig(lam_scale=0.1)
+        w, report = run_edit(*edit_args(model), cfg)
+        assert len(builds) == 2 and not report.stabilizer_reused
+        w_cold, _ = cold_edit(*edit_args(model), cfg)
+        assert w.tobytes() == w_cold.tobytes()
+
+    def test_stored_basis_is_read_only(self):
+        model = small_model(seed=13)
+        run_edit(*edit_args(model))
+        _, stab = pipeline._stabilizer_slot
+        assert not stab.eig.eigvecs.flags.writeable and not stab.eig.eigvals.flags.writeable
+
+    def test_threads_with_different_concept_sets(self, builds):
+        # four threads (more than the cores) on two concept sets, with a
+        # short switch interval: all four are inside build_a at once on
+        # their first edit, then edit on, hitting or missing as the others
+        # replace the slot. Each must get the weights of its own inputs.
+        models = [small_model(seed=14), small_model(seed=15)]
+        cold = [cold_edit(*edit_args(m))[0] for m in models]
+        pipeline._clear_stabilizer_slot()
+        n_threads, barrier, local = 4, threading.Barrier(4), threading.local()
+        build = pipeline.build_a
+
+        def overlapping(*a, **kw):
+            if not getattr(local, "waited", False):
+                local.waited = True
+                barrier.wait(timeout=60)
+            return build(*a, **kw)
+
+        outcomes = {}
+
+        def edit(i):
+            try:
+                outcomes[i] = [run_edit(*edit_args(models[i % 2]))[0] for _ in range(4)]
+            except Exception as exc:  # surfaced by the assertion below
+                outcomes[i] = exc
+
+        pipeline.build_a, interval = overlapping, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=edit, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pipeline.build_a = build
+        for i in range(n_threads):
+            assert not isinstance(outcomes[i], Exception), outcomes[i]
+            assert all(w.tobytes() == cold[i % 2].tobytes() for w in outcomes[i])
+        assert len(builds) >= n_threads + 2  # the two cold builds, then one per thread
+
+
+class TestCheckOnce:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_each_input_is_scanned_once(self, monkeypatch, warm):
+        model = small_model(seed=16)
+        args = edit_args(model)
+        if warm:
+            run_edit(*args, preserved=model.preserved)
+        else:
+            pipeline._clear_stabilizer_slot()
+        scanned = []
+        isfinite = np.isfinite
+
+        def counted(x, *a, **kw):
+            scanned.append(x)
+            return isfinite(x, *a, **kw)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        run_edit(*args, preserved=model.preserved)
+        monkeypatch.undo()
+        inputs = [model.w0, model.features, model.erase_spec.concepts, model.preserved]
+        for arr in inputs + model.contexts:
+            assert sum(x is arr for x in scanned) == 1
+
+    @pytest.mark.parametrize(
+        "where, stage",
+        [
+            ("w0", None),
+            ("features", "informax"),
+            ("context", "stabilizer"),
+            ("concept", "stabilizer"),
+            ("substitutes", "solver"),
+            ("preserved", "metrics"),
+        ],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_finite_input_fails_its_stage(self, where, stage, warm):
+        # the same error and stage as when every stage checked its inputs;
+        # a warm slot (the same content before the NaN) changes nothing
+        model = small_model(seed=17)
+        if warm:
+            run_edit(*edit_args(model), preserved=model.preserved)
+        target = {
+            "w0": model.w0,
+            "features": model.features,
+            "context": model.contexts[2],
+            "concept": model.erase_spec.concepts,
+            "substitutes": model.erase_spec.substitutes,
+            "preserved": model.preserved,
+        }[where]
+        target[0, 1] = np.nan  # in place, after the erase spec was built
+        if stage is None:
+            with pytest.raises(ValueError, match="w0 contains non-finite") as info:
+                run_edit(*edit_args(model), preserved=model.preserved)
+            assert not isinstance(info.value, PipelineStageError)
+        else:
+            with pytest.raises(PipelineStageError, match="non-finite") as info:
+                run_edit(*edit_args(model), preserved=model.preserved)
+            assert info.value.stage == stage
+
+    def test_stage_functions_still_check_when_called_directly(self):
+        model = small_model(seed=18)
+        w0, spec = model.w0, model.erase_spec
+        stab, dec, sol = solve_stages(*edit_args(model))
+        bad = w0.copy()
+        bad[0, 0] = np.inf
+        factors = (resolve_v_star(w0, spec), spec.concepts)
+        calls = [
+            lambda: build_decoupler(bad, model.features, model.labels),
+            lambda: build_decoupler(w0, np.full_like(model.features, np.nan), model.labels),
+            lambda: sylvester_solve_spectral(dec.alpha, stab, factors, bad),
+            lambda: sylvester_solve_spectral(dec.alpha, stab, (factors[0], bad.T), w0),
+            lambda: refine_weights(sol.w_star, bad, 0.5),
+            lambda: refine_weights(bad, w0, 0.5),
+            lambda: probe_scores(bad, w0, spec),
+            lambda: probe_scores(w0, bad, spec),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
 
 
 class TestEditConfig:
