@@ -190,8 +190,10 @@ class EditReport:
     ``bures_before``, ``bures_after`` and ``refinement_rank`` are NaN (null
     in JSON): the anchored edit has full rank, so they would cost a
     d_out-sized decomposition, and no stage needs them; the names stay for
-    the benchmark. ``sylvester_residual`` is that of the anchored equation
-    for the edit ``D = W* - W0``. ``stabilizer_reused`` is true when the
+    the benchmark. ``sylvester_residual`` bounds the relative residual of
+    the anchored equation for the edit ``D = W* - W0`` from above: the
+    residual in the span of the stabilizer basis plus a bound on the part
+    of ``M`` outside it. ``stabilizer_reused`` is true when the
     edit took the stabilizer that the previous build made from the same
     contexts, concepts and ridge settings. ``stage_ms`` is the wall time of
     each stage in milliseconds; ``config`` echoes the ``EditConfig`` and
@@ -286,8 +288,7 @@ def run_edit(
             dec = build_decoupler(w0_, features, labels)
 
         with _stage("solver", stage_ms):
-            # M = V* C^T travels as its factors; the solve forms it only a
-            # block of rows at a time, for the complement and the residual
+            # M = V* C^T travels as its factors; the solve never forms it
             v_star = resolve_v_star(w0_, spec)
             zero_target = not v_star.any()
             if zero_target:

@@ -128,10 +128,13 @@ class EditSolution:
 
     ``w_star`` is the unknown of the equation solved: the edit
     ``D = W - W0`` of an anchored solve, the weights ``W`` themselves when
-    ``W0 = 0``. ``min_denominator`` is the smallest ``b_i + eigval_j`` over
-    the eigenvalues of ``A``, the complement's ``lam`` included: the
-    smallest divisor of the spectral route and the smallest eigenvalue of
-    the vectorized operator.
+    ``W0 = 0``. ``residual`` is relative to the right-hand side; the
+    spectral route's, with a ``StabilizerA``, is an upper bound: the
+    residual in the span of the basis ``V`` plus a bound on the part of
+    ``M`` outside it. ``min_denominator`` is the smallest ``b_i + eigval_j``
+    over the eigenvalues of ``A``, ``lam`` included where ``V`` does not
+    span d_in: the smallest eigenvalue of the vectorized operator, and at
+    most the spectral route's smallest divisor.
     """
 
     w_star: np.ndarray
@@ -153,10 +156,10 @@ def _split_a(a):
     """The stabilizer as a ``StabilizerA``, plus the ``A`` the residual multiplies by.
 
     A ``StabilizerA`` is used through its factors, for both. A raw symmetric
-    matrix is eigendecomposed in full, so its basis has no complement and any
-    ridge represents it; its smallest eigenvalue keeps ``eig_min`` exact.
-    Products with a raw matrix stay dense, so the residual is of the equation
-    as given.
+    matrix is eigendecomposed in full, so its basis spans d_in and any ridge
+    represents it; its smallest eigenvalue keeps ``eig_min`` exact. Products
+    with a raw matrix stay dense, so the residual is of the equation as
+    given.
     """
     if isinstance(a, StabilizerA):
         return a, a
@@ -183,78 +186,75 @@ def _check_uniqueness(b_vals: np.ndarray, stab: StabilizerA) -> float:
     return float(b_vals.min() + a_min)
 
 
-def _squared_residual(a, b_blk, w_blk, m_blk, out, scratch, w0_v_blk) -> float:
-    """Squared Frobenius norm of ``B D + D A - M + W0 (A - lam I)`` on a block of rows.
+def _dense_squared_residual(a, b_blk, w_blk, m_blk, out, scratch) -> float:
+    """Squared Frobenius norm of ``B W + W A - M`` on a block of rows, for a dense ``A``.
 
-    Formed in ``out``. ``a`` is a ``StabilizerA``, applied through its
-    factors with ``d' = eigvals - lam``: the two products with ``A - lam I``
-    are formed as one, ``((D V + W0 V) d') V^T``, and ``lam D`` is added
-    on the diagonal. ``w0_v_blk`` is the block's rows of ``W0 V``. Or ``a``
-    is a dense matrix, with no ``W0`` (``w0_v_blk`` is None). ``scratch``,
-    of the shape of ``out``, may be the buffer that holds ``m_blk``: it is
-    written only after ``M`` has been subtracted.
+    Formed in ``out``; ``scratch``, of the shape of ``out``, holds ``B W``.
     """
-    if isinstance(a, StabilizerA):
-        vecs = a.eig.eigvecs
-        wv = w_blk @ vecs
-        wv += w0_v_blk
-        wv *= a.eig.eigvals - a.lam
-        np.matmul(wv, vecs.T, out=out)
-        diag = b_blk + a.lam
-    else:
-        np.matmul(w_blk, a, out=out)
-        diag = b_blk
+    np.matmul(w_blk, a, out=out)
     out -= m_blk
-    out += np.multiply(diag, w_blk, out=scratch)
+    out += np.multiply(b_blk, w_blk, out=scratch)
     return float(np.vdot(out, out))
 
 
-def _relative(num2: float, den2: float) -> float:
-    """Relative residual from the squared norms of the residual and of ``M``."""
-    return math.sqrt(num2 / den2) if den2 > 0.0 else math.sqrt(num2)
+def _relative(num: float, den: float) -> float:
+    """Relative residual from the norms of the residual and of the right-hand side."""
+    return num / den if den > 0.0 else num
 
 
-# Rows of W* per block of the spectral solve's complement and residual, so
-# that its scratch beside W* is two block-by-d_in arrays.
+# Rows of D per block of the spectral solve's residual, so that its scratch
+# beside D is two block-by-d_in arrays.
 _SOLVE_ROWS = 256
 
 
 def sylvester_solve_spectral(b_diag, a, m, w0=None) -> EditSolution:
     """Solve ``B D + D A = M - W0 (A - lam I)`` in the eigenbasis of ``A``.
 
-    With diagonal ``B`` and ``A = lam*I + V diag(eigvals - lam) V^T`` the
-    system decouples entrywise:
-    ``D = ((M V - (W0 V) diag(eigvals - lam)) / (b + eigvals)) V^T
-    + (M - M V V^T) / (b + lam)``. The anchor term lies in the span of
-    ``V``, so only ``M`` has a complement, which vanishes when ``V`` spans
-    all of d_in. ``w0`` is the d_out-by-d_in ``W0`` (``None`` is zero, and
-    the equation is ``B W + W A = M``). ``a`` is a ``StabilizerA`` (no
-    d_in-by-d_in array is formed) or, with no ``w0``, a raw symmetric matrix
-    (eigendecomposed in full). ``m`` is the dense d_out-by-d_in ``M`` or its
-    factors ``(V*, C)`` with ``M = V* C^T`` (d_out by m and d_in by m): then
-    ``M V = V* (C^T V)`` and the complement is
-    ``(V* / (b + lam)) (C^T - (C^T V) V^T)``. The complement and the
-    residual are evaluated in blocks of rows of the stored ``D``, each with
-    its rows of ``M``, in two reusable block buffers: one for the rows of a
-    factored ``M``, one for the complement and then the residual. So beside
-    ``D`` the solve forms no d_out-by-d_in array: neither the dense ``M``,
-    nor ``W0 A``, nor ``D A``. The residual is relative to the norm of the
-    right-hand side, taken as ``|M|^2 - |M V|^2 + |M V - (W0 V) d'|^2``.
+    With diagonal ``B``, ``A = lam*I + V diag(mu) V^T`` and ``M`` in the
+    span of ``V`` the system decouples entrywise:
+    ``D = ((M V - (W0 V) diag(mu)) / (b + lam + mu)) V^T``. ``w0`` is the
+    d_out-by-d_in ``W0`` (``None`` is zero: ``B W + W A = M``). ``a`` is a
+    ``StabilizerA`` (no d_in-by-d_in array is formed) or, with no ``w0``, a
+    raw symmetric matrix (eigendecomposed in full). ``m`` is ``M`` as its
+    factors ``(V*, C)``, ``M = V* C^T``, so ``M V = V* (C^T V)``; a dense
+    d_out-by-d_in ``M`` needs a ``V`` that spans d_in. ``build_a`` puts the
+    concepts in the span of ``V``, so the part of ``M`` outside it is
+    round-off, and it is not solved for.
+
+    The residual, relative to ``|M V - (W0 V) diag(mu)|``, is taken from
+    the stored ``D`` a block of rows at a time in two block buffers, so no
+    other d_out-by-d_in array is formed. A block is
+    ``(B + lam) D + ((D V + W0 V) diag(mu) - M V) V^T``, with a dense ``M``
+    subtracted after the product, or ``B D + D A - M`` for a raw matrix.
+    Where ``V`` does not span d_in, the bound ``|V*| |C^T - (C^T V) V^T|``
+    on the part of ``M`` outside the span is added, so the result is an
+    upper bound.
     """
     b_vals = _b_vector(b_diag)
     stab, a_res = _split_a(a)
     vecs, vals = stab.eig
     d_out, d_in = b_vals.shape[0], vecs.shape[0]
-    # M = left @ right_t, with no left factor (the identity) for a dense M
     if isinstance(m, tuple):
-        left, c = as_matrix(m[0], "v_star"), as_matrix(m[1], "c")
-        if left.shape[0] != d_out or c.shape != (d_in, left.shape[1]):
-            raise ValueError(f"factors {left.shape}, {c.shape} do not multiply to {d_out}x{d_in}")
-        right_t = c.T
+        v_star, c = as_matrix(m[0], "v_star"), as_matrix(m[1], "c")
+        if v_star.shape[0] != d_out or c.shape != (d_in, v_star.shape[1]):
+            raise ValueError(f"factors {v_star.shape}, {c.shape} do not multiply to {d_out}x{d_in}")
+        c_v, m_, outside = c.T @ vecs, None, 0.0
+        m_v = v_star @ c_v
+        if stab.rank < d_in:
+            rest = c_v @ vecs.T
+            np.subtract(c.T, rest, out=rest)  # C^T outside the span of V, m by d_in
+            outside = float(np.linalg.norm(v_star)) * float(np.linalg.norm(rest))
+            del rest
     else:
-        left, right_t = None, as_matrix(m, "m")
-        if right_t.shape != (d_out, d_in):
-            raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {right_t.shape}")
+        if stab.rank < d_in:
+            raise ValueError(
+                f"a basis of rank {stab.rank} < d_in = {d_in} spans only part of M: "
+                "pass M as its factors (v_star, c)"
+            )
+        m_ = as_matrix(m, "m")
+        if m_.shape != (d_out, d_in):
+            raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
+        m_v, outside = m_ @ vecs, 0.0
     if w0 is None:
         w0_v = np.zeros((d_out, vecs.shape[1]))
     elif a_res is not stab:
@@ -269,37 +269,35 @@ def sylvester_solve_spectral(b_diag, a, m, w0=None) -> EditSolution:
         raise ValueError(
             f"ill-posed system: smallest eigenvalue sum {min_denom:.6e} is below 1e-12"
         )
-    right_v = right_t @ vecs
-    m_v = right_v if left is None else left @ right_v
-    rhs_v = w0_v * (vals - stab.lam)
+    mu = vals - stab.lam
+    rhs_v = w0_v * mu
     np.subtract(m_v, rhs_v, out=rhs_v)  # the right-hand side times V
-    # |rhs|^2 = |M|^2 - |M V|^2 + |rhs V|^2; the last two cancel exactly at W0 = 0
-    num2, den2 = 0.0, float(np.vdot(rhs_v, rhs_v)) - float(np.vdot(m_v, m_v))
     del m_v
+    den = float(np.linalg.norm(rhs_v))
     rhs_v /= b_vals[:, None] + vals[None, :]
     w = rhs_v @ vecs.T
     del rhs_v
-    complement = stab.rank < d_in
-    if complement and left is not None:
-        rest = right_t - right_v @ vecs.T  # the complement's right factor, m by d_in
-    out_buf, m_buf = (np.empty((min(d_out, _SOLVE_ROWS), d_in)) for _ in range(2))
+    num2 = 0.0
+    out_buf, scratch_buf = (np.empty((min(d_out, _SOLVE_ROWS), d_in)) for _ in range(2))
     for i in range(0, d_out, _SOLVE_ROWS):
         rows = slice(i, i + _SOLVE_ROWS)
         w_blk, b_blk = w[rows], b_vals[rows, None]
-        out, scratch = out_buf[: len(w_blk)], m_buf[: len(w_blk)]
-        m_blk = right_t[rows] if left is None else np.matmul(left[rows], right_t, out=scratch)
-        if complement:
-            shift = b_blk + stab.lam
-            if left is None:
-                np.matmul(right_v[rows], vecs.T, out=out)
-                np.subtract(m_blk, out, out=out)  # M - M V V^T on the block
-                out /= shift
-            else:
-                np.matmul(left[rows] / shift, rest, out=out)
-            w_blk += out
-        den2 += float(np.vdot(m_blk, m_blk))
-        num2 += _squared_residual(a_res, b_blk, w_blk, m_blk, out, scratch, w0_v[rows])
-    return EditSolution(w, _relative(num2, max(den2, 0.0)), min_denom)
+        out, scratch = out_buf[: len(w_blk)], scratch_buf[: len(w_blk)]
+        if a_res is not stab:
+            m_blk = v_star[rows] @ c.T if m_ is None else m_[rows]
+            num2 += _dense_squared_residual(a_res, b_blk, w_blk, m_blk, out, scratch)
+            continue
+        x = w_blk @ vecs
+        x += w0_v[rows]
+        x *= mu
+        if m_ is None:
+            x -= v_star[rows] @ c_v
+        np.matmul(x, vecs.T, out=out)
+        if m_ is not None:
+            out -= m_[rows]
+        out += np.multiply(b_blk + stab.lam, w_blk, out=scratch)
+        num2 += float(np.vdot(out, out))
+    return EditSolution(w, _relative(math.sqrt(num2) + outside, den), min_denom)
 
 
 def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
@@ -320,10 +318,10 @@ def sylvester_solve_kronecker(b_diag, a, m) -> EditSolution:
     lhs = kron_assemble(np.eye(d_in), np.diag(b_vals)) + kron_assemble(a_mat.T, np.eye(d_out))
     vec_w = np.linalg.solve(lhs, m_.flatten(order="F"))
     w = vec_w.reshape((d_out, d_in), order="F")
-    num2 = _squared_residual(
-        a_mat, b_vals[:, None], w, m_, np.empty_like(w), np.empty_like(w), None
+    num2 = _dense_squared_residual(
+        a_mat, b_vals[:, None], w, m_, np.empty_like(w), np.empty_like(w)
     )
-    return EditSolution(w, _relative(num2, float(np.vdot(m_, m_))), min_denom)
+    return EditSolution(w, _relative(math.sqrt(num2), float(np.linalg.norm(m_))), min_denom)
 
 
 def objective_value(w, a, b_diag, m) -> float:

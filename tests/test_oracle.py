@@ -49,14 +49,18 @@ class TestGdMinimize:
 
     def test_matches_factored_stabilizer(self):
         # the oracle works on the dense A the factored stabilizer builds on
-        # demand, so agreement checks the low-rank solve against plain descent
+        # demand, so agreement checks the low-rank solve against plain
+        # descent; M's concepts lie in the span of the stabilizer's, as in
+        # an edit
         rng = np.random.default_rng(3)
         for d_in, tokens in ((24, 1), (6, 3)):
             ctx = [rng.standard_normal((tokens, d_in)) for _ in range(3)]
-            stab = build_a(ctx, 3.0 * rng.standard_normal((d_in, 3)), lam_scale=0.1)
+            concepts = 3.0 * rng.standard_normal((d_in, 3))
+            stab = build_a(ctx, concepts, lam_scale=0.1)
             b = rng.uniform(0, 1, 4)
-            m = rng.standard_normal((4, d_in))
-            closed = sylvester_solve_spectral(b, stab, m).w_star
+            factors = rng.standard_normal((4, 2)), concepts @ rng.standard_normal((3, 2))
+            m = factors[0] @ factors[1].T
+            closed = sylvester_solve_spectral(b, stab, factors).w_star
             tol = 1e-6 * max(1.0, float(np.linalg.norm(m)))
             w = gd_minimize(stab, b, m, OracleConfig(grad_tol=tol))
             assert np.linalg.norm(w - closed) / np.linalg.norm(closed) < 1e-4

@@ -366,6 +366,37 @@ class TestRunEdit:
         assert report.sylvester_residual <= 1e-8
         assert np.array_equal(w, refine_weights(sol.w_star, model.w0, report.config["beta"]))
 
+    @pytest.mark.parametrize(
+        "regime", ["768x320", "256x128-noise0", "256x128-noise0.001", "gate-underflow"]
+    )
+    def test_residual_bounds_the_dense_residual(self, regime):
+        # the reported residual is the residual in the span of V plus a bound
+        # on M outside it, so it sits above the residual of the stored edit
+        # against the dense A, and both are round-off
+        if regime == "gate-underflow":
+            model = small_model(seed=8, embed_scale=800.0)
+            rng = np.random.default_rng(9)
+            contexts = [rng.standard_normal((1, 48)) for _ in range(4)]
+        else:
+            if regime == "768x320":
+                spec = SyntheticModelSpec(d_in=768, d_out=320, m_targets=50, seed=42)
+            else:
+                noise = float(regime.removeprefix("256x128-noise"))
+                spec = SyntheticModelSpec(
+                    d_in=256, d_out=128, m_targets=20, tokens_per_concept=2,
+                    noise_scale=noise, seed=3,
+                )  # fmt: skip
+            model = generate_model(spec)
+            contexts = model.contexts
+        inputs = (model.w0, model.erase_spec, contexts, model.features, model.labels)
+        stab, dec, sol = solve_stages(*inputs)
+        assert stab.rank < model.w0.shape[1]
+        a = stab.a
+        rhs = anchored_rhs(model.w0, model.erase_spec, a, stab.lam)
+        d = sol.w_star
+        dense = np.linalg.norm(dec.alpha[:, None] * d + d @ a - rhs) / np.linalg.norm(rhs)
+        assert dense <= sol.residual <= 3e-14
+
     def test_degenerate_alpha_solves_w_a_equals_m(self):
         # constant decoupler features binarize to one state on every channel,
         # so every channel scores zero mutual information, alpha is zero and

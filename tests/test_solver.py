@@ -102,6 +102,16 @@ class TestSpectral:
         sol = sylvester_solve_spectral(b, stab, m)
         assert sol.residual < 1e-12
 
+    def test_raw_matrix_takes_factors(self):
+        rng = np.random.default_rng(24)
+        a = random_spd(rng, 6)
+        b = rng.uniform(0, 1, 4)
+        v_star, c = rng.standard_normal((4, 2)), rng.standard_normal((6, 2))
+        got = sylvester_solve_spectral(b, a, (v_star, c))
+        want = sylvester_solve_spectral(b, a, v_star @ c.T)
+        assert rel_err(got.w_star, want.w_star) < 1e-12
+        assert got.residual < 1e-12
+
     def test_rejects_negative_b(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sylvester_solve_spectral(np.array([-0.1]), np.eye(1), np.eye(1))
@@ -117,15 +127,16 @@ class TestSpectral:
 
     @pytest.mark.parametrize("factored", [True, False], ids=["factored-m", "dense-m"])
     def test_scratch_is_two_row_blocks(self, factored):
-        # beside the edit D, the d_out-by-k products with V and the
-        # stabilizer basis V (made before the solve), the complement and the
-        # anchored residual take two 256-row blocks of d_in: the rows of a
-        # factored M, and the complement, then the residual
+        # beside the edit D, the stabilizer basis V (made before the solve)
+        # and at most three d_out-by-k products with V at a time, the
+        # anchored residual takes two 256-row blocks of d_in. A dense M needs
+        # a basis that spans d_in, so k = d_in there.
         rng = np.random.default_rng(23)
         d_out, d_in, m = 512, 1024, 8
         c = rng.standard_normal((d_in, m))
-        stab = build_a([rng.standard_normal((4, d_in)) for _ in range(4)], c, lam_scale=0.1)
-        assert stab.rank < d_in  # the complement is evaluated
+        tokens = 4 if factored else d_in // 4
+        stab = build_a([rng.standard_normal((tokens, d_in)) for _ in range(4)], c, lam_scale=0.1)
+        assert (stab.rank < d_in) == factored
         b = rng.uniform(0.0, 1.0, d_out)
         v_star = rng.standard_normal((d_out, m))
         w0 = rng.standard_normal((d_out, d_in))
@@ -138,8 +149,30 @@ class TestSpectral:
             tracemalloc.stop()
         block = 256 * d_in * 8
         extra = peak - sol.w_star.nbytes
-        assert extra <= 2.25 * block
+        assert extra <= 2 * block + 3.25 * d_out * stab.rank * 8
         assert sol.residual < 1e-12
+
+    def test_dense_m_needs_a_complete_basis(self):
+        stab, b, m, _ = anchored_case(*ANCHORED_CASES["k<d_in"])
+        with pytest.raises(ValueError, match=r"factors \(v_star, c\)"):
+            sylvester_solve_spectral(b, stab, m[0] @ m[1].T)
+
+    def test_factors_outside_the_basis_show_in_the_residual(self):
+        # C off the span of V: the solve drops the part outside it, and the
+        # residual reports at least that part's share of the right-hand side
+        stab, b, (v_star, c), _ = anchored_case(*ANCHORED_CASES["k<d_in"])
+        vecs = stab.eig.eigvecs
+        rng = np.random.default_rng(6)
+        off = rng.standard_normal(c.shape)
+        off -= vecs @ (vecs.T @ off)
+        for scale in (1e-8, 1e-3, 1.0):
+            c_off = c + scale * off
+            sol = sylvester_solve_spectral(b, stab, (v_star, c_off))
+            rhs = v_star @ c_off.T
+            outside = np.linalg.norm(v_star @ (scale * off).T) / np.linalg.norm(rhs)
+            assert sol.residual >= outside
+            dense = b[:, None] * sol.w_star + sol.w_star @ stab.a - rhs
+            assert sol.residual >= np.linalg.norm(dense) / np.linalg.norm(rhs)
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="must be"):
@@ -151,14 +184,15 @@ class TestSpectral:
 def anchored_case(d_in, tokens, m, d_out=7, seed=0):
     """A stabilizer, decoupler, factored M and W0 for one anchored edit.
 
-    The right-hand side's concepts are drawn apart from the stabilizer's,
-    so ``M`` has a complement where k < d_in.
+    The right-hand side's two concepts are random combinations of the
+    stabilizer's, so they lie in the span of its basis, as in an edit.
     """
     rng = np.random.default_rng(seed)
     ctx = [rng.standard_normal((tokens, d_in)) for _ in range(m)]
-    stab = build_a(ctx, 3.0 * rng.standard_normal((d_in, m)), lam_scale=0.1)
+    concepts = 3.0 * rng.standard_normal((d_in, m))
+    stab = build_a(ctx, concepts, lam_scale=0.1)
     b = rng.uniform(0.0, 1.0, d_out)
-    v_star, c = rng.standard_normal((d_out, 2)), rng.standard_normal((d_in, 2))
+    v_star, c = rng.standard_normal((d_out, 2)), concepts @ rng.standard_normal((m, 2))
     return stab, b, (v_star, c), rng.standard_normal((d_out, d_in))
 
 
@@ -168,7 +202,7 @@ def shifted_rhs(stab, m, w0):
     return m[0] @ m[1].T - w0 @ (a - stab.lam * np.eye(a.shape[0]))
 
 
-# (d_in, tokens, m): k = T + m below d_in (a complement) and at d_in (none).
+# (d_in, tokens, m): k = T + m below and at d_in.
 ANCHORED_CASES = {"k<d_in": (30, 2, 3), "k=d_in": (12, 2, 4)}
 
 
@@ -180,7 +214,8 @@ class TestAnchored:
         stab, b, m, w0 = anchored_case(*ANCHORED_CASES[case])
         rhs = shifted_rhs(stab, m, w0)
         want = sylvester_solve_kronecker(b, stab, rhs).w_star
-        for given in (m, m[0] @ m[1].T):
+        # a dense M needs a basis that spans d_in
+        for given in (m, m[0] @ m[1].T)[: 1 + (stab.rank == w0.shape[1])]:
             sol = sylvester_solve_spectral(b, stab, given, w0)
             assert rel_err(sol.w_star, want) < 1e-10
             dense = b[:, None] * sol.w_star + sol.w_star @ stab.a - rhs

@@ -172,6 +172,8 @@ class TestRelativeLambda:
 def factored_case(d_in, tokens, m, d_out=5, seed=0, stack=None):
     """Contexts, concepts, decoupler and right-hand side for one edit system.
 
+    The right-hand side is ``M = V* C^T`` as its factors, with the columns
+    of ``C`` random combinations of the concepts, so in the basis's span.
     ``stack`` makes the token stack exactly rank deficient: ``"duplicated"``
     repeats every group's tokens, ``"zero"`` zeroes the first token, which
     leaves the QR's first column zero and its first reflector the identity
@@ -184,7 +186,8 @@ def factored_case(d_in, tokens, m, d_out=5, seed=0, stack=None):
     elif stack == "zero":
         ctx[0][0] = 0.0
     c = 3.0 * rng.standard_normal((d_in, m))
-    return ctx, c, rng.uniform(0.0, 1.0, d_out), rng.standard_normal((d_out, d_in))
+    rhs = rng.standard_normal((d_out, 2)), c @ rng.standard_normal((m, 2))
+    return ctx, c, rng.uniform(0.0, 1.0, d_out), rhs
 
 
 def dense_reference(ctx, c, lam=None):
@@ -240,26 +243,30 @@ class TestBuildA:
 
     @pytest.mark.parametrize("case", ["k<d_in", "k>d_in"])
     def test_factored_rhs_matches_dense_rhs(self, case):
-        # M = V* C^T with C apart from the stabilizer's concepts, so the
-        # complement of V is not empty where k < d_in
+        # M = V* C^T with C in the span of the stabilizer's concepts; a dense
+        # M needs a basis that spans d_in, so where k < d_in it goes to the
+        # dense reference's full eigenbasis
         d_in, tokens, m, _, lam = FACTORED_CASES[case]
-        ctx, c, b, _ = factored_case(d_in, tokens, m)
+        ctx, c, b, (v_star, c_rhs) = factored_case(d_in, tokens, m)
         stab = build_a(ctx, c, lam, SCALE)
-        rng = np.random.default_rng(4)
-        v_star, c_rhs = rng.standard_normal((b.size, 2)), rng.standard_normal((d_in, 2))
         rhs = v_star @ c_rhs.T
         got = sylvester_solve_spectral(b, stab, (v_star, c_rhs))
-        want = sylvester_solve_spectral(b, stab, rhs)
+        want = sylvester_solve_spectral(b, dense_reference(ctx, c, lam), rhs)
         assert rel(got.w_star, want.w_star) < 1e-12
         assert got.residual < 1e-12
+        if stab.rank < d_in:
+            with pytest.raises(ValueError, match="factors"):
+                sylvester_solve_spectral(b, stab, rhs)
+        else:
+            assert rel(sylvester_solve_spectral(b, stab, rhs).w_star, want.w_star) < 1e-12
         with pytest.raises(ValueError, match="do not multiply"):
             sylvester_solve_spectral(b, stab, (v_star, c_rhs[:-1]))
 
     def test_zero_target_solves_to_zero(self):
-        ctx, c, b, rhs = factored_case(30, 2, 3)
+        ctx, c, b, (v_star, c_rhs) = factored_case(30, 2, 3)
         stab = build_a(ctx, c, lam_scale=SCALE)
-        sol = sylvester_solve_spectral(b, stab, np.zeros_like(rhs))
-        assert np.array_equal(sol.w_star, np.zeros_like(rhs))
+        sol = sylvester_solve_spectral(b, stab, (np.zeros_like(v_star), c_rhs))
+        assert np.array_equal(sol.w_star, np.zeros((b.size, 30)))
         assert sol.residual == 0.0
 
     def test_spectrum_matches_dense_eigenvalues(self):
@@ -273,9 +280,10 @@ class TestBuildA:
             assert stab.eig_min >= stab.lam - 1e-8
 
     def test_times_is_the_dense_product(self):
-        ctx, c, _, rhs = factored_case(40, 2, 3)
+        ctx, c, _, _ = factored_case(40, 2, 3)
         stab = build_a(ctx, c, lam_scale=SCALE)
-        assert rel(stab.times(rhs), rhs @ dense_reference(ctx, c).a) < 1e-13
+        w = np.random.default_rng(1).standard_normal((5, 40))
+        assert rel(stab.times(w), w @ dense_reference(ctx, c).a) < 1e-13
 
     def test_rejects_zero_context_energy(self):
         with pytest.raises(ValueError, match="positive trace"):
