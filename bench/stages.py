@@ -1,13 +1,16 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_21.json --reference BENCH_19.json
+    python bench/stages.py --out BENCH_23.json --reference BENCH_22.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
 edited with the default `EditConfig`: `--runs` timed runs give the median
 wall time and the median of each stage's `stage_ms`; one more, untimed run
 under tracemalloc gives the traced peak and the memory still held after it
-returns (the result kept alive). The quality numbers are those of that run.
+returns (the result kept alive). The quality numbers are those of that run;
+where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit at full
+size) the stages are rerun and the exact residual of the edit against the
+dense A is recorded as `dense_residual`, beside the report's estimate.
 Each of these edits builds its stabilizer: the slot that keeps the last one
 is emptied before it. The shared-concepts edit follows: one concept set
 (the seed-42 model at the cross-attention shape) and one `W0` per
@@ -55,8 +58,10 @@ import numpy as np  # noqa: E402
 from scapre import cli  # noqa: E402
 from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
 from scapre.informax import build_decoupler  # noqa: E402
-from scapre.pipeline import EditConfig, _clear_stabilizer_slot, run_edit  # noqa: E402
-from scapre.smatio import SmatRows, read_smat  # noqa: E402
+from scapre.pipeline import EditConfig, _clear_stabilizer_slot, _environment, run_edit  # noqa: E402
+from scapre.smatio import SmatRows, load_manifest, read_smat  # noqa: E402
+from scapre.solver import resolve_v_star, sylvester_solve_spectral  # noqa: E402
+from scapre.stabilizer import build_a  # noqa: E402
 
 MIB = 2**20
 SEED = 42
@@ -77,6 +82,8 @@ LAM_SCALES = (0.03, 0.05, 0.07, 0.1, 0.15)
 BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 RULE_RATIO = 1.05
 RULE_BETA = 0.5
+# The largest d_in whose d_in x d_in A is formed for the exact residual.
+DENSE_MAX_D_IN = 1024
 
 
 def _traced(fn):
@@ -88,6 +95,24 @@ def _traced(fn):
     finally:
         tracemalloc.stop()
     return result, peak / MIB, held / MIB
+
+
+def dense_residual(w0, spec, contexts, features, labels, cfg) -> float | None:
+    """The exact relative residual of ``run_edit``'s solve against the dense ``A``.
+
+    The stages are rerun as ``run_edit`` runs them, so the edit ``D`` is
+    the one whose residual the report estimates. None where d_in exceeds
+    ``DENSE_MAX_D_IN``.
+    """
+    if w0.shape[1] > DENSE_MAX_D_IN:
+        return None
+    stab = build_a(contexts, spec.concepts, cfg.lam, cfg.lam_scale)
+    alpha = build_decoupler(w0, features, labels).alpha
+    v_star = resolve_v_star(w0, spec)
+    d = sylvester_solve_spectral(alpha, stab, (v_star, spec.concepts), w0).w_star
+    a = stab.a
+    rhs = v_star @ spec.concepts.T - w0 @ (a - stab.lam * np.eye(len(a)))
+    return float(np.linalg.norm(alpha[:, None] * d + d @ a - rhs) / np.linalg.norm(rhs))
 
 
 def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
@@ -125,6 +150,9 @@ def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
         "max_erasure_err": report.max_erasure_err,
         "median_preserve_err": report.median_preserve_err,
         "sylvester_residual": report.sylvester_residual,
+        "dense_residual": dense_residual(
+            model.w0, model.erase_spec, model.contexts, model.features, model.labels, cfg
+        ),
         "alpha": {
             "min": float(alpha.min()),
             "median": float(np.median(alpha)),
@@ -196,9 +224,14 @@ def bench_cli(d_in, d_out, m) -> dict:
         samples = Path(tmp) / "samples_features.smat"
         features = read_smat(samples)
         _, array_peak, _ = _traced(lambda: build_decoupler(w0, features, labels))
-        del features
         with SmatRows(samples) as rows:
             _, file_peak, _ = _traced(lambda: build_decoupler(w0, rows, labels))
+        manifest = load_manifest(Path(tmp) / "manifest.json")
+        spec = cli._erase_spec_from_manifest(manifest, read_smat(manifest.inputs["concepts"]))
+        contexts = cli._split_contexts(
+            read_smat(manifest.inputs["contexts"]), manifest.inputs["context_groups"]
+        )
+        exact = dense_residual(w0, spec, contexts, features, labels, manifest.cfg)
     return {
         "d_in": d_in,
         "d_out": d_out,
@@ -212,6 +245,7 @@ def bench_cli(d_in, d_out, m) -> dict:
         "max_erasure_err": report["max_erasure_err"],
         "median_preserve_err": report["median_preserve_err"],
         "sylvester_residual": report["sylvester_residual"],
+        "dense_residual": exact,
     }
 
 
@@ -292,7 +326,7 @@ def run(size: str, runs: int, reference: dict | None = None) -> dict:
             "m_preserved": M_PRESERVED,
             "edit_config": EditConfig().to_dict(),
         },
-        "environment": {"python": platform.python_version(), **cli._environment()},
+        "environment": {"python": platform.python_version(), **_environment()},
         "shapes": [bench_shape(*shape, runs) for shape in SHAPES[size]],
         "shared_concepts": bench_shared(*SHARED_SHAPE[size], runs),
         "cli_edit": bench_cli(*CLI_SHAPE[size]),

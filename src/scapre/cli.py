@@ -13,7 +13,6 @@ import argparse
 import csv as _csv
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -92,18 +91,6 @@ def _erase_spec_from_manifest(manifest: RunManifest, concepts):
     raise ManifestError("substitute-target mode needs inputs.substitutes or inputs.v_star")
 
 
-def _environment() -> dict:
-    """NumPy version, its BLAS build and the BLAS thread settings, for the report."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # older NumPy only prints its build configuration
-        blas = {}
-    env = {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = os.environ.get(var)
-    return env
-
-
 def cmd_edit(args) -> int:
     manifest = load_manifest(args.manifest)
     w0 = read_smat(manifest.inputs["w0"])
@@ -126,7 +113,6 @@ def cmd_edit(args) -> int:
     write_smat(manifest.outputs["weights"], w_edit)
     doc = report.to_dict()
     doc["seed"] = manifest.seed
-    doc["environment"] = _environment()
     doc["outputs"] = {k: str(v) for k, v in manifest.outputs.items()}
     write_report(manifest.outputs["report"], doc)
     write_csv(manifest.outputs["csv"], [sweep_row(f"edit-seed{manifest.seed}", report)])

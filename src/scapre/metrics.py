@@ -204,12 +204,14 @@ def probe_scores(w_edited, w0, targets: EraseSpec, preserved=None, *, v_star=Non
     v = resolve_v_star(w0_, targets) if v_star is None else np.asarray(v_star)
     if v.shape != (w0_.shape[0], targets.n_concepts):
         raise ValueError(f"v_star shape {v.shape} is not ({w0_.shape[0]}, {targets.n_concepts})")
-    erasure, excluded_t = _relative_errors(w_ @ targets.concepts - v, w0_ @ targets.concepts)
-    if preserved is None:
-        return ProbeScores(erasure, np.empty(0), excluded_t, ())
-    p = validate_concepts(preserved, "preserved")
-    if p.shape[0] != w0_.shape[1]:
-        raise ValueError(f"probe length {p.shape[0]} does not match w0 ({w0_.shape[1]})")
-    w0_p = w0_ @ p
-    preservation, excluded_p = _relative_errors(w_ @ p - w0_p, w0_p)
+    c, m = targets.concepts, targets.n_concepts
+    if preserved is not None:
+        p = validate_concepts(preserved, "preserved")
+        if p.shape[0] != w0_.shape[1]:
+            raise ValueError(f"probe length {p.shape[0]} does not match w0 ({w0_.shape[1]})")
+        c = np.hstack([c, p])
+    w_c, w0_c = w_ @ c, w0_ @ c
+    erasure, excluded_t = _relative_errors(w_c[:, :m] - v, w0_c[:, :m])
+    # with no probes the columns past m are none, and so are the errors
+    preservation, excluded_p = _relative_errors(w_c[:, m:] - w0_c[:, m:], w0_c[:, m:])
     return ProbeScores(erasure, preservation, excluded_t, excluded_p)

@@ -7,8 +7,10 @@ weights, the line step back toward them, probe scoring. Every run returns
 the edited weights plus a self-describing report.
 """
 
+import functools
 import hashlib
 import math
+import os
 import threading
 import time
 import warnings
@@ -127,6 +129,19 @@ def _clear_stabilizer_slot() -> None:
         _stabilizer_slot = None
 
 
+@functools.cache
+def _environment() -> dict[str, Any]:
+    """NumPy version, its BLAS build and the BLAS thread settings, read once per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # older NumPy only prints its build configuration
+        blas = {}
+    env = {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = os.environ.get(var)
+    return env
+
+
 @dataclass(frozen=True)
 class EditConfig:
     """Run settings echoed into every report.
@@ -190,14 +205,16 @@ class EditReport:
     ``bures_before``, ``bures_after`` and ``refinement_rank`` are NaN (null
     in JSON): the anchored edit has full rank, so they would cost a
     d_out-sized decomposition, and no stage needs them; the names stay for
-    the benchmark. ``sylvester_residual`` bounds the relative residual of
-    the anchored equation for the edit ``D = W* - W0`` from above: the
-    residual in the span of the stabilizer basis plus a bound on the part
-    of ``M`` outside it. ``stabilizer_reused`` is true when the
-    edit took the stabilizer that the previous build made from the same
-    contexts, concepts and ridge settings. ``stage_ms`` is the wall time of
-    each stage in milliseconds; ``config`` echoes the ``EditConfig`` and
-    ``lam`` is the ridge it resolved to.
+    the benchmark. ``sylvester_residual`` is a deterministic 16-column
+    estimate of the relative residual of the whole anchored equation for
+    the edit ``D = W* - W0``, within [1/2, 2] times the true value except
+    with probability about 1.1e-3; ``<= 1e-8`` is checked on it.
+    ``stabilizer_reused`` is true when the edit took the stabilizer that the
+    previous build made from the same contexts, concepts and ridge
+    settings. ``stage_ms`` is the wall time of each stage in milliseconds;
+    ``config`` echoes the ``EditConfig`` and ``lam`` is the ridge it
+    resolved to; ``environment`` is the NumPy/BLAS configuration, read once
+    per process.
     """
 
     m: int
@@ -228,11 +245,11 @@ class EditReport:
     wall_ms: float
     stage_ms: dict[str, float]
     config: dict[str, Any]
+    environment: dict[str, Any]
     intermediates: EditIntermediates | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
-        out = {k: v for k, v in self.__dict__.items() if k != "intermediates"}
-        return out
+        return {k: v for k, v in self.__dict__.items() if k != "intermediates"}
 
 
 def run_edit(
@@ -337,6 +354,7 @@ def run_edit(
         wall_ms=(time.perf_counter() - t0) * 1e3,
         stage_ms=stage_ms,
         config=cfg.to_dict(),
+        environment=dict(_environment()),
         intermediates=EditIntermediates(dec),
     )
     return w, report

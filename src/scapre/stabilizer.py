@@ -210,11 +210,13 @@ def build_a(
 
     With ``G`` the stacked context tokens and ``C = U diag(sigma) W^T`` the
     thin SVD of the concepts, ``S + R = G^T G + U diag(gate(sigma)) U^T``.
-    A Householder QR ``[G^T, C] = Q [R_G, R_C]`` (k = T+m columns) keeps Q
-    as its reflectors; ``C = Q R_C`` gives ``sigma`` and ``U = Q U_c`` from
-    the SVD of the k-by-m ``R_C``, and one k-by-k eigendecomposition
-    ``R_G R_G^T + U_c diag(gate(sigma)) U_c^T = E diag(mu) E^T`` the basis
-    ``V = Q E``, applied from the reflectors, with eigenvalues ``lam + mu``.
+    A Householder QR ``[C, G^T] = Q [R_C, R_G]`` (k = T+m columns) keeps Q
+    as its reflectors. ``R_C`` is zero below its m-by-m triangle ``T_C``, so
+    the SVD of ``T_C`` gives ``sigma`` and ``U = Q[:, :m] U_c``, and one
+    k-by-k eigendecomposition of ``R_G R_G^T`` plus
+    ``U_c diag(gate(sigma)) U_c^T`` in its top corner, ``E diag(mu) E^T``,
+    gives the basis ``V = Q E``, applied from the reflectors, with
+    eigenvalues ``lam + mu``.
     ``V`` spans the concepts whatever the gates: an underflowed gate leaves
     its direction in the basis with eigenvalue ``lam``. When T+m >= d_in,
     ``Q`` would be square and ``G^T G + U diag(gate(sigma)) U^T`` is
@@ -230,9 +232,9 @@ def build_a(
     d_in = groups[0].shape[1]
     if c.shape[0] != d_in:
         raise ValueError(f"concepts have length {c.shape[0]}, contexts have {d_in}")
-    xt = np.vstack([*groups, c.T])  # the rows [G; C^T]: X = [G^T, C] in Fortran order
-    n_tok = len(xt) - c.shape[1]
-    g = xt[:n_tok]
+    m = c.shape[1]
+    xt = np.vstack([c.T, *groups])  # the rows [C^T; G]: X = [C, G^T] in Fortran order
+    g = xt[m:]
     if lam is None:
         lam = _ridge(float(np.vdot(g, g)), d_in, lam_scale)
     if not 0.0 < lam < math.inf:
@@ -246,9 +248,12 @@ def build_a(
         return _checked(lam, SpectralDecomposition(low.eigvecs, lam + low.eigvals))
     h, tau = np.linalg.qr(xt.T, mode="raw")
     del xt, g  # h holds all that is used from here: the reflectors and R
-    r = np.triu(h[:, : len(h)].T)  # [R_G, R_C], k by k
-    r_g, dec = r[:, :n_tok], svd(r[:, n_tok:])
-    low = sym_eig(r_g @ r_g.T + (dec.u * gate_singular(dec.sigma)) @ dec.u.T)
+    r = np.triu(h[:, : len(h)].T)  # [R_C, R_G], k by k; R_C is zero below row m
+    r_g, dec = r[:, m:], svd(r[:m, :m])
+    xdxt = r_g @ r_g.T
+    xdxt[:m, :m] += (dec.u * gate_singular(dec.sigma)) @ dec.u.T
+    low = sym_eig(xdxt)
+    del r, r_g, xdxt  # the reflectors in h and E are all the basis needs
     v = _reflector_basis(h, tau, low.eigvecs)
     return _checked(lam, SpectralDecomposition(v, lam + low.eigvals))
 

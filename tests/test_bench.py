@@ -7,7 +7,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SHAPE_KEYS = {
     "d_in", "d_out", "m", "tokens_per_concept", "wall_s", "stage_ms", "traced_peak_mib",
-    "held_after_mib", "max_erasure_err", "median_preserve_err", "sylvester_residual", "alpha",
+    "held_after_mib", "max_erasure_err", "median_preserve_err", "sylvester_residual",
+    "dense_residual", "alpha",
 }  # fmt: skip
 STAGES = {"stabilizer", "informax", "solver", "geometry", "metrics"}
 SHARED_KEYS = {"d_in", "m", "tokens_per_concept", "projections"}
@@ -15,7 +16,7 @@ PROJECTION_KEYS = {"d_out", "wall_s", "stabilizer_ms", "stabilizer_reused"}
 CLI_KEYS = {
     "d_in", "d_out", "m", "beta", "traced_wall_s", "stage_ms", "traced_peak_mib",
     "decoupler_array_peak_mib", "decoupler_file_peak_mib", "max_erasure_err",
-    "median_preserve_err", "sylvester_residual",
+    "median_preserve_err", "sylvester_residual", "dense_residual",
 }  # fmt: skip
 FRONTIER_KEYS = {"config", "shapes", "rule_pick", "chosen_lam_scale"}
 POINT_KEYS = {"lam_scale", "beta", "max_erasure_err", "median_preserve_err", "sylvester_residual"}
@@ -31,6 +32,12 @@ def numbers(value):
             yield from numbers(v)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         yield value
+
+
+def estimate_within_3x(section) -> bool:
+    """The solve's residual estimate within a factor 3 of the exact one, formed at tiny sizes."""
+    exact = section["dense_residual"]
+    return exact / 3 <= section["sylvester_residual"] <= 3 * exact
 
 
 def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
@@ -59,6 +66,7 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
         assert 0.0 <= shape["alpha"]["min"] <= shape["alpha"]["max"] <= 1.0
         assert shape["held_after_mib"] <= shape["traced_peak_mib"]
         assert shape["sylvester_residual"] <= 1e-8
+        assert estimate_within_3x(shape)
     shared = doc["shared_concepts"]
     assert set(shared) == SHARED_KEYS
     projections = shared["projections"]
@@ -67,6 +75,7 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
     # the first edit builds the stabilizer, the later ones take it
     assert [p["stabilizer_reused"] for p in projections] == [False, True, True]
     assert set(doc["cli_edit"]) == CLI_KEYS
+    assert estimate_within_3x(doc["cli_edit"])
     assert set(doc["cli_edit"]["stage_ms"]) == STAGES
     frontier = doc["frontier"]
     assert set(frontier) == FRONTIER_KEYS

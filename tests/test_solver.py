@@ -8,6 +8,8 @@ from scapre.solver import (
     SUBSTITUTE_TARGET,
     ZERO_TARGET,
     EraseSpec,
+    _sketch,
+    _sketched_residual,
     assemble_m,
     baseline_eq2,
     objective_value,
@@ -126,10 +128,11 @@ class TestSpectral:
             sylvester_solve_spectral(np.zeros(2), 1e-13 * np.eye(2), np.ones((2, 2)))
 
     @pytest.mark.parametrize("factored", [True, False], ids=["factored-m", "dense-m"])
-    def test_scratch_is_two_row_blocks(self, factored):
+    def test_scratch_is_k_wide_products_and_a_sketch(self, factored):
         # beside the edit D, the stabilizer basis V (made before the solve)
         # and at most three d_out-by-k products with V at a time, the
-        # anchored residual takes two 256-row blocks of d_in. A dense M needs
+        # residual's sketch takes a few arrays of 16 columns: no block of
+        # rows of D (one of 256 rows would be 2 MiB here). A dense M needs
         # a basis that spans d_in, so k = d_in there.
         rng = np.random.default_rng(23)
         d_out, d_in, m = 512, 1024, 8
@@ -141,15 +144,15 @@ class TestSpectral:
         v_star = rng.standard_normal((d_out, m))
         w0 = rng.standard_normal((d_out, d_in))
         rhs = (v_star, c) if factored else v_star @ c.T
+        sylvester_solve_spectral(b, stab, rhs, w0)  # draws the cached sketch matrix
         tracemalloc.start()
         try:
             sol = sylvester_solve_spectral(b, stab, rhs, w0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = 256 * d_in * 8
         extra = peak - sol.w_star.nbytes
-        assert extra <= 2 * block + 3.25 * d_out * stab.rank * 8
+        assert extra <= 3.25 * d_out * stab.rank * 8 + 4 * 16 * (d_in + d_out) * 8
         assert sol.residual < 1e-12
 
     def test_dense_m_needs_a_complete_basis(self):
@@ -159,7 +162,8 @@ class TestSpectral:
 
     def test_factors_outside_the_basis_show_in_the_residual(self):
         # C off the span of V: the solve drops the part outside it, and the
-        # residual reports at least that part's share of the right-hand side
+        # residual's sketch covers the whole equation, so it reads that
+        # part's share of the right-hand side within a factor 3
         stab, b, (v_star, c), _ = anchored_case(*ANCHORED_CASES["k<d_in"])
         vecs = stab.eig.eigvecs
         rng = np.random.default_rng(6)
@@ -169,10 +173,41 @@ class TestSpectral:
             c_off = c + scale * off
             sol = sylvester_solve_spectral(b, stab, (v_star, c_off))
             rhs = v_star @ c_off.T
-            outside = np.linalg.norm(v_star @ (scale * off).T) / np.linalg.norm(rhs)
-            assert sol.residual >= outside
             dense = b[:, None] * sol.w_star + sol.w_star @ stab.a - rhs
-            assert sol.residual >= np.linalg.norm(dense) / np.linalg.norm(rhs)
+            exact = np.linalg.norm(dense) / np.linalg.norm(rhs)
+            outside = np.linalg.norm(v_star @ (scale * off).T) / np.linalg.norm(rhs)
+            assert exact == pytest.approx(outside, rel=1e-6)
+            assert exact / 3.0 <= sol.residual <= 3.0 * exact
+
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored-m", "dense-m"])
+    def test_raw_a_residual_estimates_the_dense_residual(self, factored):
+        # a raw A is multiplied densely in the sketch: A Omega, not V terms
+        rng = np.random.default_rng(25)
+        a = random_spd(rng, 40)
+        b = rng.uniform(0.0, 1.0, 30)
+        v_star, c = rng.standard_normal((30, 3)), rng.standard_normal((40, 3))
+        m = v_star @ c.T
+        sol = sylvester_solve_spectral(b, a, (v_star, c) if factored else m)
+        exact = np.linalg.norm(b[:, None] * sol.w_star + sol.w_star @ a - m) / np.linalg.norm(m)
+        assert exact / 3.0 <= sol.residual <= 3.0 * exact
+        assert sol.residual < 1e-14
+
+    def test_one_perturbed_entry_shows_in_the_estimate(self):
+        # the estimate reads the stored D: one entry moved by an amount that
+        # gives a dense relative residual of 1e-5 reads above 1e-6
+        stab, b, m, w0 = anchored_case(*ANCHORED_CASES["k<d_in"])
+        d = sylvester_solve_spectral(b, stab, m, w0).w_star.copy()
+        rhs = shifted_rhs(stab, m, w0)
+        rhs_omega = rhs @ _sketch(rhs.shape[1])
+        den = np.linalg.norm(rhs)
+        assert _sketched_residual(b, stab, d, rhs_omega) / den < 1e-13
+        op_row = stab.a[5] + b[3] * np.eye(rhs.shape[1])[5]  # row 3 of R moves by eps times this
+        d[3, 5] += 1e-5 * den / np.linalg.norm(op_row)
+        exact = np.linalg.norm(b[:, None] * d + d @ stab.a - rhs) / den
+        assert exact == pytest.approx(1e-5, rel=1e-6)
+        estimate = _sketched_residual(b, stab, d, rhs_omega) / den
+        assert estimate > 1e-6
+        assert exact / 3.0 <= estimate <= 3.0 * exact
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="must be"):
