@@ -1,28 +1,32 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_23.json --reference BENCH_22.json
+    python bench/stages.py --out BENCH_26.json --reference BENCH_23.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
+One timing rule holds for every section: `--runs` untraced runs give the
+median wall time and the median of each stage's `stage_ms`, and where a
+traced peak is recorded it comes from one more run under tracemalloc,
+whose time is not used.
+
 For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
-edited with the default `EditConfig`: `--runs` timed runs give the median
-wall time and the median of each stage's `stage_ms`; one more, untimed run
-under tracemalloc gives the traced peak and the memory still held after it
-returns (the result kept alive). The quality numbers are those of that run;
-where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit at full
-size) the stages are rerun and the exact residual of the edit against the
-dense A is recorded as `dense_residual`, beside the report's estimate.
-Each of these edits builds its stabilizer: the slot that keeps the last one
-is emptied before it. The shared-concepts edit follows: one concept set
-(the seed-42 model at the cross-attention shape) and one `W0` per
-projection width, edited by consecutive `run_edit` calls from an empty
-slot, as a UCE-style edit of every projection does; `--runs` such
-sequences give each projection's median wall time and stabilizer
-`stage_ms`, and whether it reused the stabilizer. Then one
-`scapre edit` of a `scapre gen` manifest at 512x512, m=300, beta=0 runs
-traced, with its outputs written to a temporary directory, and its
-report's `stage_ms` kept; `build_decoupler` on that manifest's samples runs
-traced too, once given as a loaded array (its bytes not counted) and once
-read from their file.
+edited with the default `EditConfig`; the traced run also gives the memory
+still held after it returns (the result kept alive), and the quality
+numbers. Where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit
+at full size) the stages are rerun and the exact residual of the edit
+against the dense A is recorded as `dense_residual`, beside the report's
+estimate. Each of these edits builds its stabilizer: the slot that keeps
+the last one is emptied before it. The shared-concepts edit follows: one
+concept set (the seed-42 model at the cross-attention shape) and one `W0`
+per projection width, edited by consecutive `run_edit` calls from an
+empty slot, as a UCE-style edit of every projection does; each
+projection's median wall time and stabilizer `stage_ms` are recorded, and
+whether it reused the stabilizer. Then `scapre edit` of a `scapre gen`
+manifest at 512x512, m=300, beta=0, with its outputs written to a
+temporary directory and the stage times read from its report; each run
+empties the slot first, as a new `scapre` process starts with it empty.
+`build_decoupler` on the same seed-42 model's samples runs traced too,
+once given as an array in memory (its bytes not counted) and once read
+from the manifest's file.
 
 Last, the frontier: on every shape above and on the CLI edit's model (the
 seed-42 model `scapre gen` writes), one `run_edit` per point of the grid
@@ -59,7 +63,7 @@ from scapre import cli  # noqa: E402
 from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
 from scapre.informax import build_decoupler  # noqa: E402
 from scapre.pipeline import EditConfig, _clear_stabilizer_slot, _environment, run_edit  # noqa: E402
-from scapre.smatio import SmatRows, load_manifest, read_smat  # noqa: E402
+from scapre.smatio import SmatRows  # noqa: E402
 from scapre.solver import resolve_v_star, sylvester_solve_spectral  # noqa: E402
 from scapre.stabilizer import build_a  # noqa: E402
 
@@ -203,7 +207,14 @@ def bench_shared(d_in, d_outs, m, tokens, runs) -> dict:
     }
 
 
-def bench_cli(d_in, d_out, m) -> dict:
+def bench_cli(d_in, d_out, m, runs) -> dict:
+    """``scapre edit`` of a ``scapre gen`` manifest, timed as the shapes are.
+
+    Each edit starts from an empty stabilizer slot, as a new ``scapre``
+    process does. The dense residual and the decoupler's peaks are taken
+    from the same seed-42 model in memory.
+    """
+    model = generate_model(SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, seed=SEED))
     with tempfile.TemporaryDirectory() as tmp:
         argv = [
             "gen", "--d-in", str(d_in), "--d-out", str(d_out), "--targets", str(m),
@@ -213,32 +224,41 @@ def bench_cli(d_in, d_out, m) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != 0:
                 raise RuntimeError("scapre gen failed")
-            t = time.perf_counter()
-            code, peak, _ = _traced(lambda: cli.main(["edit", str(Path(tmp) / "manifest.json")]))
-            wall = time.perf_counter() - t
-        if code != 0:
-            raise RuntimeError(f"scapre edit exited with {code}")
-        report = json.loads((Path(tmp) / "report.json").read_text())
-        w0 = read_smat(Path(tmp) / "w0.smat")
-        labels = read_smat(Path(tmp) / "samples_labels.smat").ravel()
-        samples = Path(tmp) / "samples_features.smat"
-        features = read_smat(samples)
-        _, array_peak, _ = _traced(lambda: build_decoupler(w0, features, labels))
-        with SmatRows(samples) as rows:
-            _, file_peak, _ = _traced(lambda: build_decoupler(w0, rows, labels))
-        manifest = load_manifest(Path(tmp) / "manifest.json")
-        spec = cli._erase_spec_from_manifest(manifest, read_smat(manifest.inputs["concepts"]))
-        contexts = cli._split_contexts(
-            read_smat(manifest.inputs["contexts"]), manifest.inputs["context_groups"]
-        )
-        exact = dense_residual(w0, spec, contexts, features, labels, manifest.cfg)
+        manifest, report_path = Path(tmp) / "manifest.json", Path(tmp) / "report.json"
+        outputs = [Path(tmp) / name for name in json.loads(manifest.read_text())["outputs"].values()]
+
+        def edit():
+            # no outputs to replace, whose flush would be timed (README,
+            # "Replacing existing outputs costs a disk flush per file")
+            for path in outputs:
+                path.unlink(missing_ok=True)
+            _clear_stabilizer_slot()
+            if cli.main(["edit", str(manifest)]) != 0:
+                raise RuntimeError("scapre edit failed")
+
+        walls, stages = [], []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(runs):
+                t = time.perf_counter()
+                edit()
+                walls.append(time.perf_counter() - t)
+                stages.append(json.loads(report_path.read_text())["stage_ms"])
+            _, peak, _ = _traced(edit)
+        report = json.loads(report_path.read_text())
+        _, array_peak, _ = _traced(lambda: build_decoupler(model.w0, model.features, model.labels))
+        with SmatRows(Path(tmp) / "samples_features.smat") as rows:
+            _, file_peak, _ = _traced(lambda: build_decoupler(model.w0, rows, model.labels))
+    exact = dense_residual(
+        model.w0, model.erase_spec, model.contexts, model.features, model.labels,
+        EditConfig(beta=0.0),
+    )  # fmt: skip
     return {
         "d_in": d_in,
         "d_out": d_out,
         "m": m,
         "beta": 0.0,
-        "traced_wall_s": wall,
-        "stage_ms": report["stage_ms"],
+        "wall_s": statistics.median(walls),
+        "stage_ms": _median_stages(stages),
         "traced_peak_mib": peak,
         "decoupler_array_peak_mib": array_peak,
         "decoupler_file_peak_mib": file_peak,
@@ -329,7 +349,7 @@ def run(size: str, runs: int, reference: dict | None = None) -> dict:
         "environment": {"python": platform.python_version(), **_environment()},
         "shapes": [bench_shape(*shape, runs) for shape in SHAPES[size]],
         "shared_concepts": bench_shared(*SHARED_SHAPE[size], runs),
-        "cli_edit": bench_cli(*CLI_SHAPE[size]),
+        "cli_edit": bench_cli(*CLI_SHAPE[size], runs),
         "frontier": frontier(size, reference),
     }
 
@@ -364,8 +384,8 @@ def main(argv=None) -> int:
         )
     c = doc["cli_edit"]
     print(
-        f"scapre edit {c['d_in']}x{c['d_out']} m={c['m']}: "
-        f"geometry {c['stage_ms']['geometry']:.1f} ms, peak {c['traced_peak_mib']:.1f} MiB; "
+        f"scapre edit {c['d_in']}x{c['d_out']} m={c['m']}: {c['wall_s']:.3f} s, "
+        f"peak {c['traced_peak_mib']:.1f} MiB; "
         f"build_decoupler on the array {c['decoupler_array_peak_mib']:.1f} MiB, "
         f"on the file {c['decoupler_file_peak_mib']:.1f} MiB"
     )

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import random_orthonormal, random_spd
 
 from scapre.cli import main as cli_main
 from scapre.geometry import bures_distance, refine_weights
@@ -30,16 +31,6 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number} ({name}): {status}{suffix}")
     assert ok, f"criterion {number} {name} failed{suffix}"
-
-
-def random_spd(rng, n, lam=0.5):
-    g = rng.standard_normal((n, n))
-    return lam * np.eye(n) + g @ g.T / n
-
-
-def random_orthonormal(rng, p, q):
-    m, _ = np.linalg.qr(rng.standard_normal((p, q)))
-    return m
 
 
 def test_criterion_1_closed_form_residuals():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,7 +15,7 @@ STAGES = {"stabilizer", "informax", "solver", "geometry", "metrics"}
 SHARED_KEYS = {"d_in", "m", "tokens_per_concept", "projections"}
 PROJECTION_KEYS = {"d_out", "wall_s", "stabilizer_ms", "stabilizer_reused"}
 CLI_KEYS = {
-    "d_in", "d_out", "m", "beta", "traced_wall_s", "stage_ms", "traced_peak_mib",
+    "d_in", "d_out", "m", "beta", "wall_s", "stage_ms", "traced_peak_mib",
     "decoupler_array_peak_mib", "decoupler_file_peak_mib", "max_erasure_err",
     "median_preserve_err", "sylvester_residual", "dense_residual",
 }  # fmt: skip
@@ -40,10 +41,15 @@ def estimate_within_3x(section) -> bool:
     return exact / 3 <= section["sylvester_residual"] <= 3 * exact
 
 
-def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
+def load_stages():
     spec = importlib.util.spec_from_file_location("stages", ROOT / "bench" / "stages.py")
     stages = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(stages)
+    return stages
+
+
+def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
+    stages = load_stages()
     out = tmp_path / "bench.json"
     # a reference every grid point meets: the rule picks the largest lam_scale
     shapes = [dict(zip(("d_in", "d_out", "m"), s), max_erasure_err=1e9) for s in stages.SHAPES["tiny"]]
@@ -92,3 +98,20 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
     assert stages.rule_pick(frontier["shapes"], {"shapes": shapes, "cli_edit": cli}) is None
     found = list(numbers(doc))
     assert found and all(math.isfinite(x) for x in found)
+
+
+def test_cli_edit_runs_as_often_as_the_shapes(monkeypatch):
+    # --runs untraced edits give the times and stage_ms, one traced edit the peak
+    stages = load_stages()
+    edits = []
+    main = stages.cli.main
+
+    def counted(argv):
+        if argv[0] == "edit":
+            edits.append(tracemalloc.is_tracing())
+        return main(argv)
+
+    monkeypatch.setattr(stages.cli, "main", counted)
+    section = stages.bench_cli(*stages.CLI_SHAPE["tiny"], 3)
+    assert edits == [False, False, False, True]
+    assert set(section) == CLI_KEYS and set(section["stage_ms"]) == STAGES

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
+from conftest import random_orthonormal, rel_err
 
 from scapre.geometry import bures_distance, refine_weights
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.matkernel import procrustes, psd_sqrt
 from scapre.metrics import probe_scores
 from scapre.pipeline import EditConfig, run_edit
-
-
-def rel_err(got, want):
-    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
 
 def gram(w):
@@ -25,11 +22,6 @@ def factor_bures(w_star, w0):
 def random_psd(rng, n, rank=None):
     g = rng.standard_normal((n, rank or n))
     return g @ g.T
-
-
-def random_orthonormal(rng, p, q):
-    m, _ = np.linalg.qr(rng.standard_normal((p, q)))
-    return m
 
 
 class TestBuresDistance:

@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import random_orthonormal, rel_err
 
 from scapre.matkernel import (
     KRON_BUDGET,
@@ -13,15 +14,6 @@ from scapre.matkernel import (
     svd,
     sym_eig,
 )
-
-
-def random_orthonormal(rng, p, q):
-    m, _ = np.linalg.qr(rng.standard_normal((p, q)))
-    return m
-
-
-def rel_err(got, want):
-    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
 
 class TestAsMatrix:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_spd
 
 from scapre.informax import JointCounts, channel_mi
 from scapre.oracle import (
@@ -13,11 +14,6 @@ from scapre.oracle import (
 )
 from scapre.solver import sylvester_solve_spectral
 from scapre.stabilizer import build_a
-
-
-def random_spd(rng, n, lam=0.5):
-    g = rng.standard_normal((n, n))
-    return lam * np.eye(n) + g @ g.T / n
 
 
 class TestGdMinimize:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rel_err
 
 from scapre import pipeline
 from scapre.geometry import BW_GEODESIC, refine_weights
@@ -42,10 +43,6 @@ w, rep = run_edit(m.w0, m.erase_spec, m.contexts, m.features, m.labels, preserve
 np.save(sys.argv[1], w)
 print(json.dumps([rep.max_erasure_err, rep.median_preserve_err]))
 """
-
-
-def rel_err(got, want):
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 def small_model(seed=0, **kw):
@@ -332,8 +329,7 @@ class TestRunEdit:
         # stabilizer's k x k, and the only QR is the stabilizer's Householder
         # QR, which T+m >= d_in skips
         for tokens in (1, 11):
-            model = small_model(seed=5, tokens_per_concept=tokens)
-            pipeline._clear_stabilizer_slot()  # count a cold edit
+            model = small_model(seed=5, tokens_per_concept=tokens)  # new to the slot: a cold edit
             calls = []
             for name in ("eigh", "svd", "qr"):
                 kernel = getattr(np.linalg, name)
@@ -361,10 +357,8 @@ class TestRunEdit:
     @pytest.mark.parametrize("mode", [BW_GEODESIC])
     def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
         # the line step decomposes nothing: the only eigh of a cold edit is
-        # the stabilizer's k x k, at every beta. Every parametrization edits
-        # the same model, so the slot is emptied first.
+        # the stabilizer's k x k, at every beta
         model = small_model(seed=5)
-        pipeline._clear_stabilizer_slot()
         calls = count_eigendecompositions(monkeypatch)
         _, report = run_edit(
             model.w0,
@@ -651,12 +645,6 @@ def edit_args(model):
     return (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
 
 
-def cold_edit(*args, **kwargs):
-    """``run_edit`` with the stabilizer built from scratch."""
-    pipeline._clear_stabilizer_slot()
-    return run_edit(*args, **kwargs)
-
-
 @pytest.fixture
 def builds(monkeypatch):
     """The arguments of every ``build_a`` call ``run_edit`` makes from here on."""
@@ -674,7 +662,7 @@ class TestStabilizerSlot:
     def test_identical_edits_build_once_and_match_a_cold_build(self, builds):
         model = small_model(seed=11)
         args = edit_args(model)
-        w_cold, cold = cold_edit(*args, preserved=model.preserved)
+        w_cold, cold = run_edit(*args, preserved=model.preserved)
         pipeline._clear_stabilizer_slot()
         del builds[:]
         runs = [run_edit(*args, preserved=model.preserved) for _ in range(2)]
@@ -700,7 +688,8 @@ class TestStabilizerSlot:
             cfg = EditConfig(lam_scale=0.1)
         w, report = run_edit(*edit_args(model), cfg)
         assert len(builds) == 2 and not report.stabilizer_reused
-        w_cold, _ = cold_edit(*edit_args(model), cfg)
+        pipeline._clear_stabilizer_slot()
+        w_cold, _ = run_edit(*edit_args(model), cfg)
         assert w.tobytes() == w_cold.tobytes()
 
     def test_stored_basis_is_read_only(self):
@@ -715,7 +704,7 @@ class TestStabilizerSlot:
         # their first edit, then edit on, hitting or missing as the others
         # replace the slot. Each must get the weights of its own inputs.
         models = [small_model(seed=14), small_model(seed=15)]
-        cold = [cold_edit(*edit_args(m))[0] for m in models]
+        cold = [run_edit(*edit_args(m))[0] for m in models]  # two concept sets: two builds
         pipeline._clear_stabilizer_slot()
         n_threads, barrier, local = 4, threading.Barrier(4), threading.local()
         build = pipeline.build_a
@@ -759,8 +748,6 @@ class TestCheckOnce:
         args = edit_args(model)
         if warm:
             run_edit(*args, preserved=model.preserved)
-        else:
-            pipeline._clear_stabilizer_slot()
         scanned = []
         isfinite = np.isfinite
 

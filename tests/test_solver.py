@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import random_spd, rel_err
 
 from scapre.oracle import OracleConfig, gd_minimize
 from scapre.solver import (
@@ -18,15 +19,6 @@ from scapre.solver import (
     sylvester_solve_spectral,
 )
 from scapre.stabilizer import assemble_a, build_a
-
-
-def rel_err(got, want):
-    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
-
-
-def random_spd(rng, n, lam=0.5):
-    g = rng.standard_normal((n, n))
-    return lam * np.eye(n) + g @ g.T / n
 
 
 class TestEraseSpec:

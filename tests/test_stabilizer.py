@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rel_err
 
+from scapre import pipeline
 from scapre.pipeline import EditConfig
 from scapre.solver import sylvester_solve_spectral
 from scapre.stabilizer import (
@@ -195,10 +197,6 @@ def dense_reference(ctx, c, lam=None):
     return assemble_a(lam if lam is not None else relative_lambda(s, SCALE), s, build_r(c))
 
 
-def rel(x, ref):
-    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
-
-
 # (d_in, tokens, m, stack, absolute lam): k = min(d_in, T + m) below,
 # at and above d_in, rank-deficient token stacks, and an absolute ridge.
 FACTORED_CASES = {
@@ -222,10 +220,10 @@ class TestBuildA:
         vecs = stab.eig.eigvecs
         assert np.abs(vecs.T @ vecs - np.eye(stab.rank)).max() <= 1e-13
         assert stab.lam == pytest.approx(dense.lam, rel=1e-14)
-        assert rel(stab.a, dense.a) < 1e-12
+        assert rel_err(stab.a, dense.a) < 1e-12
         got = sylvester_solve_spectral(b, stab, rhs)
         want = sylvester_solve_spectral(b, dense, rhs)
-        assert rel(got.w_star, want.w_star) < 1e-10
+        assert rel_err(got.w_star, want.w_star) < 1e-10
         assert got.residual < 1e-12
         assert got.min_denominator == pytest.approx(want.min_denominator, rel=1e-12)
 
@@ -239,7 +237,7 @@ class TestBuildA:
         vecs = stab.eig.eigvecs
         assert stab.rank == 9
         assert np.linalg.norm(c - vecs @ (vecs.T @ c)) <= 1e-12 * np.linalg.norm(c)
-        assert rel(stab.a, dense_reference(ctx, c).a) < 1e-12
+        assert rel_err(stab.a, dense_reference(ctx, c).a) < 1e-12
 
     @pytest.mark.parametrize("case", ["k<d_in", "k>d_in"])
     def test_factored_rhs_matches_dense_rhs(self, case):
@@ -252,13 +250,13 @@ class TestBuildA:
         rhs = v_star @ c_rhs.T
         got = sylvester_solve_spectral(b, stab, (v_star, c_rhs))
         want = sylvester_solve_spectral(b, dense_reference(ctx, c, lam), rhs)
-        assert rel(got.w_star, want.w_star) < 1e-12
+        assert rel_err(got.w_star, want.w_star) < 1e-12
         assert got.residual < 1e-12
         if stab.rank < d_in:
             with pytest.raises(ValueError, match="factors"):
                 sylvester_solve_spectral(b, stab, rhs)
         else:
-            assert rel(sylvester_solve_spectral(b, stab, rhs).w_star, want.w_star) < 1e-12
+            assert rel_err(sylvester_solve_spectral(b, stab, rhs).w_star, want.w_star) < 1e-12
         with pytest.raises(ValueError, match="do not multiply"):
             sylvester_solve_spectral(b, stab, (v_star, c_rhs[:-1]))
 
@@ -283,7 +281,7 @@ class TestBuildA:
         ctx, c, _, _ = factored_case(40, 2, 3)
         stab = build_a(ctx, c, lam_scale=SCALE)
         w = np.random.default_rng(1).standard_normal((5, 40))
-        assert rel(stab.times(w), w @ dense_reference(ctx, c).a) < 1e-13
+        assert rel_err(stab.times(w), w @ dense_reference(ctx, c).a) < 1e-13
 
     def test_rejects_zero_context_energy(self):
         with pytest.raises(ValueError, match="positive trace"):
@@ -312,3 +310,9 @@ class TestBuildA:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             build_a([np.ones((2, 4))], np.ones((5, 1)))
+
+
+def test_each_test_starts_with_an_empty_slot():
+    # collected after every test file that calls run_edit, which keeps the
+    # last stabilizer it built between calls: the slot is empty all the same
+    assert pipeline._stabilizer_slot is None
