@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_26.json --reference BENCH_23.json
+    python bench/stages.py --out BENCH_27.json --reference BENCH_26.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 One timing rule holds for every section: `--runs` untraced runs give the

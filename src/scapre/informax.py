@@ -129,12 +129,29 @@ class DecouplerAlpha:
     degenerate: bool
 
 
+def _channels_per_block(n_samples: int) -> int:
+    """Channels whose activations one block holds: the budget left beside ``_row_medians``' copy."""
+    return max(1, (2 * _BLOCK_BYTES - _BLOCK_BYTES // 8) // (8 * n_samples))
+
+
 def _row_medians(block: np.ndarray) -> np.ndarray:
-    """``np.median(block, axis=1)``, bit for bit, from one partition of a copy."""
-    h = block.shape[1] // 2
-    part = np.partition(block, h, axis=1)
-    # np.median's rule: the middle value, or the mean of the two middle values
-    return part[:, h] if block.shape[1] % 2 else (part[:, :h].max(axis=1) + part[:, h]) / 2
+    """``np.median(block, axis=1)``, bit for bit, partitioning copies of a few rows at a time.
+
+    The copies share one scratch of at most ``_BLOCK_BYTES // 8`` bytes (at
+    least one row).
+    """
+    n = block.shape[1]
+    h = n // 2
+    rows = max(1, _BLOCK_BYTES // 8 // (8 * n))
+    scratch = np.empty((min(rows, len(block)), n))
+    out = np.empty(len(block))
+    for i in range(0, len(block), rows):
+        part = scratch[: len(block) - i]
+        part[...] = block[i : i + rows]
+        part.partition(h, axis=1)
+        # np.median's rule: the middle value, or the mean of the two middle values
+        out[i : i + rows] = part[:, h] if n % 2 else (part[:, :h].max(axis=1) + part[:, h]) / 2
+    return out
 
 
 def build_decoupler(w, features, labels, base: float | None = None) -> DecouplerAlpha:
@@ -163,19 +180,24 @@ def build_decoupler(w, features, labels, base: float | None = None) -> Decoupler
         shape, blocks = f.shape, lambda: [(0, f)]
     w_, y = _validate_samples(w, shape, labels)
     bits = np.empty((len(w_), len(y)), dtype=bool)
-    step = max(1, _BLOCK_BYTES // (8 * len(y)))
+    step = _channels_per_block(len(y))
     acts = np.empty((min(step, len(w_)), len(y)))
     for i in range(0, len(w_), step):
         w_blk = w_[i : i + step]
         a = acts[: len(w_blk)]
         for start, f_blk in blocks():
             np.matmul(w_blk, f_blk.T, out=a[:, start : start + len(f_blk)])
-        bits[i : i + step] = a > _row_medians(a)[:, None]  # strict: ties are state 0
+        del f_blk  # a view of the pass's read buffer: free it before the next pass reads
+        np.greater(a, _row_medians(a)[:, None], out=bits[i : i + step])  # strict: ties are state 0
     del acts, a
     z = bits.T
-    # Active samples per (channel, label) pair; label 0 (neutral) sorts first.
+    # Active samples per (channel, label) pair; label 0 (neutral) sorts first
+    # and takes what the concepts leave of each channel's active total.
     groups, sizes = np.unique(y, return_counts=True)
-    on = np.stack([z[y == k].sum(axis=0) for k in groups], axis=1)
+    on = np.empty((len(w_), len(groups)), dtype=np.int64)
+    for j, k in enumerate(groups[1:], 1):
+        on[:, j] = z[y == k].sum(axis=0)
+    on[:, 0] = np.count_nonzero(bits, axis=1) - on[:, 1:].sum(axis=1)
 
     per = np.empty((len(w_), len(groups) - 1))
     n0, on0 = sizes[0], on[:, :1]

@@ -203,6 +203,25 @@ def _reflector_basis(h: np.ndarray, tau: np.ndarray, e: np.ndarray) -> np.ndarra
     return v
 
 
+def _gate_term(f: np.ndarray) -> np.ndarray:
+    """``U diag(gate(sigma)) U^T`` for ``f = U diag(sigma) W^T``, from the Gram ``f^T f``.
+
+    The m-by-m Gram's eigenpairs are ``W`` and ``sigma^2``, and
+    ``U = f W diag(1/sigma)``, so the term is
+    ``f W diag(gate(sigma)/sigma^2) W^T f^T``. An eigenvalue at or below the
+    Gram's round-off, ``m * eps`` times its largest, is a ``sigma`` of 0 and
+    contributes nothing: its gate is at most ``sigma``, which the Gram cannot
+    resolve there, and it is not divided by.
+    """
+    dec = sym_eig(f.T @ f)
+    ev = dec.eigvals
+    kept = ev > len(ev) * np.finfo(np.float64).eps * ev[0]
+    sq = np.where(kept, ev, 1.0)
+    scale = np.where(kept, gate_singular(np.sqrt(sq)) / sq, 0.0)
+    fw = f @ dec.eigvecs
+    return (fw * scale) @ fw.T
+
+
 def build_a(
     contexts, c_e, lam: float | None = None, lam_scale: float | None = None
 ) -> StabilizerA:
@@ -212,18 +231,18 @@ def build_a(
     thin SVD of the concepts, ``S + R = G^T G + U diag(gate(sigma)) U^T``.
     A Householder QR ``[C, G^T] = Q [R_C, R_G]`` (k = T+m columns) keeps Q
     as its reflectors. ``R_C`` is zero below its m-by-m triangle ``T_C``, so
-    the SVD of ``T_C`` gives ``sigma`` and ``U = Q[:, :m] U_c``, and one
-    k-by-k eigendecomposition of ``R_G R_G^T`` plus
-    ``U_c diag(gate(sigma)) U_c^T`` in its top corner, ``E diag(mu) E^T``,
-    gives the basis ``V = Q E``, applied from the reflectors, with
-    eigenvalues ``lam + mu``.
+    ``C = Q[:, :m] T_C`` and the gate term is ``Q[:, :m]`` times that of
+    ``T_C``, taken from the m-by-m Gram ``T_C^T T_C = C^T C``. One k-by-k
+    eigendecomposition of ``R_G R_G^T`` plus that gate term in its top
+    corner, ``E diag(mu) E^T``, gives the basis ``V = Q E``, applied from
+    the reflectors, with eigenvalues ``lam + mu``.
     ``V`` spans the concepts whatever the gates: an underflowed gate leaves
     its direction in the basis with eigenvalue ``lam``. When T+m >= d_in,
-    ``Q`` would be square and ``G^T G + U diag(gate(sigma)) U^T`` is
-    eigendecomposed directly. ``lam=None`` applies the relative rule
-    ``lam_scale * |G|_F^2 / d_in``, which is ``lam_scale * trace(S) / d_in``;
-    one of the two must be given (``EditConfig.lam_scale`` holds the
-    default fraction).
+    ``Q`` would be square and ``G^T G`` plus the gate term of ``C`` (from
+    the Gram ``C^T C``) is eigendecomposed directly. ``lam=None`` applies
+    the relative rule ``lam_scale * |G|_F^2 / d_in``, which is
+    ``lam_scale * trace(S) / d_in``; one of the two must be given
+    (``EditConfig.lam_scale`` holds the default fraction).
     Same result as ``assemble_a(lam, build_s(contexts), build_r(c_e))`` up
     to round-off, in O(d_in*k) memory.
     """
@@ -241,17 +260,16 @@ def build_a(
         raise ValueError(f"lam must be finite and positive, got {lam}")
     if len(xt) >= d_in:
         # Q would be square, so the identity basis does as well, without the QR
-        dec = svd(c)
-        xdxt = g.T @ g
-        xdxt += (dec.u * gate_singular(dec.sigma)) @ dec.u.T
+        xdxt = _gate_term(c)
+        xdxt += g.T @ g
         low = sym_eig(xdxt)
         return _checked(lam, SpectralDecomposition(low.eigvecs, lam + low.eigvals))
     h, tau = np.linalg.qr(xt.T, mode="raw")
     del xt, g  # h holds all that is used from here: the reflectors and R
     r = np.triu(h[:, : len(h)].T)  # [R_C, R_G], k by k; R_C is zero below row m
-    r_g, dec = r[:, m:], svd(r[:m, :m])
+    r_g = r[:, m:]
     xdxt = r_g @ r_g.T
-    xdxt[:m, :m] += (dec.u * gate_singular(dec.sigma)) @ dec.u.T
+    xdxt[:m, :m] += _gate_term(r[:m, :m])
     low = sym_eig(xdxt)
     del r, r_g, xdxt  # the reflectors in h and E are all the basis needs
     v = _reflector_basis(h, tau, low.eigvecs)

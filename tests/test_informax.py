@@ -9,6 +9,7 @@ from scapre.informax import (
     _BLOCK_BYTES,
     JointCounts,
     _mi_table,
+    _row_medians,
     build_decoupler,
     channel_mi,
     channel_thresholds,
@@ -275,9 +276,12 @@ class TestDecouplerThresholds:
     @pytest.mark.parametrize("per_block", [1, 7, 299])
     def test_channel_blocks_are_bit_identical(self, monkeypatch, per_block):
         # blocks of 1, 7 and 299 of the 300 channels: the seams between
-        # blocks change no bit
+        # blocks change no bit. A block holds 2B - B // 8 bytes of budget B,
+        # at least 15B/8, so this B is the first to hold per_block channels
         w, feats, labels = _threshold_case("many-channels")
-        monkeypatch.setattr(informax, "_BLOCK_BYTES", per_block * 8 * len(labels))
+        budget = -(-64 * len(labels) * per_block // 15)
+        monkeypatch.setattr(informax, "_BLOCK_BYTES", budget)
+        assert informax._channels_per_block(len(labels)) == per_block
         dec = build_decoupler(w, feats, labels)
         alpha, per = reference_decoupler(w, feats, labels)
         assert np.array_equal(dec.per_concept_mi, per)
@@ -296,9 +300,28 @@ class TestDecouplerThresholds:
         assert np.array_equal(base.alpha, shuffled.alpha)
         assert np.array_equal(base.per_concept_mi, shuffled.per_concept_mi)
 
+    @pytest.mark.parametrize("n", [4800, 4801])
+    def test_row_medians_partition_a_few_rows_at_a_time(self, n):
+        # copies of 13 rows under the default budget, so the last of the 30
+        # rows' copies holds 4; each copy stays within _BLOCK_BYTES // 8
+        rng = np.random.default_rng(15)
+        block = rng.integers(-3, 4, (30, n)).astype(float)  # ties at the middle
+        block[::2] = rng.standard_normal((15, n))
+        rows = _BLOCK_BYTES // 8 // (8 * n)
+        assert rows == 13 and len(block) % rows
+        tracemalloc.start()
+        try:
+            got = _row_medians(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.median(block, axis=1))
+        assert peak <= _BLOCK_BYTES // 8 + 4096
+
     def test_peak_memory_is_two_activation_blocks(self):
         # the activations come a block of channels at a time under one byte
-        # budget: the block and its partition copy, the bits (a byte per
+        # budget: the block and the median's partition copies, which take
+        # 2 * _BLOCK_BYTES between them, the bits (a byte per
         # activation), the features' finite check (a byte per entry) and the
         # (channel, label) count and MI tables. All the activations at once
         # would be 37.5 MiB here.
@@ -334,6 +357,31 @@ class TestDecouplerFromFile:
         assert np.array_equal(dec.per_concept_mi, ref.per_concept_mi)
         assert dec.concept_labels == ref.concept_labels
 
+    def test_cli_shape_reads_the_samples_three_times(self, tmp_path, monkeypatch):
+        # 512 channels of N = 4800 samples at d_in = 512: 204 channels per
+        # block, so three passes over the file, with the in-memory route's bits
+        rng = np.random.default_rng(16)
+        n, d = 4800, 512
+        w = rng.standard_normal((d, d))
+        feats = rng.standard_normal((n, d))
+        labels = np.where(np.arange(n) < n // 2, 0, np.arange(n) % 300 + 1)
+        ref = build_decoupler(w, feats, labels)
+        write_smat(tmp_path / "f.smat", feats)
+        passes = []
+        blocks = SmatRows.blocks
+
+        def counted(self):
+            passes.append(self.shape)
+            return blocks(self)
+
+        monkeypatch.setattr(SmatRows, "blocks", counted)
+        with SmatRows(tmp_path / "f.smat") as source:
+            dec = build_decoupler(w, source, labels)
+        assert passes == [(n, d)] * 3
+        assert np.array_equal(dec.alpha, ref.alpha)
+        assert np.array_equal(dec.mi_raw, ref.mi_raw)
+        assert np.array_equal(dec.per_concept_mi, ref.per_concept_mi)
+
     def test_file_source_is_checked_like_an_array(self, tmp_path):
         w, feats, labels = _threshold_case("odd")
         write_smat(tmp_path / "f.smat", feats)
@@ -345,7 +393,7 @@ class TestDecouplerFromFile:
 
     def test_peak_memory_stays_below_the_sample_matrix(self, tmp_path):
         # 18.75 MiB of samples on file: the decoupler holds a read block, a
-        # block of activations and its partition copy, the bits and the
+        # block of activations and the median's partition copies, the bits and the
         # (channel, label) tables, never the samples
         rng = np.random.default_rng(14)
         n, d_in, d = 4800, 512, 128

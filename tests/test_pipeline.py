@@ -323,11 +323,11 @@ class TestRunEdit:
         assert held <= 1.10 * d_out * d_in * 8
 
     def test_kernel_calls_per_edit(self, monkeypatch):
-        # one SVD of the concepts (of R's m x m concept triangle when
-        # k < d_in, since C = Q[:, :m] T_C) and none after the solve: the
-        # line step decomposes nothing. The only eigendecomposition is the
-        # stabilizer's k x k, and the only QR is the stabilizer's Householder
-        # QR, which T+m >= d_in skips
+        # no SVD: the gate comes from one m x m eigendecomposition of the
+        # concepts' Gram (of R's m x m concept triangle when k < d_in, since
+        # C = Q[:, :m] T_C), and the line step decomposes nothing. The only
+        # other eigendecomposition is the stabilizer's k x k, and the only QR
+        # is the stabilizer's Householder QR, which T+m >= d_in skips
         for tokens in (1, 11):
             model = small_model(seed=5, tokens_per_concept=tokens)  # new to the slot: a cold edit
             calls = []
@@ -346,18 +346,14 @@ class TestRunEdit:
             d_in = model.w0.shape[1]
             k = report.stabilizer_rank
             assert k == min(d_in, 4 * tokens + 4)
-            svd_shapes = [shape for kind, shape in calls if kind == "svd"]
-            assert svd_shapes == [(4, 4) if k < d_in else (d_in, 4)]
-            assert ("eigh", (k, k)) in calls
-            assert sum(kind == "qr" for kind, _ in calls) == (1 if k < d_in else 0)
-            if k < d_in:
-                assert all(shape[0] != d_in for kind, shape in calls if kind == "eigh")
+            qr = [("qr", (d_in, k))] if k < d_in else []
+            assert calls == qr + [("eigh", (4, 4)), ("eigh", (k, k))]
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     @pytest.mark.parametrize("mode", [BW_GEODESIC])
     def test_geometry_eigendecompositions_per_edit(self, monkeypatch, mode, beta):
-        # the line step decomposes nothing: the only eigh of a cold edit is
-        # the stabilizer's k x k, at every beta
+        # the line step decomposes nothing: the only eighs of a cold edit are
+        # the stabilizer's m x m gate and its k x k, at every beta
         model = small_model(seed=5)
         calls = count_eigendecompositions(monkeypatch)
         _, report = run_edit(
@@ -369,8 +365,8 @@ class TestRunEdit:
             EditConfig(beta=beta, interpolation_mode=mode),
         )
         k = report.stabilizer_rank
-        assert (k, report.d_out) == (8, 24)
-        assert calls == [("eigh", k)]
+        assert (k, report.d_out, model.erase_spec.n_concepts) == (8, 24, 4)
+        assert calls == [("eigh", 4), ("eigh", k)]
 
     def test_repeated_edit_makes_no_eigendecomposition(self, monkeypatch):
         # the second edit of the same concept set takes the stored stabilizer

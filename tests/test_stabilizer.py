@@ -5,9 +5,11 @@ import pytest
 from conftest import rel_err
 
 from scapre import pipeline
+from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.pipeline import EditConfig
 from scapre.solver import sylvester_solve_spectral
 from scapre.stabilizer import (
+    _gate_term,
     assemble_a,
     build_a,
     build_r,
@@ -310,6 +312,62 @@ class TestBuildA:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             build_a([np.ones((2, 4))], np.ones((5, 1)))
+
+
+def confusable_concepts(tokens, duplicate):
+    """Contexts and concepts at pairwise similarity 0.999, d_in = 256.
+
+    The concepts' smallest singular values are about 0.32, where the gate is
+    about 0.13 against a ridge of about 0.55. ``duplicate`` appends an exact
+    copy of the first concept (with its contexts): a singular value of 0.
+    """
+    spec = SyntheticModelSpec(
+        d_in=256, d_out=128, m_targets=20, similarity=0.999, tokens_per_concept=tokens, seed=3
+    )
+    model = generate_model(spec)
+    c, ctx = model.erase_spec.concepts, list(model.contexts)
+    if duplicate:
+        c, ctx = np.hstack([c, c[:, :1]]), ctx + ctx[:1]
+    return ctx, c
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGateFromGram:
+    # the gate comes from the m x m Gram, not an SVD: checked where it is
+    # not inert, in both branches of build_a, and at a singular value of 0
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("tokens", [1, 12])  # k = 2m < d_in, and T + m >= d_in
+    def test_stabilizer_matches_the_svd_route(self, tokens, duplicate):
+        ctx, c = confusable_concepts(tokens, duplicate)
+        sigma = np.linalg.svd(c, compute_uv=False)
+        stab = build_a(ctx, c, lam_scale=SCALE)
+        assert stab.rank == (256 if tokens == 12 else 2 * c.shape[1])
+        assert gate_singular(sigma).max() > 0.2 * stab.lam
+        assert (sigma[-1] < 1e-12) == duplicate
+        s = build_s(ctx)
+        dense = assemble_a(stab.lam, s, build_r(c))
+        assert rel_err(stab.a, dense.a) < 1e-12
+        # the gate shows at that tolerance: A without R is far off
+        assert rel_err(assemble_a(stab.lam, s, np.zeros_like(s)).a, dense.a) > 1e-5
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_gate_term_matches_build_r(self, duplicate):
+        # from C itself (the square branch) and from its QR triangle T_C,
+        # with C = Q T_C (the QR branch); the Gram squares the condition
+        # number, so the term keeps about (sigma_max / sigma_min)^2 * eps
+        _, c = confusable_concepts(1, duplicate)
+        q, t = np.linalg.qr(c)
+        want = build_r(c)
+        assert rel_err(_gate_term(c), want) < 1e-10
+        assert rel_err(q @ _gate_term(t) @ q.T, want) < 1e-10
+
+    def test_zero_singular_values_contribute_nothing(self):
+        # an all-duplicate set has one nonzero singular value; the Gram's
+        # round-off eigenvalues, of either sign, add nothing
+        c = np.repeat(np.linspace(0.1, 0.3, 6)[:, None], 4, axis=1)
+        sigma = np.linalg.norm(c)
+        want = gate_singular(sigma)[0] * np.outer(c[:, 0], c[:, 0]) / np.vdot(c[:, 0], c[:, 0])
+        assert rel_err(_gate_term(c), want) < 1e-12
 
 
 def test_each_test_starts_with_an_empty_slot():
