@@ -8,8 +8,9 @@
 # - **spectral**: one eigendecomposition of `A`, then an entrywise division
 #   — the production route. Given a dense `A` as here it costs `O(d_in^3)`;
 #   `run_edit` hands it the factored stabilizer from `build_a`, whose
-#   eigenbasis is d_in x k with k = min(d_in, tokens + concepts), and never
-#   forms a d_in x d_in matrix.
+#   eigenvectors are d_in x k with k = min(d_in, tokens + concepts), solved
+#   by Woodbury's identity when k < d_in, and never forms a d_in x d_in
+#   matrix.
 # - **kronecker**: assemble `I (x) B + A^T (x) I` and solve the vectorized
 #   system — quadratically bigger, kept as an independent cross-check.
 #

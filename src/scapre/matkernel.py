@@ -75,7 +75,7 @@ def check_symmetric(x: np.ndarray, name: str) -> None:
 
 
 def _fix_signs(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip basis columns so the largest-magnitude entry of each is positive.
+    """Flip basis columns, in place, so the largest-magnitude entry of each is positive.
 
     Ties resolve to the first occurrence, which makes the convention
     deterministic across platforms. Returns the fixed columns and the
@@ -84,7 +84,7 @@ def _fix_signs(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.argmax(np.abs(vecs), axis=0)
     lead = vecs[idx, np.arange(vecs.shape[1])]
     signs = np.where(lead < 0.0, -1.0, 1.0)
-    return vecs * signs, signs
+    return np.multiply(vecs, signs, out=vecs), signs
 
 
 class SpectralDecomposition(NamedTuple):
@@ -121,8 +121,10 @@ def sym_eig(m) -> SpectralDecomposition:
     a = as_matrix(m, "m")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"m must be square, got shape {a.shape}")
-    check_symmetric(a, "m")
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    if not np.array_equal(a, a.T):  # an exactly symmetric a is its own (a + a^T) / 2
+        check_symmetric(a, "m")
+        a = (a + a.T) / 2.0
+    vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
     vecs, _ = _fix_signs(vecs[:, order])
     return SpectralDecomposition(vecs, vals[order])

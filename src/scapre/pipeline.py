@@ -103,8 +103,8 @@ def _shared_stabilizer(groups, c, lam, lam_scale) -> tuple[StabilizerA, bool]:
     """``build_a(groups, c, lam, lam_scale)``, reused when the last build had the same key.
 
     Returns the stabilizer and whether it was reused. On a miss the slot is
-    emptied before the build, so it never holds a basis beside a new one;
-    the stored basis is made read-only, as every later edit shares it.
+    emptied before the build, so it never holds two stabilizers; the stored
+    arrays are made read-only, as every later edit shares them.
     """
     global _stabilizer_slot
     key = _stabilizer_key(groups, c, lam, lam_scale)
@@ -113,7 +113,7 @@ def _shared_stabilizer(groups, c, lam, lam_scale) -> tuple[StabilizerA, bool]:
             return _stabilizer_slot[1], True
         _stabilizer_slot = None
     stab = build_a(groups, c, lam, lam_scale)
-    for arr in stab.eig:
+    for arr in (stab.rows, stab.eigvals):
         arr.flags.writeable = False
     with _stabilizer_lock:
         _stabilizer_slot = (key, stab)

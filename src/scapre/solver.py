@@ -135,9 +135,9 @@ class EditSolution:
     times the true value except with probability about 1.1e-3 (chi-square
     of 16 degrees, rank-one worst case); the pipeline's ``<= 1e-8`` is
     checked on it. ``min_denominator`` is the smallest ``b_i + eigval_j``
-    over the eigenvalues of ``A``, ``lam`` included where ``V`` does not
-    span d_in: the smallest eigenvalue of the vectorized operator, and at
-    most the spectral route's smallest divisor.
+    over the eigenvalues of ``A``, ``lam`` included where its eigenvectors
+    do not span d_in: the smallest eigenvalue of the vectorized operator,
+    and at most the spectral route's smallest divisor.
     """
 
     w_star: np.ndarray
@@ -168,7 +168,7 @@ def _split_a(a):
         return a, a
     a_ = as_matrix(a, "a")
     eig = sym_eig(a_)
-    return StabilizerA(float(eig.eigvals.min()), eig), a_
+    return StabilizerA(float(eig.eigvals.min()), eig.eigvals, eig.eigvecs.T), a_
 
 
 def _dense_a(a) -> np.ndarray:
@@ -226,67 +226,93 @@ def _sketched_residual(b_vals, a, w, rhs_omega) -> float:
 
 
 def sylvester_solve_spectral(b_diag, a, m, w0=None) -> EditSolution:
-    """Solve ``B D + D A = M - W0 (A - lam I)`` in the eigenbasis of ``A``.
+    """Solve ``B D + D A = M - W0 (A - lam I)`` in the eigenvectors ``E`` of ``A``.
 
-    With diagonal ``B``, ``A = lam*I + V diag(mu) V^T`` and ``M`` in the
-    span of ``V`` the system decouples entrywise:
-    ``D = ((M V - (W0 V) diag(mu)) / (b + lam + mu)) V^T``. ``w0`` is the
-    d_out-by-d_in ``W0`` (``None`` is zero: ``B W + W A = M``). ``a`` is a
-    ``StabilizerA`` (no d_in-by-d_in array is formed) or, with no ``w0``, a
-    raw symmetric matrix (eigendecomposed in full). ``m`` is ``M`` as its
-    factors ``(V*, C)``, ``M = V* C^T``, so ``M V = V* (C^T V)``; a dense
-    d_out-by-d_in ``M`` needs a ``V`` that spans d_in. ``build_a`` puts the
-    concepts in the span of ``V``, so the part of ``M`` outside it is
-    round-off, and it is not solved for.
+    ``w0`` is the d_out-by-d_in ``W0`` (``None`` is zero: ``B W + W A = M``).
+    ``a`` is a ``StabilizerA`` (no d_in-by-d_in array is formed) or, with no
+    ``w0``, a raw symmetric matrix (eigendecomposed in full). ``m`` is ``M``,
+    dense or as its factors ``(V*, C)``, ``M = V* C^T``. With ``H = W0 E``,
+    ``J = M E`` and ``c = b + lam``, an orthonormal ``E = V`` that spans
+    d_in decouples the system entrywise,
+    ``D = ((J - H diag(eigvals - lam)) / (b + eigvals)) V^T``. For ``E = Phi``,
+    ``A = lam*I + Phi Phi^T`` with ``Phi^T Phi = diag(Lam)``, Woodbury's
+    identity gives ``D = diag(1/c) (M - Z Phi^T)``,
+    ``Z = (c H + J) / (c + Lam)``: exact for any ``M``, as the part outside
+    the span of ``Phi`` takes the complement's ``1/c``, and nothing divides
+    by ``Lam``. Factored, that is one product ``[V*, -Z] [C^T; Phi^T]``, with
+    the stabilizer's stored rows when ``C`` is its concepts.
 
     The residual ``R = B D + D A - M + W0 (A - lam I)`` of the stored ``D``,
-    relative to ``|M V - (W0 V) diag(mu)|``, is estimated from ``R Omega``
-    (``_sketched_residual``), the part of ``M`` outside the span of ``V``
-    included. ``W0 V`` becomes the right-hand side once its sketch term
-    ``(W0 V diag(mu)) (V^T Omega)`` is taken, so no copy sits beside ``D``.
+    relative to ``|M - W0 (A - lam I)|_F`` (with ``Phi``, from the blocks
+    ``C^T C``, ``J`` and ``diag(Lam)`` of the Gram of ``[C, Phi]``), is
+    estimated from ``R Omega`` (``_sketched_residual``).
     """
     b_vals = _b_vector(b_diag)
     stab, a_res = _split_a(a)
     vecs, vals = stab.eig
     d_out, d_in = b_vals.shape[0], vecs.shape[0]
     omega = _sketch(d_in)
-    if isinstance(m, tuple):
+    factored = isinstance(m, tuple)
+    if factored:
         v_star, c = as_matrix(m[0], "v_star"), as_matrix(m[1], "c")
         if v_star.shape[0] != d_out or c.shape != (d_in, v_star.shape[1]):
             raise ValueError(f"factors {v_star.shape}, {c.shape} do not multiply to {d_out}x{d_in}")
         m_v, m_omega = v_star @ (c.T @ vecs), v_star @ (c.T @ omega)
     else:
-        if stab.rank < d_in:
-            raise ValueError(
-                f"a basis of rank {stab.rank} < d_in = {d_in} spans only part of M: "
-                "pass M as its factors (v_star, c)"
-            )
         m_ = as_matrix(m, "m")
         if m_.shape != (d_out, d_in):
             raise ValueError(f"m must be {d_out}x{d_in} to match b and a, got {m_.shape}")
         m_v, m_omega = m_ @ vecs, m_ @ omega
     if w0 is None:
-        rhs_v = np.zeros((d_out, vecs.shape[1]))
+        h = np.zeros((d_out, vecs.shape[1]))
     elif a_res is not stab:
         raise ValueError("an anchored solve needs a as a StabilizerA, whose ridge weighs the anchor")
     else:
         w0_ = as_matrix(w0, "w0")
         if w0_.shape != (d_out, d_in):
             raise ValueError(f"w0 must be {d_out}x{d_in} to match b and a, got {w0_.shape}")
-        rhs_v = w0_ @ vecs
+        h = w0_ @ vecs
     min_denom = _check_uniqueness(b_vals, stab)
     if min_denom < 1e-12:
         raise ValueError(
             f"ill-posed system: smallest eigenvalue sum {min_denom:.6e} is below 1e-12"
         )
-    rhs_v *= vals - stab.lam  # W0 (A - lam I) V
-    m_omega -= rhs_v @ (vecs.T @ omega)  # the right-hand side times Omega
-    np.subtract(m_v, rhs_v, out=rhs_v)  # the right-hand side times V
-    del m_v
-    den = float(np.linalg.norm(rhs_v))
-    rhs_v /= b_vals[:, None] + vals[None, :]
-    w = rhs_v @ vecs.T
-    del rhs_v
+    if not stab._has_complement:
+        h *= vals - stab.lam  # W0 (A - lam I) V
+        m_omega -= h @ (vecs.T @ omega)  # the right-hand side times Omega
+        np.subtract(m_v, h, out=m_v)  # the right-hand side times V
+        den = float(np.linalg.norm(m_v))
+        m_v /= b_vals[:, None] + vals[None, :]
+        w = m_v @ vecs.T
+        del m_v, h
+    else:
+        m_omega -= h @ (vecs.T @ omega)  # W0 Phi Phi^T Omega
+        lam_k = vals - stab.lam
+        m_sq = np.vdot(v_star @ (c.T @ c), v_star) if factored else np.vdot(m_, m_)
+        den = math.sqrt(max(m_sq - 2.0 * np.vdot(m_v, h) + lam_k @ np.einsum("ij,ij->j", h, h), 0))
+        shift = (b_vals + stab.lam)[:, None]
+        denom = b_vals[:, None] + vals[None, :]  # c + Lam
+        h *= shift
+        h += m_v
+        h /= denom  # Z
+        # E = Phi^T Phi - diag(Lam), eigh's round-off (about eps * Lam.max()), to first order
+        e = vecs.T @ vecs
+        e[np.diag_indices_from(e)] -= lam_k
+        h -= np.divide(np.matmul(h, e, out=m_v), denom, out=m_v)  # Z E / (c + Lam), in J's memory
+        del m_v, denom, e
+        if factored:
+            rows = stab.rows
+            if len(rows) - stab.rank != c.shape[1] or not np.array_equal(rows[: c.shape[1]], c.T):
+                rows = np.vstack([c.T, vecs.T])
+            lead = np.empty((d_out, len(rows)))  # [V*, -Z] / c
+            np.divide(v_star, shift, out=lead[:, : c.shape[1]])
+            np.divide(h, -shift, out=lead[:, c.shape[1] :])
+            del h
+            w = lead @ rows
+        else:
+            h /= -shift
+            w = h @ vecs.T
+            w += m_ / shift
     residual = _sketched_residual(b_vals, a_res, w, m_omega)
     return EditSolution(w, _relative(residual, den), min_denom)
 

@@ -114,42 +114,52 @@ def relative_lambda(s, scale: float) -> float:
 
 @dataclass(frozen=True)
 class StabilizerA:
-    """``A = lam*I + S + R`` held as its ridge and its eigenpairs.
+    """``A = lam*I + S + R`` held as its ridge and k eigenpairs.
 
-    ``eig`` holds eigenpairs of ``A`` on the span of a d_in-by-k orthonormal
-    basis; on the orthogonal complement (empty when k = d_in) every
-    eigenvalue of ``A`` is ``lam``. So ``A = lam*I + V diag(eigvals - lam) V^T``
-    and the object takes O(d_in*k) memory.
+    The eigenvectors are the last k of ``rows``. With k = d_in they are an
+    orthonormal ``V^T``: ``A = V diag(eigvals) V^T``. With k < d_in they are
+    ``Phi^T``: ``A = lam*I + Phi Phi^T``, ``lam`` off their span, and
+    ``rows = [C^T; Phi^T]`` holds the concepts too, for the solve's one
+    product. O(d_in*(m+k)) memory.
     """
 
     lam: float
-    eig: SpectralDecomposition
+    eigvals: np.ndarray
+    rows: np.ndarray
 
     @property
     def rank(self) -> int:
         """Number of eigenpairs held, k."""
-        return self.eig.eigvecs.shape[1]
+        return len(self.eigvals)
+
+    @property
+    def eig(self) -> SpectralDecomposition:
+        """The eigenpairs, ``V`` or ``Phi`` as d_in-by-k columns."""
+        return SpectralDecomposition(self.rows[len(self.rows) - self.rank :].T, self.eigvals)
 
     @property
     def _has_complement(self) -> bool:
-        return self.rank < self.eig.eigvecs.shape[0]
+        return self.rank < self.rows.shape[1]
 
     @property
     def eig_min(self) -> float:
         """Smallest eigenvalue of ``A``, the complement's ``lam`` included."""
-        low = float(self.eig.eigvals.min())
+        low = float(self.eigvals.min())
         return min(low, self.lam) if self._has_complement else low
 
     @property
     def eig_max(self) -> float:
         """Largest eigenvalue of ``A``, the complement's ``lam`` included."""
-        high = float(self.eig.eigvals.max())
+        high = float(self.eigvals.max())
         return max(high, self.lam) if self._has_complement else high
 
     def times(self, w) -> np.ndarray:
         """``w @ A`` from the factors, without forming ``A``."""
         vecs = self.eig.eigvecs
-        out = ((w @ vecs) * (self.eig.eigvals - self.lam)) @ vecs.T
+        wv = w @ vecs
+        if not self._has_complement:  # A - lam I = V diag(eigvals - lam) V^T
+            wv *= self.eigvals - self.lam
+        out = wv @ vecs.T
         out += self.lam * w
         return out
 
@@ -160,66 +170,41 @@ class StabilizerA:
         For the dense oracles (Kronecker route, gradient descent, objective
         value) and tests; the edit path never calls it.
         """
-        a = self.times(np.eye(self.eig.eigvecs.shape[0]))
+        a = self.times(np.eye(self.rows.shape[1]))
         return (a + a.T) / 2.0
 
 
-def _checked(lam: float, eig: SpectralDecomposition) -> StabilizerA:
+def _checked(lam: float, eigvals, rows) -> StabilizerA:
     """``StabilizerA`` after verifying that no eigenvalue falls below ``lam``.
 
     ``S + R`` is PSD, so ``A``'s spectrum sits at or above ``lam`` up to
     round-off; anything further below means the parts were not PSD.
     """
-    tol = max(1e-8, 1e-12 * float(np.abs(eig.eigvals).max()))
-    if eig.eigvals.min() < lam - tol:
+    tol = max(1e-8, 1e-12 * float(np.abs(eigvals).max()))
+    if eigvals.min() < lam - tol:
         raise ValueError(
             f"s + r is not positive semidefinite: assembled minimum eigenvalue "
-            f"{eig.eigvals.min():.6e} falls below lam={lam:.6e}"
+            f"{eigvals.min():.6e} falls below lam={lam:.6e}"
         )
-    return StabilizerA(float(lam), eig)
+    return StabilizerA(float(lam), eigvals, rows)
 
 
-def _reflector_basis(h: np.ndarray, tau: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``Q[:, :k] @ e`` for the Q of a Householder QR, applied from its reflectors.
-
-    ``h`` and ``tau`` are ``np.linalg.qr(X, mode="raw")`` of a d_in-by-k
-    ``X`` (k < d_in); ``h`` is overwritten. ``Q = I - Y T Y^T`` in
-    compact-WY form (Schreiber & Van Loan 1989), with ``Y`` the unit lower
-    trapezoidal reflectors (``h.T``) and, by the UT transform (Joffrain et
-    al. 2006), ``T = D (I + striu(Y^T Y) D)^-1`` for ``D = diag(tau)``. The
-    unit triangular factor needs no case for ``tau = 0``. So
-    ``Q[:, :k] e = [e; 0] - Y T (Y_1^T e)``, ``Y_1`` the top k rows of ``Y``,
-    and no Q is formed.
-    """
-    k = h.shape[0]
-    top = h[:, :k]  # Y_1^T: unit upper triangular once R is cleared
-    top[...] = np.triu(top, 1)
-    np.fill_diagonal(top, 1.0)
-    unit = np.triu(h @ h.T, 1) * tau
-    np.fill_diagonal(unit, 1.0)
-    z = np.linalg.solve(unit, top @ e) * tau[:, None]
-    v = h.T @ -z
-    v[:k] += e
-    return v
-
-
-def _gate_term(f: np.ndarray) -> np.ndarray:
-    """``U diag(gate(sigma)) U^T`` for ``f = U diag(sigma) W^T``, from the Gram ``f^T f``.
+def _gate_rows(c: np.ndarray) -> np.ndarray:
+    """``diag(sqrt(gate(sigma))) U^T`` for ``c = U diag(sigma) W^T``, from the Gram ``c^T c``.
 
     The m-by-m Gram's eigenpairs are ``W`` and ``sigma^2``, and
-    ``U = f W diag(1/sigma)``, so the term is
-    ``f W diag(gate(sigma)/sigma^2) W^T f^T``. An eigenvalue at or below the
-    Gram's round-off, ``m * eps`` times its largest, is a ``sigma`` of 0 and
-    contributes nothing: its gate is at most ``sigma``, which the Gram cannot
-    resolve there, and it is not divided by.
+    ``U = c W diag(1/sigma)``, so the rows are
+    ``diag(sqrt(gate(sigma)) / sigma) W^T c^T``, and ``rows^T rows`` is R.
+    An eigenvalue at or below the Gram's round-off, ``m * eps`` times its
+    largest, is a ``sigma`` of 0 and gives a zero row: its gate is at most
+    ``sigma``, which the Gram cannot resolve there, and it is not divided by.
     """
-    dec = sym_eig(f.T @ f)
+    dec = sym_eig(c.T @ c)
     ev = dec.eigvals
     kept = ev > len(ev) * np.finfo(np.float64).eps * ev[0]
     sq = np.where(kept, ev, 1.0)
-    scale = np.where(kept, gate_singular(np.sqrt(sq)) / sq, 0.0)
-    fw = f @ dec.eigvecs
-    return (fw * scale) @ fw.T
+    scale = np.where(kept, np.sqrt(gate_singular(np.sqrt(sq)) / sq), 0.0)
+    return (dec.eigvecs.T @ c.T) * scale[:, None]
 
 
 def build_a(
@@ -227,53 +212,38 @@ def build_a(
 ) -> StabilizerA:
     """Stabilizer ``lam*I + S + R`` from its factors, with no d_in-by-d_in array.
 
-    With ``G`` the stacked context tokens and ``C = U diag(sigma) W^T`` the
-    thin SVD of the concepts, ``S + R = G^T G + U diag(gate(sigma)) U^T``.
-    A Householder QR ``[C, G^T] = Q [R_C, R_G]`` (k = T+m columns) keeps Q
-    as its reflectors. ``R_C`` is zero below its m-by-m triangle ``T_C``, so
-    ``C = Q[:, :m] T_C`` and the gate term is ``Q[:, :m]`` times that of
-    ``T_C``, taken from the m-by-m Gram ``T_C^T T_C = C^T C``. One k-by-k
-    eigendecomposition of ``R_G R_G^T`` plus that gate term in its top
-    corner, ``E diag(mu) E^T``, gives the basis ``V = Q E``, applied from
-    the reflectors, with eigenvalues ``lam + mu``.
-    ``V`` spans the concepts whatever the gates: an underflowed gate leaves
-    its direction in the basis with eigenvalue ``lam``. When T+m >= d_in,
-    ``Q`` would be square and ``G^T G`` plus the gate term of ``C`` (from
-    the Gram ``C^T C``) is eigendecomposed directly. ``lam=None`` applies
-    the relative rule ``lam_scale * |G|_F^2 / d_in``, which is
-    ``lam_scale * trace(S) / d_in``; one of the two must be given
-    (``EditConfig.lam_scale`` holds the default fraction).
-    Same result as ``assemble_a(lam, build_s(contexts), build_r(c_e))`` up
-    to round-off, in O(d_in*k) memory.
+    With ``G`` the stacked context tokens (T by d_in) and
+    ``C = U diag(sigma) W^T`` the concepts, ``S + R = F F^T`` for
+    ``F = [G^T, U sqrt(gate(sigma))]``, d_in by k = T+m (``_gate_rows``).
+    The smaller Gram of ``F`` is eigendecomposed. When k < d_in,
+    ``F^T F = P diag(Lam) P^T`` and ``Phi = F P`` has
+    ``Phi^T Phi = diag(Lam)`` and ``Phi Phi^T = S + R``: no orthonormal
+    basis is formed. When k >= d_in, ``F F^T`` gives an orthonormal ``V``.
+    ``lam=None`` applies the relative rule ``lam_scale * |G|_F^2 / d_in``,
+    which is ``lam_scale * trace(S) / d_in``; one of the two must be given
+    (``EditConfig.lam_scale`` holds the default fraction). Same result as
+    ``assemble_a(lam, build_s(contexts), build_r(c_e))`` up to round-off, in
+    O(d_in*(m+k)) memory.
     """
     groups = validate_contexts(contexts)
     c = validate_concepts(c_e)
     d_in = groups[0].shape[1]
     if c.shape[0] != d_in:
         raise ValueError(f"concepts have length {c.shape[0]}, contexts have {d_in}")
-    m = c.shape[1]
-    xt = np.vstack([c.T, *groups])  # the rows [C^T; G]: X = [C, G^T] in Fortran order
-    g = xt[m:]
+    ft = np.vstack([*groups, _gate_rows(c)])  # F^T, k by d_in
+    g = ft[: len(ft) - c.shape[1]]
     if lam is None:
         lam = _ridge(float(np.vdot(g, g)), d_in, lam_scale)
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}")
-    if len(xt) >= d_in:
-        # Q would be square, so the identity basis does as well, without the QR
-        xdxt = _gate_term(c)
-        xdxt += g.T @ g
-        low = sym_eig(xdxt)
-        return _checked(lam, SpectralDecomposition(low.eigvecs, lam + low.eigvals))
-    h, tau = np.linalg.qr(xt.T, mode="raw")
-    del xt, g  # h holds all that is used from here: the reflectors and R
-    r = np.triu(h[:, : len(h)].T)  # [R_C, R_G], k by k; R_C is zero below row m
-    r_g = r[:, m:]
-    xdxt = r_g @ r_g.T
-    xdxt[:m, :m] += _gate_term(r[:m, :m])
-    low = sym_eig(xdxt)
-    del r, r_g, xdxt  # the reflectors in h and E are all the basis needs
-    v = _reflector_basis(h, tau, low.eigvecs)
-    return _checked(lam, SpectralDecomposition(v, lam + low.eigvals))
+    if len(ft) >= d_in:
+        low = sym_eig(ft.T @ ft)
+        return _checked(lam, lam + low.eigvals, low.eigvecs.T)
+    gram = sym_eig(ft @ ft.T)
+    rows = np.empty((c.shape[1] + len(ft), d_in))
+    rows[: c.shape[1]] = c.T
+    np.matmul(gram.eigvecs.T, ft, out=rows[c.shape[1] :])  # Phi^T = P^T F^T
+    return _checked(lam, lam + gram.eigvals, rows)
 
 
 def assemble_a(lam: float, s, r) -> StabilizerA:
@@ -293,4 +263,5 @@ def assemble_a(lam: float, s, r) -> StabilizerA:
     check_symmetric(s_, "s")
     check_symmetric(r_, "r")
     a = lam * np.eye(s_.shape[0]) + s_ + r_
-    return _checked(lam, sym_eig((a + a.T) / 2.0))
+    dec = sym_eig((a + a.T) / 2.0)
+    return _checked(lam, dec.eigvals, dec.eigvecs.T)

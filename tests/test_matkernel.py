@@ -98,6 +98,32 @@ class TestSymEig:
         assert (v[lead, np.arange(8)] > 0).all()
         assert np.array_equal(v, sym_eig(a.copy()).eigvecs)
 
+    @pytest.mark.parametrize("kind", ["gram", "rounded", "tied"])
+    def test_bits_match_the_symmetrizing_implementation(self, kind):
+        # sym_eig skips the symmetrizing copy of an exactly symmetric input;
+        # the bits equal those of the form that always symmetrized, on an
+        # exactly symmetric Gram, on a matrix symmetric only to round-off
+        # (which is still symmetrized) and on one with tied eigenvalues
+        rng = np.random.default_rng(26)
+        n = 120
+        if kind == "tied":
+            q = random_orthonormal(rng, n, n)
+            a = (q * np.repeat([3.0, 1.0, 0.5], n // 3)) @ q.T
+            a = np.triu(a) + np.triu(a, 1).T
+        else:
+            g = rng.standard_normal((2 * n, n))
+            a = g.T @ g
+            if kind == "rounded":
+                a[np.triu_indices(n, 1)] *= 1.0 + 1e-14
+        assert np.array_equal(a, a.T) == (kind != "rounded")
+        vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+        order = np.argsort(-vals, kind="stable")
+        vecs = vecs[:, order]
+        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+        dec = sym_eig(a)
+        assert np.array_equal(dec.eigvals, vals[order])
+        assert np.array_equal(dec.eigvecs, vecs * np.where(lead < 0.0, -1.0, 1.0))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             sym_eig(np.zeros((2, 3)))

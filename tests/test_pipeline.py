@@ -134,6 +134,18 @@ RESIDUAL_REGIMES = {
 }
 
 
+def _duplicated_tokens_inputs():
+    # 4 concepts of 12 tokens each, every token stacked twice: 96 tokens,
+    # k = 100 > d_in = 48, and an exactly rank-deficient token stack
+    model = small_model(seed=19, tokens_per_concept=12)
+    contexts = [np.vstack([g, g]) for g in model.contexts]
+    return model.w0, model.erase_spec, contexts, model.features, model.labels
+
+
+# The residual regimes and a draw with more tokens than d_in, all duplicated.
+DENSE_ROUTE_REGIMES = {**RESIDUAL_REGIMES, "k>d_in-duplicated": _duplicated_tokens_inputs}
+
+
 class TestRunEdit:
     def test_empty_edit_rejected(self):
         with pytest.raises(ValueError, match="no target"):
@@ -323,11 +335,10 @@ class TestRunEdit:
         assert held <= 1.10 * d_out * d_in * 8
 
     def test_kernel_calls_per_edit(self, monkeypatch):
-        # no SVD: the gate comes from one m x m eigendecomposition of the
-        # concepts' Gram (of R's m x m concept triangle when k < d_in, since
-        # C = Q[:, :m] T_C), and the line step decomposes nothing. The only
-        # other eigendecomposition is the stabilizer's k x k, and the only QR
-        # is the stabilizer's Householder QR, which T+m >= d_in skips
+        # no SVD and no QR: the gate comes from one m x m eigendecomposition
+        # of the concepts' Gram, and the line step decomposes nothing. The
+        # only other eigendecomposition is the stabilizer's k x k Gram of
+        # F = [G^T, U sqrt(gate)]: F^T F when k < d_in, F F^T when k = d_in
         for tokens in (1, 11):
             model = small_model(seed=5, tokens_per_concept=tokens)  # new to the slot: a cold edit
             calls = []
@@ -346,8 +357,7 @@ class TestRunEdit:
             d_in = model.w0.shape[1]
             k = report.stabilizer_rank
             assert k == min(d_in, 4 * tokens + 4)
-            qr = [("qr", (d_in, k))] if k < d_in else []
-            assert calls == qr + [("eigh", (4, 4)), ("eigh", (k, k))]
+            assert calls == [("eigh", (4, 4)), ("eigh", (k, k))]
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     @pytest.mark.parametrize("mode", [BW_GEODESIC])
@@ -384,18 +394,25 @@ class TestRunEdit:
     def test_rows_stay_in_the_basis_when_every_gate_underflows(self):
         # at embed scale 800 every singular value of the concepts passes 709,
         # so every gate underflows to 0, and contexts drawn apart from the
-        # concepts do not span them: the stabilizer basis V still holds the
-        # concepts, so the edit D keeps its rows in span(V) and the solve
-        # leaves no residual
+        # concepts do not span them: span(Phi) misses the concepts, yet the
+        # solve is exact, and the edit D keeps its rows in the span of its
+        # basis [C | Phi]
         inputs = _gate_underflow_inputs()
         c = inputs[1].concepts
         assert gate_singular(np.linalg.svd(c, compute_uv=False)).max() == 0.0
         w, report = run_edit(*inputs)
-        stab, _, sol = solve_stages(*inputs)
-        vecs = stab.eig.eigvecs
-        assert vecs.shape[1] < report.d_out
-        assert np.linalg.norm(c - vecs @ (vecs.T @ c)) <= 1e-12 * np.linalg.norm(c)
-        assert report.sylvester_residual <= 1e-8
+        stab, dec, sol = solve_stages(*inputs)
+        u, sigma, _ = np.linalg.svd(stab.eig.eigvecs, full_matrices=False)
+        phi_span = u[:, sigma > 1e-10 * sigma[0]]
+        assert np.linalg.norm(c - phi_span @ (phi_span.T @ c)) >= 0.5 * np.linalg.norm(c)
+        basis = np.linalg.qr(stab.rows.T)[0]
+        assert basis.shape[1] < report.d_out
+        d = sol.w_star
+        assert np.linalg.norm(d - (d @ basis) @ basis.T) <= 1e-12 * np.linalg.norm(d)
+        a = stab.a
+        rhs = anchored_rhs(inputs[0], inputs[1], a, stab.lam)
+        dense = np.linalg.norm(dec.alpha[:, None] * d + d @ a - rhs) / np.linalg.norm(rhs)
+        assert dense <= 1e-13 and report.sylvester_residual <= 1e-8
         assert np.array_equal(w, refine_weights(sol.w_star, inputs[0], report.config["beta"]))
 
     @pytest.mark.parametrize("regime", sorted(RESIDUAL_REGIMES))
@@ -412,6 +429,24 @@ class TestRunEdit:
         dense = np.linalg.norm(dec.alpha[:, None] * d + d @ a - rhs) / np.linalg.norm(rhs)
         assert dense / 3.0 <= sol.residual <= 3.0 * dense
         assert dense <= 1e-13
+
+    @pytest.mark.parametrize("regime", sorted(DENSE_ROUTE_REGIMES))
+    def test_edit_matches_the_dense_route(self, regime):
+        # the edit's residual against its own dense A is round-off, and the
+        # edit is the one the dense reference route gives: A assembled from
+        # build_s and build_r, solved as a raw matrix on the dense
+        # right-hand side M - W0 (A - lam I)
+        inputs = DENSE_ROUTE_REGIMES[regime]()
+        w0, spec, contexts = inputs[:3]
+        stab, dec, sol = solve_stages(*inputs)
+        d = sol.w_star
+        a = stab.a
+        rhs = anchored_rhs(w0, spec, a, stab.lam)
+        assert np.linalg.norm(dec.alpha[:, None] * d + d @ a - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        dense_a = assemble_a(stab.lam, build_s(contexts), build_r(spec.concepts)).a
+        dense_rhs = anchored_rhs(w0, spec, dense_a, stab.lam)
+        want = sylvester_solve_spectral(dec.alpha, dense_a, dense_rhs).w_star
+        assert rel_err(d, want) <= 1e-11
 
     def test_degenerate_alpha_solves_w_a_equals_m(self):
         # constant decoupler features binarize to one state on every channel,
@@ -689,10 +724,16 @@ class TestStabilizerSlot:
         assert w.tobytes() == w_cold.tobytes()
 
     def test_stored_basis_is_read_only(self):
-        model = small_model(seed=13)
-        run_edit(*edit_args(model))
-        _, stab = pipeline._stabilizer_slot
-        assert not stab.eig.eigvecs.flags.writeable and not stab.eig.eigvals.flags.writeable
+        # the stored rows, [C^T; Phi^T] at k < d_in and V^T at k = d_in, and
+        # the eigenvalues; the eigenvectors are a view of the rows
+        for tokens in (1, 12):
+            model = small_model(seed=13, tokens_per_concept=tokens)
+            run_edit(*edit_args(model))
+            _, stab = pipeline._stabilizer_slot
+            assert (stab.rank < 48) == (tokens == 1)
+            assert not any(arr.flags.writeable for arr in (stab.rows, *stab.eig))
+            with pytest.raises(ValueError, match="read-only"):
+                stab.rows[0, 0] = 0.0
 
     def test_threads_with_different_concept_sets(self, builds):
         # four threads (more than the cores) on two concept sets, with a

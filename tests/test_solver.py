@@ -124,8 +124,8 @@ class TestSpectral:
         # beside the edit D, the stabilizer basis V (made before the solve)
         # and at most three d_out-by-k products with V at a time, the
         # residual's sketch takes a few arrays of 16 columns: no block of
-        # rows of D (one of 256 rows would be 2 MiB here). A dense M needs
-        # a basis that spans d_in, so k = d_in there.
+        # rows of D (one of 256 rows would be 2 MiB here). The dense M is
+        # solved at k = d_in here.
         rng = np.random.default_rng(23)
         d_out, d_in, m = 512, 1024, 8
         c = rng.standard_normal((d_in, m))
@@ -147,29 +147,43 @@ class TestSpectral:
         assert extra <= 3.25 * d_out * stab.rank * 8 + 4 * 16 * (d_in + d_out) * 8
         assert sol.residual < 1e-12
 
-    def test_dense_m_needs_a_complete_basis(self):
-        stab, b, m, _ = anchored_case(*ANCHORED_CASES["k<d_in"])
-        with pytest.raises(ValueError, match=r"factors \(v_star, c\)"):
-            sylvester_solve_spectral(b, stab, m[0] @ m[1].T)
+    def test_dense_m_is_solved_at_any_rank(self):
+        # a dense M takes the factored M's route, k < d_in included, and
+        # matches the Kronecker oracle, unanchored and anchored
+        for case in ("k<d_in", "k=d_in"):
+            stab, b, m, w0 = anchored_case(*ANCHORED_CASES[case])
+            dense_m = m[0] @ m[1].T
+            assert (stab.rank < w0.shape[1]) == (case == "k<d_in")
+            for anchor in (None, w0):
+                rhs = dense_m if anchor is None else shifted_rhs(stab, m, w0)
+                want = sylvester_solve_kronecker(b, stab, rhs).w_star
+                sol = sylvester_solve_spectral(b, stab, dense_m, anchor)
+                assert rel_err(sol.w_star, want) < 1e-10
+                factored = sylvester_solve_spectral(b, stab, m, anchor).w_star
+                assert rel_err(sol.w_star, factored) < 1e-12
+                assert sol.residual < 1e-12
 
-    def test_factors_outside_the_basis_show_in_the_residual(self):
-        # C off the span of V: the solve drops the part outside it, and the
-        # residual's sketch covers the whole equation, so it reads that
-        # part's share of the right-hand side within a factor 3
-        stab, b, (v_star, c), _ = anchored_case(*ANCHORED_CASES["k<d_in"])
+    def test_factors_outside_the_basis_are_solved(self):
+        # C off the span of Phi: Woodbury's identity solves the part outside
+        # it too, so the dense residual is round-off at every scale of that
+        # part, the solve matches the Kronecker oracle, and the estimate
+        # reads round-off as well
+        stab, b, (v_star, c), w0 = anchored_case(*ANCHORED_CASES["k<d_in"])
         vecs = stab.eig.eigvecs
         rng = np.random.default_rng(6)
         off = rng.standard_normal(c.shape)
-        off -= vecs @ (vecs.T @ off)
+        off -= vecs @ np.linalg.lstsq(vecs, off, rcond=None)[0]
+        assert np.linalg.norm(vecs.T @ off) < 1e-12 * np.linalg.norm(vecs) * np.linalg.norm(off)
         for scale in (1e-8, 1e-3, 1.0):
             c_off = c + scale * off
-            sol = sylvester_solve_spectral(b, stab, (v_star, c_off))
-            rhs = v_star @ c_off.T
-            dense = b[:, None] * sol.w_star + sol.w_star @ stab.a - rhs
-            exact = np.linalg.norm(dense) / np.linalg.norm(rhs)
-            outside = np.linalg.norm(v_star @ (scale * off).T) / np.linalg.norm(rhs)
-            assert exact == pytest.approx(outside, rel=1e-6)
-            assert exact / 3.0 <= sol.residual <= 3.0 * exact
+            for anchor in (None, w0):
+                sol = sylvester_solve_spectral(b, stab, (v_star, c_off), anchor)
+                rhs = shifted_rhs(stab, (v_star, c_off), w0 if anchor is not None else 0 * w0)
+                dense = b[:, None] * sol.w_star + sol.w_star @ stab.a - rhs
+                assert np.linalg.norm(dense) <= 1e-13 * np.linalg.norm(rhs)
+                want = sylvester_solve_kronecker(b, stab, rhs).w_star
+                assert rel_err(sol.w_star, want) < 1e-10
+                assert sol.residual < 1e-13
 
     @pytest.mark.parametrize("factored", [True, False], ids=["factored-m", "dense-m"])
     def test_raw_a_residual_estimates_the_dense_residual(self, factored):
@@ -241,8 +255,7 @@ class TestAnchored:
         stab, b, m, w0 = anchored_case(*ANCHORED_CASES[case])
         rhs = shifted_rhs(stab, m, w0)
         want = sylvester_solve_kronecker(b, stab, rhs).w_star
-        # a dense M needs a basis that spans d_in
-        for given in (m, m[0] @ m[1].T)[: 1 + (stab.rank == w0.shape[1])]:
+        for given in (m, m[0] @ m[1].T):
             sol = sylvester_solve_spectral(b, stab, given, w0)
             assert rel_err(sol.w_star, want) < 1e-10
             dense = b[:, None] * sol.w_star + sol.w_star @ stab.a - rhs

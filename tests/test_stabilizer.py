@@ -9,7 +9,7 @@ from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.pipeline import EditConfig
 from scapre.solver import sylvester_solve_spectral
 from scapre.stabilizer import (
-    _gate_term,
+    _gate_rows,
     assemble_a,
     build_a,
     build_r,
@@ -219,8 +219,13 @@ class TestBuildA:
         stab = build_a(ctx, c, lam, SCALE)
         dense = dense_reference(ctx, c, lam)
         assert stab.rank == min(d_in, sum(g.shape[0] for g in ctx) + m)
-        vecs = stab.eig.eigvecs
-        assert np.abs(vecs.T @ vecs - np.eye(stab.rank)).max() <= 1e-13
+        # an orthonormal V where it spans d_in; below that Phi, whose Gram
+        # is diag(eigvals - lam), so that Phi Phi^T = A - lam I
+        vecs, vals = stab.eig
+        if stab.rank == d_in:
+            assert np.abs(vecs.T @ vecs - np.eye(d_in)).max() <= 1e-13
+        else:
+            assert np.abs(vecs.T @ vecs - np.diag(vals - stab.lam)).max() <= 1e-14 * vals.max()
         assert stab.lam == pytest.approx(dense.lam, rel=1e-14)
         assert rel_err(stab.a, dense.a) < 1e-12
         got = sylvester_solve_spectral(b, stab, rhs)
@@ -231,21 +236,32 @@ class TestBuildA:
 
     def test_basis_spans_the_concepts_when_the_gates_underflow(self):
         # every gate is 0 at singular values past 709, and the contexts miss
-        # the concepts; the basis holds them anyway, with eigenvalue lam
+        # the concepts: span(Phi) misses them too, yet the solve's basis
+        # [C | Phi] holds them, and the solve is exact, since Woodbury's
+        # identity gives the part of C outside span(Phi) the complement's 1/c
         rng = np.random.default_rng(3)
         ctx = [rng.standard_normal((2, 30)) for _ in range(3)]
         c = 800.0 * np.linalg.qr(rng.standard_normal((30, 3)))[0]
         stab = build_a(ctx, c, lam_scale=SCALE)
-        vecs = stab.eig.eigvecs
+        dense = dense_reference(ctx, c)
         assert stab.rank == 9
-        assert np.linalg.norm(c - vecs @ (vecs.T @ c)) <= 1e-12 * np.linalg.norm(c)
-        assert rel_err(stab.a, dense_reference(ctx, c).a) < 1e-12
+        assert np.array_equal(stab.rows[:3], c.T)
+        u, sigma, _ = np.linalg.svd(stab.eig.eigvecs, full_matrices=False)
+        span = u[:, sigma > 1e-10 * sigma[0]]
+        assert np.linalg.norm(c - span @ (span.T @ c)) >= 0.5 * np.linalg.norm(c)
+        assert rel_err(stab.a, dense.a) < 1e-12
+        b = rng.uniform(0.0, 1.0, 5)
+        rhs = rng.standard_normal((5, 3)), c
+        got = sylvester_solve_spectral(b, stab, rhs)
+        want = sylvester_solve_spectral(b, dense, rhs[0] @ c.T)
+        assert rel_err(got.w_star, want.w_star) < 1e-12
+        assert got.residual < 1e-12
 
     @pytest.mark.parametrize("case", ["k<d_in", "k>d_in"])
     def test_factored_rhs_matches_dense_rhs(self, case):
-        # M = V* C^T with C in the span of the stabilizer's concepts; a dense
-        # M needs a basis that spans d_in, so where k < d_in it goes to the
-        # dense reference's full eigenbasis
+        # M = V* C^T with C in the span of the stabilizer's concepts, against
+        # the dense reference's full eigenbasis; a dense M is solved at any
+        # rank, where k < d_in by the same Woodbury route
         d_in, tokens, m, _, lam = FACTORED_CASES[case]
         ctx, c, b, (v_star, c_rhs) = factored_case(d_in, tokens, m)
         stab = build_a(ctx, c, lam, SCALE)
@@ -254,11 +270,8 @@ class TestBuildA:
         want = sylvester_solve_spectral(b, dense_reference(ctx, c, lam), rhs)
         assert rel_err(got.w_star, want.w_star) < 1e-12
         assert got.residual < 1e-12
-        if stab.rank < d_in:
-            with pytest.raises(ValueError, match="factors"):
-                sylvester_solve_spectral(b, stab, rhs)
-        else:
-            assert rel_err(sylvester_solve_spectral(b, stab, rhs).w_star, want.w_star) < 1e-12
+        assert (stab.rank < d_in) == (case == "k<d_in")
+        assert rel_err(sylvester_solve_spectral(b, stab, rhs).w_star, want.w_star) < 1e-12
         with pytest.raises(ValueError, match="do not multiply"):
             sylvester_solve_spectral(b, stab, (v_star, c_rhs[:-1]))
 
@@ -352,14 +365,16 @@ class TestGateFromGram:
 
     @pytest.mark.parametrize("duplicate", [False, True])
     def test_gate_term_matches_build_r(self, duplicate):
-        # from C itself (the square branch) and from its QR triangle T_C,
-        # with C = Q T_C (the QR branch); the Gram squares the condition
-        # number, so the term keeps about (sigma_max / sigma_min)^2 * eps
+        # the Gram of the gate rows is R, from C itself and, rotated back,
+        # from its QR triangle T_C (C = Q T_C: the rows are rotation
+        # equivariant); the Gram squares the condition number, so the term
+        # keeps about (sigma_max / sigma_min)^2 * eps
         _, c = confusable_concepts(1, duplicate)
         q, t = np.linalg.qr(c)
         want = build_r(c)
-        assert rel_err(_gate_term(c), want) < 1e-10
-        assert rel_err(q @ _gate_term(t) @ q.T, want) < 1e-10
+        rows, rotated = _gate_rows(c), _gate_rows(t) @ q.T
+        assert rel_err(rows.T @ rows, want) < 1e-10
+        assert rel_err(rotated.T @ rotated, want) < 1e-10
 
     def test_zero_singular_values_contribute_nothing(self):
         # an all-duplicate set has one nonzero singular value; the Gram's
@@ -367,7 +382,9 @@ class TestGateFromGram:
         c = np.repeat(np.linspace(0.1, 0.3, 6)[:, None], 4, axis=1)
         sigma = np.linalg.norm(c)
         want = gate_singular(sigma)[0] * np.outer(c[:, 0], c[:, 0]) / np.vdot(c[:, 0], c[:, 0])
-        assert rel_err(_gate_term(c), want) < 1e-12
+        rows = _gate_rows(c)
+        assert rel_err(rows.T @ rows, want) < 1e-12
+        assert not rows[1:].any()
 
 
 def test_each_test_starts_with_an_empty_slot():
