@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_27.json --reference BENCH_26.json
+    python bench/stages.py --out BENCH_39.json --reference BENCH_38.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 One timing rule holds for every section: `--runs` untraced runs give the
@@ -14,16 +14,14 @@ still held after it returns (the result kept alive), and the quality
 numbers. Where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit
 at full size) the stages are rerun and the exact residual of the edit
 against the dense A is recorded as `dense_residual`, beside the report's
-estimate. Each of these edits builds its stabilizer: the slot that keeps
-the last one is emptied before it. The shared-concepts edit follows: one
-concept set (the seed-42 model at the cross-attention shape) and one `W0`
-per projection width, edited by consecutive `run_edit` calls from an
-empty slot, as a UCE-style edit of every projection does; each
-projection's median wall time and stabilizer `stage_ms` are recorded, and
-whether it reused the stabilizer. Then `scapre edit` of a `scapre gen`
-manifest at 512x512, m=300, beta=0, with its outputs written to a
-temporary directory and the stage times read from its report; each run
-empties the slot first, as a new `scapre` process starts with it empty.
+estimate. The shared-concepts edit follows: one concept set (the seed-42
+model at the cross-attention shape) and one `W0` per projection width,
+edited by consecutive `run_edit` calls, as a UCE-style edit of every
+projection does; each projection's median wall time and stabilizer
+`stage_ms` are recorded. Then `scapre edit` of a `scapre gen` manifest at
+512x512, m=300, beta=0, with its outputs written to a temporary directory
+and the stage times read from its report. Every edit builds its own
+stabilizer.
 `build_decoupler` on the same seed-42 model's samples runs traced too,
 once given as an array in memory (its bytes not counted) and once read
 from the manifest's file.
@@ -62,7 +60,7 @@ import numpy as np  # noqa: E402
 from scapre import cli  # noqa: E402
 from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
 from scapre.informax import build_decoupler  # noqa: E402
-from scapre.pipeline import EditConfig, _clear_stabilizer_slot, _environment, run_edit  # noqa: E402
+from scapre.pipeline import EditConfig, _environment, run_edit  # noqa: E402
 from scapre.smatio import SmatRows  # noqa: E402
 from scapre.solver import resolve_v_star, sylvester_solve_spectral  # noqa: E402
 from scapre.stabilizer import build_a  # noqa: E402
@@ -128,7 +126,6 @@ def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
     cfg = EditConfig()
 
     def edit():
-        _clear_stabilizer_slot()  # every run builds its stabilizer
         return run_edit(
             model.w0, model.erase_spec, model.contexts, model.features, model.labels,
             cfg, preserved=model.preserved,
@@ -179,9 +176,7 @@ def bench_shared(d_in, d_outs, m, tokens, runs) -> dict:
         for part, d_out in enumerate(d_outs[1:], start=1)
     ]
     walls, stabilizer_ms = [[] for _ in w0s], [[] for _ in w0s]
-    reused = [None] * len(w0s)  # the same in every run: each starts from an empty slot
     for _ in range(runs):
-        _clear_stabilizer_slot()
         for i, w0 in enumerate(w0s):
             t = time.perf_counter()
             _, report = run_edit(
@@ -190,7 +185,6 @@ def bench_shared(d_in, d_outs, m, tokens, runs) -> dict:
             )  # fmt: skip
             walls[i].append(time.perf_counter() - t)
             stabilizer_ms[i].append(report.stage_ms["stabilizer"])
-            reused[i] = report.stabilizer_reused
     return {
         "d_in": d_in,
         "m": m,
@@ -200,7 +194,6 @@ def bench_shared(d_in, d_outs, m, tokens, runs) -> dict:
                 "d_out": d_out,
                 "wall_s": statistics.median(walls[i]),
                 "stabilizer_ms": statistics.median(stabilizer_ms[i]),
-                "stabilizer_reused": reused[i],
             }
             for i, d_out in enumerate(d_outs)
         ],
@@ -210,9 +203,8 @@ def bench_shared(d_in, d_outs, m, tokens, runs) -> dict:
 def bench_cli(d_in, d_out, m, runs) -> dict:
     """``scapre edit`` of a ``scapre gen`` manifest, timed as the shapes are.
 
-    Each edit starts from an empty stabilizer slot, as a new ``scapre``
-    process does. The dense residual and the decoupler's peaks are taken
-    from the same seed-42 model in memory.
+    The dense residual and the decoupler's peaks are taken from the same
+    seed-42 model in memory.
     """
     model = generate_model(SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, seed=SEED))
     with tempfile.TemporaryDirectory() as tmp:
@@ -232,7 +224,6 @@ def bench_cli(d_in, d_out, m, runs) -> dict:
             # "Replacing existing outputs costs a disk flush per file")
             for path in outputs:
                 path.unlink(missing_ok=True)
-            _clear_stabilizer_slot()
             if cli.main(["edit", str(manifest)]) != 0:
                 raise RuntimeError("scapre edit failed")
 
@@ -379,8 +370,7 @@ def main(argv=None) -> int:
     for p in shared["projections"]:
         print(
             f"shared concepts {shared['d_in']}x{p['d_out']} m={shared['m']}: "
-            f"{p['wall_s']:.3f} s, stabilizer {p['stabilizer_ms']:.1f} ms, "
-            f"reused {p['stabilizer_reused']}"
+            f"{p['wall_s']:.3f} s, stabilizer {p['stabilizer_ms']:.1f} ms"
         )
     c = doc["cli_edit"]
     print(

@@ -8,10 +8,8 @@ the edited weights plus a self-describing report.
 """
 
 import functools
-import hashlib
 import math
 import os
-import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -31,14 +29,12 @@ from .solver import EraseSpec, assemble_m, resolve_v_star, sylvester_solve_spect
 # run_edit assembles A with build_a; the dense reference route stays importable
 # here because perfbench/tracing.py patches these names.
 from .stabilizer import (  # noqa: F401
-    StabilizerA,
     assemble_a,
     build_a,
     build_r,
     build_s,
     relative_lambda,
     validate_concepts,
-    validate_contexts,
 )
 
 __all__ = [
@@ -82,49 +78,6 @@ def _stage(name: str, stage_ms: dict[str, float]):
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
     stage_ms[name] = (time.perf_counter() - t0) * 1e3
-
-
-# The last stabilizer run_edit built, with the key of its inputs, so that
-# consecutive edits of one concept set (every cross-attention projection of
-# a UCE-style edit) build it once. Read and replaced under the lock.
-_stabilizer_slot: tuple[tuple, StabilizerA] | None = None
-_stabilizer_lock = threading.Lock()
-
-
-def _stabilizer_key(groups, c, lam, lam_scale) -> tuple:
-    """The exact content ``build_a`` reads: shapes, float64 bytes and ridge settings."""
-    h = hashlib.sha256()
-    for arr in (*groups, c):
-        h.update(arr)  # C-contiguous float64, as validated
-    return (tuple(g.shape for g in groups), c.shape, h.digest(), lam, lam_scale)
-
-
-def _shared_stabilizer(groups, c, lam, lam_scale) -> tuple[StabilizerA, bool]:
-    """``build_a(groups, c, lam, lam_scale)``, reused when the last build had the same key.
-
-    Returns the stabilizer and whether it was reused. On a miss the slot is
-    emptied before the build, so it never holds two stabilizers; the stored
-    arrays are made read-only, as every later edit shares them.
-    """
-    global _stabilizer_slot
-    key = _stabilizer_key(groups, c, lam, lam_scale)
-    with _stabilizer_lock:
-        if _stabilizer_slot is not None and _stabilizer_slot[0] == key:
-            return _stabilizer_slot[1], True
-        _stabilizer_slot = None
-    stab = build_a(groups, c, lam, lam_scale)
-    for arr in (stab.rows, stab.eigvals):
-        arr.flags.writeable = False
-    with _stabilizer_lock:
-        _stabilizer_slot = (key, stab)
-    return stab, False
-
-
-def _clear_stabilizer_slot() -> None:
-    """Forget the stored stabilizer, so the next edit builds its own (for tests and benches)."""
-    global _stabilizer_slot
-    with _stabilizer_lock:
-        _stabilizer_slot = None
 
 
 @functools.cache
@@ -207,9 +160,7 @@ class EditReport:
     estimate of the relative residual of the whole anchored equation for
     the edit ``D = W* - W0``, within [1/2, 2] times the true value except
     with probability about 1.1e-3; ``<= 1e-8`` is checked on it.
-    ``stabilizer_reused`` is true when the edit took the stabilizer that the
-    previous build made from the same contexts, concepts and ridge
-    settings. ``stage_ms`` is the wall time of each stage in milliseconds;
+    ``stage_ms`` is the wall time of each stage in milliseconds;
     ``config`` echoes the ``EditConfig`` and ``lam`` is the ridge it
     resolved to; ``environment`` is the NumPy/BLAS configuration, read once
     per process.
@@ -221,7 +172,6 @@ class EditReport:
     lam: float
     sylvester_residual: float
     stabilizer_rank: int
-    stabilizer_reused: bool
     a_eig_min: float
     a_eig_max: float
     min_denominator: float
@@ -268,10 +218,8 @@ def run_edit(
     ``smatio.SmatRows``, passed to ``build_decoupler`` as it is; the two give
     the same weights. Deterministic: identical inputs give bit-identical
     weights. Each array given is checked for non-finite values once, in the
-    stage that first uses it (``w0`` on entry). An edit with the same
-    contexts, concepts and ridge settings as the last stabilizer build takes
-    that stabilizer (``stabilizer_reused`` in the report), with the same
-    weights as a fresh build.
+    stage that first uses it (``w0`` on entry). Every call builds its own
+    stabilizer, and nothing of an edit outlives the call.
     """
     t0 = time.perf_counter()
     w0_ = as_matrix(w0, "w0")
@@ -291,9 +239,9 @@ def run_edit(
             raise ValueError(
                 f"{len(contexts)} context groups for {spec.n_concepts} concepts"
             )
-        groups, c = validate_contexts(contexts), validate_concepts(spec.concepts)
-        with checked_finite(*groups, c):
-            stab, reused = _shared_stabilizer(groups, c, cfg.lam, cfg.lam_scale)
+        c = validate_concepts(spec.concepts)
+        with checked_finite(c):  # build_a validates the contexts
+            stab = build_a(contexts, c, cfg.lam, cfg.lam_scale)
 
     # w0 and the concepts were checked above; the stages take them as they are
     with checked_finite(w0_, c):
@@ -326,7 +274,6 @@ def run_edit(
         lam=stab.lam,
         sylvester_residual=sol.residual,
         stabilizer_rank=stab.rank,
-        stabilizer_reused=reused,
         a_eig_min=stab.eig_min,
         a_eig_max=stab.eig_max,
         min_denominator=sol.min_denominator,

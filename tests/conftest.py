@@ -1,21 +1,6 @@
-"""Shared test set-up: an empty stabilizer slot before every test, and matrix helpers.
-
-``run_edit`` keeps the last stabilizer it built between calls, the library's
-only state that outlives a call. Emptying that slot before each test makes
-every test start as it would alone in a fresh process, whatever ran before
-it; a test that needs a warm slot fills it itself. Test modules import the
-helpers below with ``from conftest import ...``.
-"""
+"""Matrix helpers shared by the test modules, which import them with ``from conftest import ...``."""
 
 import numpy as np
-import pytest
-
-from scapre import pipeline
-
-
-@pytest.fixture(autouse=True)
-def empty_stabilizer_slot():
-    pipeline._clear_stabilizer_slot()
 
 
 def rel_err(got, want):

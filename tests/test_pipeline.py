@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -340,7 +341,7 @@ class TestRunEdit:
         # only other eigendecomposition is the stabilizer's k x k Gram of
         # F = [G^T, U sqrt(gate)]: F^T F when k < d_in, F F^T when k = d_in
         for tokens in (1, 11):
-            model = small_model(seed=5, tokens_per_concept=tokens)  # new to the slot: a cold edit
+            model = small_model(seed=5, tokens_per_concept=tokens)
             calls = []
             for name in ("eigh", "svd", "qr"):
                 kernel = getattr(np.linalg, name)
@@ -378,15 +379,17 @@ class TestRunEdit:
         assert (k, report.d_out, model.erase_spec.n_concepts) == (8, 24, 4)
         assert calls == [("eigh", 4), ("eigh", k)]
 
-    def test_repeated_edit_makes_no_eigendecomposition(self, monkeypatch):
-        # the second edit of the same concept set takes the stored stabilizer
+    def test_repeated_edit_rebuilds_its_stabilizer(self, monkeypatch):
+        # nothing is kept between calls: a second identical edit decomposes
+        # what the first did, the m x m gate and the k x k Gram
         model = small_model(seed=5)
         args = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
-        _, first = run_edit(*args)
         calls = count_eigendecompositions(monkeypatch)
-        _, second = run_edit(*args, EditConfig(beta=0.0))
-        assert calls == []
-        assert second.stabilizer_reused and second.stage_ms["stabilizer"] >= 0.0
+        _, first = run_edit(*args)
+        cold = calls[:]
+        del calls[:]
+        _, second = run_edit(*args)
+        assert cold == calls == [("eigh", 4), ("eigh", second.stabilizer_rank)]
         assert (second.lam, second.a_eig_min, second.a_eig_max) == (
             first.lam, first.a_eig_min, first.a_eig_max
         )  # fmt: skip
@@ -689,101 +692,73 @@ def builds(monkeypatch):
     return calls
 
 
-class TestStabilizerSlot:
-    def test_identical_edits_build_once_and_match_a_cold_build(self, builds):
-        model = small_model(seed=11)
-        args = edit_args(model)
-        w_cold, cold = run_edit(*args, preserved=model.preserved)
-        pipeline._clear_stabilizer_slot()
-        del builds[:]
-        runs = [run_edit(*args, preserved=model.preserved) for _ in range(2)]
-        assert len(builds) == 1
-        assert [r.stabilizer_reused for _, r in runs] == [False, True]
-        assert not cold.stabilizer_reused
-        for w, report in runs:
-            assert w.tobytes() == w_cold.tobytes()
-            assert report.sylvester_residual == cold.sylvester_residual
+def test_threads_with_different_concept_sets(builds):
+    # four threads (more than the cores) on two concept sets, with a short
+    # switch interval: all four are inside build_a at once on their first
+    # edit, then edit on. Each must get the weights of its own inputs, from
+    # a stabilizer of its own.
+    models = [small_model(seed=14), small_model(seed=15)]
+    cold = [run_edit(*edit_args(m))[0] for m in models]
+    n_threads, barrier, local = 4, threading.Barrier(4), threading.local()
+    build = pipeline.build_a
 
-    @pytest.mark.parametrize("change", ["context", "concept", "lam", "lam_scale"])
-    def test_changed_inputs_rebuild(self, builds, change):
-        model = small_model(seed=12)
-        cfg = EditConfig(lam=2.0) if change == "lam" else EditConfig()
-        run_edit(*edit_args(model), cfg)
-        if change == "context":
-            model.contexts[1][0, 3] += 0.5  # in place: same object, new content
-        elif change == "concept":
-            model.erase_spec.concepts[5, 2] += 0.5
-        elif change == "lam":
-            cfg = EditConfig(lam=2.5)
-        else:
-            cfg = EditConfig(lam_scale=0.1)
-        w, report = run_edit(*edit_args(model), cfg)
-        assert len(builds) == 2 and not report.stabilizer_reused
-        pipeline._clear_stabilizer_slot()
-        w_cold, _ = run_edit(*edit_args(model), cfg)
-        assert w.tobytes() == w_cold.tobytes()
+    def overlapping(*a, **kw):
+        if not getattr(local, "waited", False):
+            local.waited = True
+            barrier.wait(timeout=60)
+        return build(*a, **kw)
 
-    def test_stored_basis_is_read_only(self):
-        # the stored rows, [C^T; Phi^T] at k < d_in and V^T at k = d_in, and
-        # the eigenvalues; the eigenvectors are a view of the rows
-        for tokens in (1, 12):
-            model = small_model(seed=13, tokens_per_concept=tokens)
-            run_edit(*edit_args(model))
-            _, stab = pipeline._stabilizer_slot
-            assert (stab.rank < 48) == (tokens == 1)
-            assert not any(arr.flags.writeable for arr in (stab.rows, *stab.eig))
-            with pytest.raises(ValueError, match="read-only"):
-                stab.rows[0, 0] = 0.0
+    outcomes = {}
 
-    def test_threads_with_different_concept_sets(self, builds):
-        # four threads (more than the cores) on two concept sets, with a
-        # short switch interval: all four are inside build_a at once on
-        # their first edit, then edit on, hitting or missing as the others
-        # replace the slot. Each must get the weights of its own inputs.
-        models = [small_model(seed=14), small_model(seed=15)]
-        cold = [run_edit(*edit_args(m))[0] for m in models]  # two concept sets: two builds
-        pipeline._clear_stabilizer_slot()
-        n_threads, barrier, local = 4, threading.Barrier(4), threading.local()
-        build = pipeline.build_a
-
-        def overlapping(*a, **kw):
-            if not getattr(local, "waited", False):
-                local.waited = True
-                barrier.wait(timeout=60)
-            return build(*a, **kw)
-
-        outcomes = {}
-
-        def edit(i):
-            try:
-                outcomes[i] = [run_edit(*edit_args(models[i % 2]))[0] for _ in range(4)]
-            except Exception as exc:  # surfaced by the assertion below
-                outcomes[i] = exc
-
-        pipeline.build_a, interval = overlapping, sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def edit(i):
         try:
-            threads = [threading.Thread(target=edit, args=(i,)) for i in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-            pipeline.build_a = build
-        for i in range(n_threads):
-            assert not isinstance(outcomes[i], Exception), outcomes[i]
-            assert all(w.tobytes() == cold[i % 2].tobytes() for w in outcomes[i])
-        assert len(builds) >= n_threads + 2  # the two cold builds, then one per thread
+            outcomes[i] = [run_edit(*edit_args(models[i % 2]))[0] for _ in range(4)]
+        except Exception as exc:  # surfaced by the assertion below
+            outcomes[i] = exc
+
+    pipeline.build_a, interval = overlapping, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=edit, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        pipeline.build_a = build
+    for i in range(n_threads):
+        assert not isinstance(outcomes[i], Exception), outcomes[i]
+        assert all(w.tobytes() == cold[i % 2].tobytes() for w in outcomes[i])
+    assert len(builds) == 2 + 4 * n_threads  # the two cold edits, then every edit of every thread
+
+
+def test_run_edit_keeps_no_state_between_calls(monkeypatch):
+    # the stabilizer an edit built is freed when run_edit returns, while the
+    # caller still holds the weights and the report
+    built = []
+
+    def tracked(*args, **kwargs):
+        stab = build_a(*args, **kwargs)
+        built.append(weakref.ref(stab))
+        return stab
+
+    monkeypatch.setattr("scapre.pipeline.build_a", tracked)
+    model = small_model(seed=11)
+    w, report = run_edit(*edit_args(model), preserved=model.preserved)
+    assert len(built) == 1 and built[0]() is None
+    assert w.shape == (report.d_out, report.d_in)
 
 
 class TestCheckOnce:
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_each_input_is_scanned_once(self, monkeypatch, warm):
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_each_input_is_scanned_once(self, monkeypatch, repeat):
+        # a repeat of an edit already run scans as much: no check is skipped
+        # for inputs an earlier call saw
         model = small_model(seed=16)
         args = edit_args(model)
-        if warm:
+        if repeat:
             run_edit(*args, preserved=model.preserved)
         scanned = []
         isfinite = np.isfinite
@@ -810,12 +785,12 @@ class TestCheckOnce:
             ("preserved", "metrics"),
         ],
     )
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_non_finite_input_fails_its_stage(self, where, stage, warm):
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_non_finite_input_fails_its_stage(self, where, stage, repeat):
         # the same error and stage as when every stage checked its inputs;
-        # a warm slot (the same content before the NaN) changes nothing
+        # an earlier edit of the same content before the NaN changes nothing
         model = small_model(seed=17)
-        if warm:
+        if repeat:
             run_edit(*edit_args(model), preserved=model.preserved)
         target = {
             "w0": model.w0,

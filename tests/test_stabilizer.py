@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from conftest import rel_err
 
-from scapre import pipeline
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.pipeline import EditConfig
 from scapre.solver import sylvester_solve_spectral
@@ -386,8 +385,3 @@ class TestGateFromGram:
         assert rel_err(rows.T @ rows, want) < 1e-12
         assert not rows[1:].any()
 
-
-def test_each_test_starts_with_an_empty_slot():
-    # collected after every test file that calls run_edit, which keeps the
-    # last stabilizer it built between calls: the slot is empty all the same
-    assert pipeline._stabilizer_slot is None
