@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_39.json --reference BENCH_38.json
+    python bench/stages.py --out BENCH_40.json --reference BENCH_39.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 One timing rule holds for every section: `--runs` untraced runs give the
@@ -14,26 +14,22 @@ still held after it returns (the result kept alive), and the quality
 numbers. Where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit
 at full size) the stages are rerun and the exact residual of the edit
 against the dense A is recorded as `dense_residual`, beside the report's
-estimate. The shared-concepts edit follows: one concept set (the seed-42
-model at the cross-attention shape) and one `W0` per projection width,
-edited by consecutive `run_edit` calls, as a UCE-style edit of every
-projection does; each projection's median wall time and stabilizer
-`stage_ms` are recorded. Then `scapre edit` of a `scapre gen` manifest at
-512x512, m=300, beta=0, with its outputs written to a temporary directory
-and the stage times read from its report. Every edit builds its own
-stabilizer.
-`build_decoupler` on the same seed-42 model's samples runs traced too,
-once given as an array in memory (its bytes not counted) and once read
-from the manifest's file.
+estimate. Then `scapre edit` of a `scapre gen` manifest at 512x512, m=300,
+beta=0, with its outputs written to a temporary directory and the stage
+times read from its report. `build_decoupler` on the same seed-42 model's
+samples runs traced too, once given as an array in memory (its bytes not
+counted) and once read from the manifest's file.
 
 Last, the frontier: on every shape above and on the CLI edit's model (the
-seed-42 model `scapre gen` writes), one `run_edit` per point of the grid
-`LAM_SCALES` x `BETAS` gives max erasure and median preservation. With
-`--reference`, a stage-bench JSON of an earlier commit, the frontier also
-records the largest `lam_scale` by the rule fixed before measuring: max
-erasure at most `RULE_RATIO` times the reference's on every shape at
-beta=0.5, and on the CLI shape at beta=0. `EditConfig.lam_scale` is
-recorded beside it.
+seed-42 model `scapre gen` writes), max erasure and median preservation
+at every point of the grid `LAM_SCALES` x `BETAS`. The solve does not
+depend on beta, so one `run_edit` per `lam_scale`, at beta 0, gives the
+edit `D = W* - W0`, and each beta is scored on the pipeline's own line
+step `W0 + (1 - beta/2) D`. With `--reference`, a stage-bench JSON of an
+earlier commit, the frontier also records the largest `lam_scale` by the
+rule fixed before measuring: max erasure at most `RULE_RATIO` times the
+reference's on every shape at beta=0.5, and on the CLI shape at beta=0.
+`EditConfig.lam_scale` is recorded beside it.
 
 The BLAS thread count is read from the environment, as NumPy reads it:
 set `OPENBLAS_NUM_THREADS` before running. The sources edited are those of
@@ -58,8 +54,10 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from scapre import cli  # noqa: E402
+from scapre.geometry import refine_weights  # noqa: E402
 from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
 from scapre.informax import build_decoupler  # noqa: E402
+from scapre.metrics import probe_scores  # noqa: E402
 from scapre.pipeline import EditConfig, _environment, run_edit  # noqa: E402
 from scapre.smatio import SmatRows  # noqa: E402
 from scapre.solver import resolve_v_star, sylvester_solve_spectral  # noqa: E402
@@ -74,9 +72,6 @@ SHAPES = {
     "full": [(768, 320, 50, 1), (2048, 1024, 100, 4), (4096, 1024, 200, 4)],
     "tiny": [(48, 16, 4, 1), (64, 32, 6, 4)],
 }
-# (d_in, projection widths d_out, m, tokens per concept) of the
-# shared-concepts edit: the SD-1.x cross-attention shape.
-SHARED_SHAPE = {"full": (768, (320, 640, 1280), 50, 1), "tiny": (48, (8, 16, 24), 5, 1)}
 # (d_in, d_out, m) of the traced CLI edit; beta is 0 at every size.
 CLI_SHAPE = {"full": (512, 512, 300), "tiny": (32, 32, 12)}
 # The frontier's grid, and the rule that picks the default lam_scale from it.
@@ -166,40 +161,6 @@ def _median_stages(stages: list[dict]) -> dict:
     return {k: statistics.median(s[k] for s in stages) for k in stages[0]}
 
 
-def bench_shared(d_in, d_outs, m, tokens, runs) -> dict:
-    """Consecutive edits of one concept set, one ``W0`` per projection width."""
-    model = generate_model(
-        SyntheticModelSpec(d_in, d_outs[0], m, M_PRESERVED, tokens_per_concept=tokens, seed=SEED)
-    )
-    w0s = [model.w0] + [
-        generate_model(SyntheticModelSpec(d_in, d_out, m, seed=SEED + part)).w0
-        for part, d_out in enumerate(d_outs[1:], start=1)
-    ]
-    walls, stabilizer_ms = [[] for _ in w0s], [[] for _ in w0s]
-    for _ in range(runs):
-        for i, w0 in enumerate(w0s):
-            t = time.perf_counter()
-            _, report = run_edit(
-                w0, model.erase_spec, model.contexts, model.features, model.labels,
-                preserved=model.preserved,
-            )  # fmt: skip
-            walls[i].append(time.perf_counter() - t)
-            stabilizer_ms[i].append(report.stage_ms["stabilizer"])
-    return {
-        "d_in": d_in,
-        "m": m,
-        "tokens_per_concept": tokens,
-        "projections": [
-            {
-                "d_out": d_out,
-                "wall_s": statistics.median(walls[i]),
-                "stabilizer_ms": statistics.median(stabilizer_ms[i]),
-            }
-            for i, d_out in enumerate(d_outs)
-        ],
-    }
-
-
 def bench_cli(d_in, d_out, m, runs) -> dict:
     """``scapre edit`` of a ``scapre gen`` manifest, timed as the shapes are.
 
@@ -260,24 +221,42 @@ def bench_cli(d_in, d_out, m, runs) -> dict:
     }
 
 
+def _reduced(errors: np.ndarray, reduce) -> float:
+    """``reduce`` of the errors that are not NaN, as ``run_edit`` reports them; NaN if none are."""
+    kept = errors[~np.isnan(errors)]
+    return float(reduce(kept)) if kept.size else float("nan")
+
+
 def frontier_shape(d_in, d_out, m, tokens) -> dict:
-    """Max erasure and median preservation at every point of the grid on one model."""
+    """Max erasure and median preservation at every point of the grid on one model.
+
+    One ``run_edit`` per ``lam_scale``, at beta 0, gives the edit
+    ``D = W* - W0`` and its residual, which do not depend on beta; each
+    beta's weights are ``refine_weights`` of that edit, scored by
+    ``probe_scores`` as ``run_edit`` scores them.
+    """
     model = generate_model(
         SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, tokens_per_concept=tokens, seed=SEED)
     )
+    v_star = resolve_v_star(model.w0, model.erase_spec)
     points = []
     for lam_scale in LAM_SCALES:
+        w_star, report = run_edit(
+            model.w0, model.erase_spec, model.contexts, model.features, model.labels,
+            EditConfig(lam_scale=lam_scale, beta=0.0), preserved=model.preserved,
+        )  # fmt: skip
+        delta = w_star - model.w0
         for beta in BETAS:
-            _, report = run_edit(
-                model.w0, model.erase_spec, model.contexts, model.features, model.labels,
-                EditConfig(lam_scale=lam_scale, beta=beta), preserved=model.preserved,
+            scores = probe_scores(
+                refine_weights(delta, model.w0, beta), model.w0, model.erase_spec,
+                model.preserved, v_star=v_star,
             )  # fmt: skip
             points.append(
                 {
                     "lam_scale": lam_scale,
                     "beta": beta,
-                    "max_erasure_err": report.max_erasure_err,
-                    "median_preserve_err": report.median_preserve_err,
+                    "max_erasure_err": _reduced(scores.erasure, np.max),
+                    "median_preserve_err": _reduced(scores.preservation, np.median),
                     "sylvester_residual": report.sylvester_residual,
                 }
             )
@@ -339,7 +318,6 @@ def run(size: str, runs: int, reference: dict | None = None) -> dict:
         },
         "environment": {"python": platform.python_version(), **_environment()},
         "shapes": [bench_shape(*shape, runs) for shape in SHAPES[size]],
-        "shared_concepts": bench_shared(*SHARED_SHAPE[size], runs),
         "cli_edit": bench_cli(*CLI_SHAPE[size], runs),
         "frontier": frontier(size, reference),
     }
@@ -365,12 +343,6 @@ def main(argv=None) -> int:
             f"peak {s['traced_peak_mib']:.1f} MiB, held {s['held_after_mib']:.1f} MiB, "
             f"max erasure {s['max_erasure_err']:.3f}, "
             f"median preserve {s['median_preserve_err']:.4f}"
-        )
-    shared = doc["shared_concepts"]
-    for p in shared["projections"]:
-        print(
-            f"shared concepts {shared['d_in']}x{p['d_out']} m={shared['m']}: "
-            f"{p['wall_s']:.3f} s, stabilizer {p['stabilizer_ms']:.1f} ms"
         )
     c = doc["cli_edit"]
     print(

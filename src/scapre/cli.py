@@ -321,12 +321,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-out", type=int, default=320, dest="d_out")
     p.add_argument("--targets", type=int, default=10)
     p.add_argument("--preserved", type=int, default=10)
-    p.add_argument("--similarity", type=float, default=0.0)
-    p.add_argument("--noise", type=float, default=0.01)
-    p.add_argument("--embed-scale", type=float, default=10.0, dest="embed_scale")
-    p.add_argument("--tokens", type=int, default=1)
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    spec = SyntheticModelSpec  # the model knobs' defaults are the spec's
+    p.add_argument("--similarity", type=float, default=spec.similarity)
+    p.add_argument("--noise", type=float, default=spec.noise_scale)
+    p.add_argument("--embed-scale", type=float, default=spec.embed_scale, dest="embed_scale")
+    p.add_argument("--tokens", type=int, default=spec.tokens_per_concept)
+    p.add_argument("--samples", type=int, default=spec.samples_per_concept)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument(
         "--target-mode",

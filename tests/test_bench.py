@@ -12,8 +12,6 @@ SHAPE_KEYS = {
     "dense_residual", "alpha",
 }  # fmt: skip
 STAGES = {"stabilizer", "informax", "solver", "geometry", "metrics"}
-SHARED_KEYS = {"d_in", "m", "tokens_per_concept", "projections"}
-PROJECTION_KEYS = {"d_out", "wall_s", "stabilizer_ms"}
 CLI_KEYS = {
     "d_in", "d_out", "m", "beta", "wall_s", "stage_ms", "traced_peak_mib",
     "decoupler_array_peak_mib", "decoupler_file_peak_mib", "max_erasure_err",
@@ -59,9 +57,7 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
     argv = ["--out", str(out), "--size", "tiny", "--runs", "2", "--reference", str(reference)]
     assert stages.main(argv) == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {
-        "config", "environment", "shapes", "shared_concepts", "cli_edit", "frontier"
-    }  # fmt: skip
+    assert set(doc) == {"config", "environment", "shapes", "cli_edit", "frontier"}
     assert doc["config"]["size"] == "tiny" and doc["config"]["runs"] == 2
     assert {"numpy", "blas", "OPENBLAS_NUM_THREADS"} <= set(doc["environment"])
     assert len(doc["shapes"]) == len(stages.SHAPES["tiny"])
@@ -73,13 +69,6 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
         assert shape["held_after_mib"] <= shape["traced_peak_mib"]
         assert shape["sylvester_residual"] <= 1e-8
         assert estimate_within_3x(shape)
-    shared = doc["shared_concepts"]
-    assert set(shared) == SHARED_KEYS
-    projections = shared["projections"]
-    assert [p["d_out"] for p in projections] == list(stages.SHARED_SHAPE["tiny"][1])
-    assert all(set(p) == PROJECTION_KEYS for p in projections)
-    # every projection's edit builds its own stabilizer
-    assert all(p["stabilizer_ms"] > 0.0 for p in projections)
     assert set(doc["cli_edit"]) == CLI_KEYS
     assert estimate_within_3x(doc["cli_edit"])
     assert set(doc["cli_edit"]["stage_ms"]) == STAGES
@@ -115,3 +104,41 @@ def test_cli_edit_runs_as_often_as_the_shapes(monkeypatch):
     section = stages.bench_cli(*stages.CLI_SHAPE["tiny"], 3)
     assert edits == [False, False, False, True]
     assert set(section) == CLI_KEYS and set(section["stage_ms"]) == STAGES
+
+
+def test_frontier_makes_one_edit_per_ridge(monkeypatch):
+    stages = load_stages()
+    edits = []
+    run_edit = stages.run_edit
+
+    def counted(*args, **kwargs):
+        edits.append(args[5].beta)
+        return run_edit(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "run_edit", counted)
+    for shape in stages.SHAPES["tiny"]:
+        del edits[:]
+        stages.frontier_shape(*shape)
+        assert edits == [0.0] * len(stages.LAM_SCALES)
+
+
+def test_frontier_points_equal_full_edits():
+    # each beta's line step of the beta-0 edit scores as a full edit at that beta
+    stages = load_stages()
+    for shape in [*stages.SHAPES["tiny"], (*stages.CLI_SHAPE["tiny"], 1)]:
+        d_in, d_out, m, tokens = shape
+        model = stages.generate_model(
+            stages.SyntheticModelSpec(
+                d_in, d_out, m, stages.M_PRESERVED, tokens_per_concept=tokens, seed=stages.SEED
+            )
+        )
+        points = stages.frontier_shape(*shape)["points"]
+        assert len(points) == len(stages.LAM_SCALES) * len(stages.BETAS)
+        for point in points:
+            cfg = stages.EditConfig(lam_scale=point["lam_scale"], beta=point["beta"])
+            _, report = stages.run_edit(
+                model.w0, model.erase_spec, model.contexts, model.features, model.labels,
+                cfg, preserved=model.preserved,
+            )  # fmt: skip
+            for key in ("max_erasure_err", "median_preserve_err", "sylvester_residual"):
+                assert math.isclose(point[key], getattr(report, key), rel_tol=1e-12, abs_tol=0.0)

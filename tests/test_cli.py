@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scapre.cli import main
+from scapre.cli import _model_spec_from_args, build_parser, main
+from scapre.harness import SyntheticModelSpec
 from scapre.pipeline import EditConfig, run_edit
 from scapre.smatio import load_manifest, read_smat, write_smat
 from scapre.solver import EraseSpec
@@ -355,6 +356,14 @@ class TestSweepCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "1"
+
+
+@pytest.mark.parametrize("argv", [["gen", "--out-dir", "x"], ["sweep", "--out", "x"]])
+def test_model_flags_default_to_the_spec(argv):
+    # every knob left unset on the command line takes SyntheticModelSpec's default
+    args = build_parser().parse_args(argv)
+    sizes = {"d_in": args.d_in, "d_out": args.d_out, "m_targets": args.targets}
+    assert _model_spec_from_args(args) == SyntheticModelSpec(**sizes, m_preserved=args.preserved)
 
 
 class TestSubprocessEntry:

@@ -418,6 +418,26 @@ class TestRunEdit:
         assert dense <= 1e-13 and report.sylvester_residual <= 1e-8
         assert np.array_equal(w, refine_weights(sol.w_star, inputs[0], report.config["beta"]))
 
+    @pytest.mark.parametrize("shape", [(128, 64, 8, 42), (256, 96, 20, 7)])
+    def test_the_gate_acts_only_at_a_small_embedding_scale(self, monkeypatch, shape):
+        # R's gate sigma / (1 + e^sigma) is absolute in sigma: at the
+        # harness's embed_scale 10 dropping R moves the edit by about 3e-6 of
+        # D, and at embed_scale 1, where the concepts' sigma are small, by
+        # about 0.1
+        *dims, seed = shape
+
+        def moved(embed_scale):
+            spec = SyntheticModelSpec(*dims, m_preserved=5, seed=seed, embed_scale=embed_scale)
+            args = (*_generated_inputs(spec), EditConfig(beta=0.0))
+            with_r, _ = run_edit(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr("scapre.stabilizer.gate_singular", np.zeros_like)
+                without_r, _ = run_edit(*args)
+            return np.linalg.norm(without_r - with_r) / np.linalg.norm(with_r - args[0])
+
+        assert moved(10.0) < 1e-4
+        assert moved(1.0) > 1e-2
+
     @pytest.mark.parametrize("regime", sorted(RESIDUAL_REGIMES))
     def test_residual_estimates_the_dense_residual(self, regime):
         # the reported residual is a 16-column sketch of the whole anchored
