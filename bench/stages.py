@@ -12,20 +12,20 @@ For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
 edited with the default `EditConfig`; the traced run also gives the memory
 still held after it returns (the result kept alive), and the quality
 numbers. Where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit
-at full size) the stages are rerun and the exact residual of the edit
-against the dense A is recorded as `dense_residual`, beside the report's
-estimate. Then `scapre edit` of a `scapre gen` manifest at 512x512, m=300,
-beta=0, with its outputs written to a temporary directory and the stage
-times read from its report. `build_decoupler` on the same seed-42 model's
-samples runs traced too, once given as an array in memory (its bytes not
-counted) and once read from the manifest's file.
+at full size) `solve_edit` reruns the solve and the exact residual of its
+edit against the dense A is recorded as `dense_residual`, beside the
+report's estimate. Then `scapre edit` of a `scapre gen` manifest at
+512x512, m=300, beta=0, with its outputs written to a temporary directory
+and the stage times read from its report. `build_decoupler` on the same
+seed-42 model's samples runs traced too, once given as an array in memory
+(its bytes not counted) and once read from the manifest's file.
 
 Last, the frontier: on every shape above and on the CLI edit's model (the
 seed-42 model `scapre gen` writes), max erasure and median preservation
 at every point of the grid `LAM_SCALES` x `BETAS`. The solve does not
-depend on beta, so one `run_edit` per `lam_scale`, at beta 0, gives the
-edit `D = W* - W0`, and each beta is scored on the pipeline's own line
-step `W0 + (1 - beta/2) D`. With `--reference`, a stage-bench JSON of an
+depend on beta, so one `solve_edit` per `lam_scale` gives the edit
+`D = W* - W0`, and each beta is scored on the pipeline's own line step
+`W0 + (1 - beta/2) D`. With `--reference`, a stage-bench JSON of an
 earlier commit, the frontier also records the largest `lam_scale` by the
 rule fixed before measuring: max erasure at most `RULE_RATIO` times the
 reference's on every shape at beta=0.5, and on the CLI shape at beta=0.
@@ -58,10 +58,8 @@ from scapre.geometry import refine_weights  # noqa: E402
 from scapre.harness import SyntheticModelSpec, generate_model  # noqa: E402
 from scapre.informax import build_decoupler  # noqa: E402
 from scapre.metrics import probe_scores  # noqa: E402
-from scapre.pipeline import EditConfig, _environment, run_edit  # noqa: E402
+from scapre.pipeline import EditConfig, _environment, run_edit, solve_edit  # noqa: E402
 from scapre.smatio import SmatRows  # noqa: E402
-from scapre.solver import resolve_v_star, sylvester_solve_spectral  # noqa: E402
-from scapre.stabilizer import build_a  # noqa: E402
 
 MIB = 2**20
 SEED = 42
@@ -97,17 +95,14 @@ def _traced(fn):
 def dense_residual(w0, spec, contexts, features, labels, cfg) -> float | None:
     """The exact relative residual of ``run_edit``'s solve against the dense ``A``.
 
-    The stages are rerun as ``run_edit`` runs them, so the edit ``D`` is
-    the one whose residual the report estimates. None where d_in exceeds
-    ``DENSE_MAX_D_IN``.
+    ``solve_edit`` gives the edit ``D`` whose residual the report
+    estimates, with its stabilizer, ``alpha`` and V*. None where d_in
+    exceeds ``DENSE_MAX_D_IN``.
     """
     if w0.shape[1] > DENSE_MAX_D_IN:
         return None
-    stab = build_a(contexts, spec.concepts, cfg.lam, cfg.lam_scale)
-    alpha = build_decoupler(w0, features, labels).alpha
-    v_star = resolve_v_star(w0, spec)
-    d = sylvester_solve_spectral(alpha, stab, (v_star, spec.concepts), w0).w_star
-    a = stab.a
+    stab, dec, v_star, sol, _ = solve_edit(w0, spec, contexts, features, labels, cfg)
+    a, alpha, d = stab.a, dec.alpha, sol.w_star
     rhs = v_star @ spec.concepts.T - w0 @ (a - stab.lam * np.eye(len(a)))
     return float(np.linalg.norm(alpha[:, None] * d + d @ a - rhs) / np.linalg.norm(rhs))
 
@@ -230,25 +225,23 @@ def _reduced(errors: np.ndarray, reduce) -> float:
 def frontier_shape(d_in, d_out, m, tokens) -> dict:
     """Max erasure and median preservation at every point of the grid on one model.
 
-    One ``run_edit`` per ``lam_scale``, at beta 0, gives the edit
-    ``D = W* - W0`` and its residual, which do not depend on beta; each
-    beta's weights are ``refine_weights`` of that edit, scored by
-    ``probe_scores`` as ``run_edit`` scores them.
+    One ``solve_edit`` per ``lam_scale`` gives the edit ``D = W* - W0``
+    and its residual, which do not depend on beta; each beta's weights are
+    ``refine_weights`` of that edit, scored by ``probe_scores`` as
+    ``run_edit`` scores them.
     """
     model = generate_model(
         SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, tokens_per_concept=tokens, seed=SEED)
     )
-    v_star = resolve_v_star(model.w0, model.erase_spec)
     points = []
     for lam_scale in LAM_SCALES:
-        w_star, report = run_edit(
+        _, _, v_star, sol, _ = solve_edit(
             model.w0, model.erase_spec, model.contexts, model.features, model.labels,
-            EditConfig(lam_scale=lam_scale, beta=0.0), preserved=model.preserved,
+            EditConfig(lam_scale=lam_scale),
         )  # fmt: skip
-        delta = w_star - model.w0
         for beta in BETAS:
             scores = probe_scores(
-                refine_weights(delta, model.w0, beta), model.w0, model.erase_spec,
+                refine_weights(sol.w_star, model.w0, beta), model.w0, model.erase_spec,
                 model.preserved, v_star=v_star,
             )  # fmt: skip
             points.append(
@@ -257,7 +250,7 @@ def frontier_shape(d_in, d_out, m, tokens) -> dict:
                     "beta": beta,
                     "max_erasure_err": _reduced(scores.erasure, np.max),
                     "median_preserve_err": _reduced(scores.preservation, np.median),
-                    "sylvester_residual": report.sylvester_residual,
+                    "sylvester_residual": sol.residual,
                 }
             )
     return {"d_in": d_in, "d_out": d_out, "m": m, "tokens_per_concept": tokens, "points": points}

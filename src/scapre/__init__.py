@@ -31,7 +31,7 @@ from .metrics import (
     uq_sigmoid,
 )
 from .oracle import OracleConfig, gd_minimize, mi_bruteforce, objective_perturbation_check
-from .pipeline import EditConfig, EditReport, run_edit
+from .pipeline import EditConfig, EditReport, run_edit, solve_edit
 from .smatio import read_smat, write_smat
 from .solver import (
     SUBSTITUTE_TARGET,
@@ -85,6 +85,7 @@ __all__ = [
     "refine_weights",
     "run_edit",
     "scaling_sweep",
+    "solve_edit",
     "svd",
     "sym_eig",
     "sylvester_solve_kronecker",

@@ -15,12 +15,13 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .harness import SyntheticModelSpec, generate_model, scaling_sweep, sweep_row
+from .harness import SyntheticModelSpec, generate_model, scaling_sweep, sweep_counts, sweep_row
 from .informax import build_decoupler
 from .metrics import MethodScore, uq_minmax, uq_rank, uq_sigmoid
 from .oracle import ConvergenceError, OracleConfig, gd_minimize, objective_perturbation_check
@@ -246,6 +247,15 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _config_errors():
+    """Report a ``ValueError`` of the block, which checks flags, as a configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
+
+
 def _model_spec_from_args(args) -> SyntheticModelSpec:
     return SyntheticModelSpec(
         d_in=args.d_in,
@@ -262,8 +272,10 @@ def _model_spec_from_args(args) -> SyntheticModelSpec:
 
 
 def cmd_gen(args) -> int:
-    spec = _model_spec_from_args(args)
-    model = generate_model(spec, args.target_mode)
+    with _config_errors():
+        spec = _model_spec_from_args(args)
+        cfg = EditConfig(beta=args.beta, target_mode=args.target_mode)
+        model = generate_model(spec, cfg.target_mode)  # an infeasible spec fails before drawing
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -289,9 +301,9 @@ def cmd_gen(args) -> int:
         inputs["preserved"] = "preserved.smat"
 
     manifest = {
-        "lambda": {"relative": EditConfig.lam_scale},
-        "beta": args.beta,
-        "target_mode": args.target_mode,
+        "lambda": {"relative": cfg.lam_scale},
+        "beta": cfg.beta,
+        "target_mode": cfg.target_mode,
         "seed": spec.seed,
         "inputs": inputs,
         "outputs": {
@@ -306,9 +318,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _model_spec_from_args(args)
-    counts = [int(c) for c in args.counts.split(",")]
-    cfg = EditConfig(beta=args.beta, target_mode=args.target_mode)
+    with _config_errors():
+        base = _model_spec_from_args(args)
+        counts = sweep_counts(args.counts.split(","))
+        cfg = EditConfig(beta=args.beta, target_mode=args.target_mode)
     t0 = time.perf_counter()
     rows = scaling_sweep(base, counts, cfg)
     write_csv(args.out, rows)
@@ -328,7 +341,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tokens", type=int, default=spec.tokens_per_concept)
     p.add_argument("--samples", type=int, default=spec.samples_per_concept)
     p.add_argument("--seed", type=int, default=spec.seed)
-    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--beta", type=float, default=EditConfig.beta)
     p.add_argument(
         "--target-mode",
         choices=[ZERO_TARGET, SUBSTITUTE_TARGET],

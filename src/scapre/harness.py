@@ -26,6 +26,7 @@ __all__ = [
     "confuse_benchmark",
     "generate_model",
     "scaling_sweep",
+    "sweep_counts",
     "sweep_row",
 ]
 
@@ -102,13 +103,7 @@ def _grouped_directions(rng, d_in, n_groups, size, similarity):
     mutually orthogonal. The columns come out group-major, ``size`` per group.
     """
     width = size + (similarity > 0.0)
-    need = n_groups * width + 1
-    if need > d_in:
-        raise ValueError(
-            f"cannot place {n_groups} group(s) of {size} concepts at cosine "
-            f"{similarity} plus an anchor in {d_in} dimensions (need {need})"
-        )
-    basis = _orthonormal_columns(rng, d_in, need)
+    basis = _orthonormal_columns(rng, d_in, n_groups * width + 1)
     anchor = basis[:, -1]
     if similarity == 0.0:
         return basis[:, :-1], anchor
@@ -175,11 +170,17 @@ def generate_model(
     distribution (concept embedding plus noise); neutral samples are
     isotropic Gaussian at the embedding scale. In substitute-target mode all
     targets share one anchor substitute direction, orthogonal to every
-    concept.
+    concept. A spec whose concepts do not fit in d_in fails before any draw.
     """
+    size = spec.m_targets + spec.m_preserved
+    need = spec.n_groups * (size + (spec.similarity > 0.0)) + 1
+    if need > spec.d_in:
+        raise ValueError(
+            f"cannot place {spec.n_groups} group(s) of {size} concepts at cosine "
+            f"{spec.similarity} plus an anchor in {spec.d_in} dimensions (need {need})"
+        )
     rng = np.random.default_rng(spec.seed)
     w0 = _spectrum_weights(rng, spec.d_out, spec.d_in)
-    size = spec.m_targets + spec.m_preserved
     dirs, anchor_dir = _grouped_directions(rng, spec.d_in, spec.n_groups, size, spec.similarity)
     concepts = (spec.embed_scale * dirs).reshape(spec.d_in, spec.n_groups, size)
     anchor = spec.embed_scale * anchor_dir
@@ -210,19 +211,24 @@ def sweep_row(run_id: str, report: EditReport) -> dict:
     }
 
 
+def sweep_counts(counts) -> list[int]:
+    """The concept counts of a sweep as integers; ValueError unless positive and ascending."""
+    counts = [int(c) for c in counts]
+    if counts != sorted(counts):
+        raise ValueError(f"concept counts must be ascending, got {counts}")
+    if min(counts, default=1) < 1:
+        raise ValueError("concept counts must be positive")
+    return counts
+
+
 def scaling_sweep(base: SyntheticModelSpec, counts, cfg: EditConfig = EditConfig()) -> list[dict]:
     """Run one edit per concept count, one after another, and collect CSV rows.
 
     A failing count produces a row with NaN metric cells and a note on
     stderr instead of aborting the sweep.
     """
-    counts = [int(c) for c in counts]
-    if counts != sorted(counts):
-        raise ValueError(f"concept counts must be ascending, got {counts}")
-    if min(counts, default=1) < 1:
-        raise ValueError("concept counts must be positive")
     rows = []
-    for m in counts:
+    for m in sweep_counts(counts):
         run_id = f"m{m:04d}-seed{base.seed}"
         try:
             spec = replace(base, m_targets=m)

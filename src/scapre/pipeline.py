@@ -3,8 +3,9 @@
 Fixed stage order: stabilizer assembly from the context tokens and the
 gated concept energy, channel decoupler (scored on the unedited weights),
 right-hand side, closed-form solve of the edit anchored to the unedited
-weights, the line step back toward them, probe scoring. Every run returns
-the edited weights plus a self-describing report.
+weights, the line step back toward them, probe scoring. ``solve_edit``
+runs the stages up to the solve and ``run_edit`` all of them; every run
+returns the edited weights plus a self-describing report.
 """
 
 import functools
@@ -44,6 +45,7 @@ __all__ = [
     "PipelineStageError",
     "ZeroTargetWarning",
     "run_edit",
+    "solve_edit",
 ]
 
 
@@ -200,28 +202,14 @@ class EditReport:
         return {k: v for k, v in self.__dict__.items() if k != "intermediates"}
 
 
-def run_edit(
-    w0,
-    spec: EraseSpec,
-    contexts,
-    features,
-    labels,
-    cfg: EditConfig = EditConfig(),
-    preserved=None,
-) -> tuple[np.ndarray, EditReport]:
-    """Run one edit of ``w0`` and report on it.
+def solve_edit(w0, spec: EraseSpec, contexts, features, labels, cfg: EditConfig = EditConfig()):
+    """The stabilizer, decoupler and anchored solve of ``run_edit``, which calls it.
 
-    ``contexts`` holds one token array per target concept, ``features`` and
-    ``labels`` the activation samples for the decoupler (label 0 = neutral,
-    k = concept k), and ``preserved`` optional probe directions scored for
-    preservation. ``features`` is an array or a row-block source such as
-    ``smatio.SmatRows``, passed to ``build_decoupler`` as it is; the two give
-    the same weights. Deterministic: identical inputs give bit-identical
-    weights. Each array given is checked for non-finite values once, in the
-    stage that first uses it (``w0`` on entry). Every call builds its own
-    stabilizer, and nothing of an edit outlives the call.
+    Returns ``(stab, dec, v_star, sol, stage_ms)``: V* resolved, ``sol.w_star``
+    the edit ``D = W* - W0``, and the three stages' wall times in
+    milliseconds. The inputs are checked as ``run_edit`` checks them; the
+    zero-target warning is ``run_edit``'s.
     """
-    t0 = time.perf_counter()
     w0_ = as_matrix(w0, "w0")
     if spec.mode != cfg.target_mode:
         raise PipelineStageError(
@@ -251,10 +239,39 @@ def run_edit(
         with _stage("solver", stage_ms):
             # M = V* C^T travels as its factors; the solve never forms it
             v_star = resolve_v_star(w0_, spec)
-            zero_target = not v_star.any()
-            if zero_target:
-                warnings.warn(_ZERO_TARGET_NOTE, ZeroTargetWarning, stacklevel=2)
             sol = sylvester_solve_spectral(dec.alpha, stab, (v_star, c), w0_)
+    return stab, dec, v_star, sol, stage_ms
+
+
+def run_edit(
+    w0,
+    spec: EraseSpec,
+    contexts,
+    features,
+    labels,
+    cfg: EditConfig = EditConfig(),
+    preserved=None,
+) -> tuple[np.ndarray, EditReport]:
+    """Run one edit of ``w0`` and report on it.
+
+    ``contexts`` holds one token array per target concept, ``features`` and
+    ``labels`` the activation samples for the decoupler (label 0 = neutral,
+    k = concept k), and ``preserved`` optional probe directions scored for
+    preservation. ``features`` is an array or a row-block source such as
+    ``smatio.SmatRows``, passed to ``build_decoupler`` as it is; the two give
+    the same weights. Deterministic: identical inputs give bit-identical
+    weights. Each array given is checked for non-finite values once, in the
+    stage that first uses it (``w0`` on entry). Every call builds its own
+    stabilizer, and nothing of an edit outlives the call.
+    """
+    t0 = time.perf_counter()
+    w0_ = as_matrix(w0, "w0")
+    # w0 was checked above; solve_edit and the stages take it as it is
+    with checked_finite(w0_):
+        stab, dec, v_star, sol, stage_ms = solve_edit(w0_, spec, contexts, features, labels, cfg)
+        zero_target = not v_star.any()
+        if zero_target:
+            warnings.warn(_ZERO_TARGET_NOTE, ZeroTargetWarning, stacklevel=2)
 
         with _stage("geometry", stage_ms):
             # the weights are written over the solved edit

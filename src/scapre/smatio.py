@@ -26,7 +26,6 @@ from typing import Any
 import numpy as np
 
 from . import informax
-from .geometry import BW_GEODESIC
 from .matkernel import as_matrix
 from .pipeline import EditConfig
 
@@ -281,9 +280,11 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "manifest")
-    ridge = _parse_lambda(doc.get("lambda"))
-
-    beta = _number(doc.get("beta", 0.5), "beta")
+    # the keys the manifest leaves out take EditConfig's defaults
+    settings = {k: doc[k] for k in ("beta", "interpolation_mode", "target_mode") if k in doc}
+    settings.update(_parse_lambda(doc.get("lambda")))
+    if "beta" in settings:
+        settings["beta"] = _number(settings["beta"], "beta")
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -306,12 +307,7 @@ def load_manifest(path) -> RunManifest:
             raise ManifestError(f"outputs is missing required key '{key}'")
 
     try:
-        cfg = EditConfig(
-            **ridge,
-            beta=beta,
-            interpolation_mode=doc.get("interpolation_mode", BW_GEODESIC),
-            target_mode=doc.get("target_mode", "substitute-target"),
-        )
+        cfg = EditConfig(**settings)
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: {exc}") from exc
 

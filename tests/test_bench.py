@@ -107,19 +107,21 @@ def test_cli_edit_runs_as_often_as_the_shapes(monkeypatch):
 
 
 def test_frontier_makes_one_edit_per_ridge(monkeypatch):
+    # one solve per lam_scale, and no full edit
     stages = load_stages()
-    edits = []
-    run_edit = stages.run_edit
+    calls = []
+    solve_edit = stages.solve_edit
 
     def counted(*args, **kwargs):
-        edits.append(args[5].beta)
-        return run_edit(*args, **kwargs)
+        calls.append(args[5].lam_scale)
+        return solve_edit(*args, **kwargs)
 
-    monkeypatch.setattr(stages, "run_edit", counted)
+    monkeypatch.setattr(stages, "solve_edit", counted)
+    monkeypatch.setattr(stages, "run_edit", lambda *a, **kw: calls.append("run_edit"))
     for shape in stages.SHAPES["tiny"]:
-        del edits[:]
+        del calls[:]
         stages.frontier_shape(*shape)
-        assert edits == [0.0] * len(stages.LAM_SCALES)
+        assert calls == list(stages.LAM_SCALES)
 
 
 def test_frontier_points_equal_full_edits():

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -65,17 +66,21 @@ class TestEditCommand:
         csv_text = (tmp_path / "report_row.csv").read_text()
         assert csv_text.startswith("run_id,m,d_in,d_out,lambda,beta,mode,")
 
-    def test_gen_manifest_and_no_lambda_take_the_default_ridge(self, tmp_path):
-        # the relative ridge's default lives in EditConfig alone
+    def test_gen_manifest_and_no_lambda_take_the_default_ridge(self, tmp_path, monkeypatch):
+        # the relative ridge's default, and every other setting's, lives in
+        # EditConfig alone: a manifest without the keys takes EditConfig's
         run_gen(tmp_path)
         path = tmp_path / "manifest.json"
         doc = json.loads(path.read_text())
         assert doc["lambda"] == {"relative": EditConfig().lam_scale}
         assert load_manifest(path).cfg.lam_scale == EditConfig().lam_scale
-        del doc["lambda"]
+        for key in ("lambda", "beta", "target_mode"):  # gen writes no interpolation_mode
+            del doc[key]
         path.write_text(json.dumps(doc))
-        cfg = load_manifest(path).cfg
-        assert cfg.lam is None and cfg.lam_scale == EditConfig().lam_scale
+        assert load_manifest(path).cfg == EditConfig()
+        moved = functools.partial(EditConfig, beta=0.25, target_mode="zero-target")
+        monkeypatch.setattr("scapre.smatio.EditConfig", moved)  # a changed default shows
+        assert load_manifest(path).cfg == moved()
 
     def test_edit_deterministic_outputs(self, tmp_path):
         run_gen(tmp_path)
@@ -358,12 +363,35 @@ class TestSweepCommand:
         assert lines[1].split(",")[1] == "1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--counts", "5,abc"],
+        ["sweep", "--counts", "10,5"],
+        ["sweep", "--counts", "0"],
+        ["sweep", "--similarity", "1.5"],
+        ["sweep", "--beta", "1.5"],
+        ["gen", "--targets", "0"],
+        ["gen", "--d-in", "8", "--targets", "10"],
+        ["gen", "--beta", "1.5"],
+    ],
+)
+def test_invalid_flags_exit_2_before_any_work(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else ["--out-dir", str(tmp_path)]
+    assert main(argv + out) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["gen", "--out-dir", "x"], ["sweep", "--out", "x"]])
-def test_model_flags_default_to_the_spec(argv):
-    # every knob left unset on the command line takes SyntheticModelSpec's default
+def test_model_flags_default_to_the_spec(argv, monkeypatch):
+    # every knob left unset on the command line takes SyntheticModelSpec's
+    # default, and --beta EditConfig's: a changed default shows
+    monkeypatch.setattr(EditConfig, "beta", 0.25)
     args = build_parser().parse_args(argv)
     sizes = {"d_in": args.d_in, "d_out": args.d_out, "m_targets": args.targets}
     assert _model_spec_from_args(args) == SyntheticModelSpec(**sizes, m_preserved=args.preserved)
+    assert args.beta == 0.25
 
 
 class TestSubprocessEntry:

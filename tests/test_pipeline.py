@@ -17,7 +17,7 @@ from scapre.geometry import BW_GEODESIC, refine_weights
 from scapre.harness import SyntheticModelSpec, generate_model
 from scapre.informax import build_decoupler
 from scapre.metrics import probe_scores
-from scapre.pipeline import EditConfig, PipelineStageError, ZeroTargetWarning, run_edit
+from scapre.pipeline import EditConfig, PipelineStageError, ZeroTargetWarning, run_edit, solve_edit
 from scapre.smatio import write_report
 from scapre.solver import (
     SUBSTITUTE_TARGET,
@@ -49,20 +49,6 @@ print(json.dumps([rep.max_erasure_err, rep.median_preserve_err]))
 def small_model(seed=0, **kw):
     spec = SyntheticModelSpec(d_in=48, d_out=24, m_targets=4, m_preserved=3, seed=seed, **kw)
     return generate_model(spec)
-
-
-def solve_stages(w0, spec, contexts, features, labels, cfg=EditConfig()):
-    """The stabilizer, decoupler and anchored solve of ``run_edit``, from the stage functions.
-
-    Every stage is deterministic, so these are bit for bit the ones the edit
-    forms; the report keeps none of them but the decoupler. ``w_star`` of
-    the solve is the edit ``D = W* - W0``.
-    """
-    stab = build_a(contexts, spec.concepts, cfg.lam, cfg.lam_scale)
-    dec = build_decoupler(w0, features, labels)
-    m = (resolve_v_star(w0, spec), spec.concepts)
-    sol = sylvester_solve_spectral(dec.alpha, stab, m, w0)
-    return stab, dec, sol
 
 
 def count_eigendecompositions(monkeypatch) -> list:
@@ -187,7 +173,8 @@ class TestRunEdit:
                 w_edit, report = run_edit(
                     model.w0, spec, model.contexts, model.features, model.labels, cfg
                 )
-            assert [entry.category for entry in raised] == [ZeroTargetWarning]
+            # the warning points at run_edit's caller
+            assert [(e.category, e.filename) for e in raised] == [(ZeroTargetWarning, __file__)]
             assert report.zero_target
             assert report.warnings == [
                 "replacement outputs are zero: the edit maps the concepts toward zero, "
@@ -242,7 +229,7 @@ class TestRunEdit:
         model = small_model(seed=9)
         inputs = (model.w0, model.erase_spec, model.contexts, model.features, model.labels)
         _, report = run_edit(*inputs)
-        stab, _, sol = solve_stages(*inputs)
+        stab, _, _, sol, _ = solve_edit(*inputs)
         delta = sol.w_star
         # the stabilizer's own dense A and the one the reference route assembles
         for a in (stab.a, dense_reference_a(report.lam, model)):
@@ -404,7 +391,7 @@ class TestRunEdit:
         c = inputs[1].concepts
         assert gate_singular(np.linalg.svd(c, compute_uv=False)).max() == 0.0
         w, report = run_edit(*inputs)
-        stab, dec, sol = solve_stages(*inputs)
+        stab, dec, _, sol, _ = solve_edit(*inputs)
         u, sigma, _ = np.linalg.svd(stab.eig.eigvecs, full_matrices=False)
         phi_span = u[:, sigma > 1e-10 * sigma[0]]
         assert np.linalg.norm(c - phi_span @ (phi_span.T @ c)) >= 0.5 * np.linalg.norm(c)
@@ -444,7 +431,7 @@ class TestRunEdit:
         # equation's residual of the stored edit: within a factor 3 of the
         # residual against the dense A, which is round-off
         inputs = RESIDUAL_REGIMES[regime]()
-        stab, dec, sol = solve_stages(*inputs)
+        stab, dec, _, sol, _ = solve_edit(*inputs)
         assert (stab.rank < inputs[0].shape[1]) == (regime != "k=d_in")
         a = stab.a
         rhs = anchored_rhs(inputs[0], inputs[1], a, stab.lam)
@@ -461,7 +448,7 @@ class TestRunEdit:
         # right-hand side M - W0 (A - lam I)
         inputs = DENSE_ROUTE_REGIMES[regime]()
         w0, spec, contexts = inputs[:3]
-        stab, dec, sol = solve_stages(*inputs)
+        stab, dec, _, sol, _ = solve_edit(*inputs)
         d = sol.w_star
         a = stab.a
         rhs = anchored_rhs(w0, spec, a, stab.lam)
@@ -483,7 +470,7 @@ class TestRunEdit:
         assert report.alpha_min == report.alpha_max == 0.0
         assert report.sylvester_residual <= 1e-8
         assert np.isfinite(w).all()
-        delta = solve_stages(*inputs)[2].w_star
+        delta = solve_edit(*inputs)[3].w_star
         a = dense_reference_a(report.lam, model)
         assert rel_err(delta @ a, anchored_rhs(model.w0, model.erase_spec, a, report.lam)) <= 1e-8
 
@@ -556,7 +543,7 @@ class TestRunEdit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, report = run_edit(*args, EditConfig(beta=0.0))
-        assert np.array_equal(w, model.w0 + solve_stages(*args)[2].w_star)
+        assert np.array_equal(w, model.w0 + solve_edit(*args)[3].w_star)
         assert report.warnings == []
 
     @pytest.mark.parametrize("mode", [BW_GEODESIC])
@@ -833,7 +820,7 @@ class TestCheckOnce:
     def test_stage_functions_still_check_when_called_directly(self):
         model = small_model(seed=18)
         w0, spec = model.w0, model.erase_spec
-        stab, dec, sol = solve_stages(*edit_args(model))
+        stab, dec, _, sol, _ = solve_edit(*edit_args(model))
         bad = w0.copy()
         bad[0, 0] = np.inf
         factors = (resolve_v_star(w0, spec), spec.concepts)
@@ -902,6 +889,46 @@ def test_anchor_preserves_the_layer(shape):
     assert report.max_erasure_err <= max_erasure
     assert report.median_preserve_err <= median_preserve
     assert report.sylvester_residual <= 1e-12
+
+
+# The models the edit's symmetries are checked on: 4 tokens per concept,
+# similarity 0.5, and the plain harness draw.
+SYMMETRY_MODELS = {
+    "96x48-tokens4": SyntheticModelSpec(96, 48, 8, 5, tokens_per_concept=4, seed=3),
+    "128x64-sim0.5": SyntheticModelSpec(
+        128, 64, 10, 5, similarity=0.5, tokens_per_concept=4, seed=7
+    ),
+    "256x96": SyntheticModelSpec(256, 96, 20, 5, seed=42),
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(SYMMETRY_MODELS))
+def test_the_edit_follows_input_rotation_and_concept_order(name, beta):
+    # W0 -> W0 Q^T with every input vector x -> Q x turns the edit D into
+    # D Q^T (measured within 1.6e-13 of |D|); the concepts permuted with
+    # their contexts, substitutes and sample labels leave it as it is (1.0e-13)
+    m = generate_model(SYMMETRY_MODELS[name])
+    c, subs = m.erase_spec.concepts, m.erase_spec.substitutes
+
+    def delta(w0, c, subs, contexts, features, labels, preserved):
+        spec, cfg = EraseSpec(c, substitutes=subs), EditConfig(beta=beta)
+        return run_edit(w0, spec, contexts, features, labels, cfg, preserved)[0] - w0
+
+    d = delta(m.w0, c, subs, m.contexts, m.features, m.labels, m.preserved)
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((m.w0.shape[1],) * 2))[0]
+    rotated = delta(
+        m.w0 @ q.T, q @ c, q @ subs, [g @ q.T for g in m.contexts], m.features @ q.T, m.labels,
+        q @ m.preserved,
+    )  # fmt: skip
+    assert rel_err(rotated, d @ q.T) <= 1e-12
+    perm = np.random.default_rng(1).permutation(c.shape[1])
+    relabel = np.concatenate([[0], np.argsort(perm) + 1])  # label k + 1 names concept k
+    permuted = delta(
+        m.w0, c[:, perm], subs[:, perm], [m.contexts[k] for k in perm], m.features,
+        relabel[m.labels], m.preserved,
+    )  # fmt: skip
+    assert rel_err(permuted, d) <= 1e-12
 
 
 def test_edit_agrees_across_blas_thread_counts(tmp_path):
