@@ -1,6 +1,6 @@
 """Stage bench: `run_edit` end to end and stage by stage, with its memory and quality.
 
-    python bench/stages.py --out BENCH_40.json --reference BENCH_39.json
+    python bench/stages.py --out BENCH_42.json --reference BENCH_40.json
     python bench/stages.py --out /tmp/bench.json --size tiny --runs 1
 
 One timing rule holds for every section: `--runs` untraced runs give the
@@ -9,9 +9,10 @@ traced peak is recorded it comes from one more run under tracemalloc,
 whose time is not used.
 
 For each shape, a seed-42 `generate_model` model with `m_preserved=10` is
-edited with the default `EditConfig`; the traced run also gives the memory
-still held after it returns (the result kept alive), and the quality
-numbers. Where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit
+drawn under tracemalloc, which gives the draw's peak and the bytes of the
+model it returns. It is edited with the default `EditConfig`; the traced
+run also gives the memory still held after it returns (the result kept
+alive), and the quality numbers. Where d_in is at most `DENSE_MAX_D_IN` (768x320 and the CLI edit
 at full size) `solve_edit` reruns the solve and the exact residual of its
 edit against the dense A is recorded as `dense_residual`, beside the
 report's estimate. Then `scapre edit` of a `scapre gen` manifest at
@@ -108,11 +109,8 @@ def dense_residual(w0, spec, contexts, features, labels, cfg) -> float | None:
 
 
 def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
-    model = generate_model(
-        SyntheticModelSpec(
-            d_in, d_out, m, M_PRESERVED, tokens_per_concept=tokens, seed=SEED
-        )
-    )
+    spec = SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, tokens_per_concept=tokens, seed=SEED)
+    model, gen_peak, gen_held = _traced(lambda: generate_model(spec))
     cfg = EditConfig()
 
     def edit():
@@ -134,6 +132,8 @@ def bench_shape(d_in, d_out, m, tokens, runs) -> dict:
         "d_out": d_out,
         "m": m,
         "tokens_per_concept": tokens,
+        "generate_peak_mib": gen_peak,
+        "generate_held_mib": gen_held,
         "wall_s": statistics.median(walls),
         "stage_ms": _median_stages(stages),
         "traced_peak_mib": peak,
@@ -160,9 +160,10 @@ def bench_cli(d_in, d_out, m, runs) -> dict:
     """``scapre edit`` of a ``scapre gen`` manifest, timed as the shapes are.
 
     The dense residual and the decoupler's peaks are taken from the same
-    seed-42 model in memory.
+    seed-42 model in memory, whose draw is traced as the shapes' are.
     """
-    model = generate_model(SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, seed=SEED))
+    spec = SyntheticModelSpec(d_in, d_out, m, M_PRESERVED, seed=SEED)
+    model, gen_peak, gen_held = _traced(lambda: generate_model(spec))
     with tempfile.TemporaryDirectory() as tmp:
         argv = [
             "gen", "--d-in", str(d_in), "--d-out", str(d_out), "--targets", str(m),
@@ -204,6 +205,8 @@ def bench_cli(d_in, d_out, m, runs) -> dict:
         "d_out": d_out,
         "m": m,
         "beta": 0.0,
+        "generate_peak_mib": gen_peak,
+        "generate_held_mib": gen_held,
         "wall_s": statistics.median(walls),
         "stage_ms": _median_stages(stages),
         "traced_peak_mib": peak,
@@ -332,7 +335,8 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for s in doc["shapes"]:
         print(
-            f"{s['d_in']}x{s['d_out']} m={s['m']}: {s['wall_s']:.3f} s, "
+            f"{s['d_in']}x{s['d_out']} m={s['m']}: "
+            f"drawn at peak {s['generate_peak_mib']:.1f} MiB, {s['wall_s']:.3f} s, "
             f"peak {s['traced_peak_mib']:.1f} MiB, held {s['held_after_mib']:.1f} MiB, "
             f"max erasure {s['max_erasure_err']:.3f}, "
             f"median preserve {s['median_preserve_err']:.4f}"

@@ -256,11 +256,11 @@ def _config_errors():
         raise ManifestError(str(exc)) from exc
 
 
-def _model_spec_from_args(args) -> SyntheticModelSpec:
+def _model_spec_from_args(args, m_targets: int) -> SyntheticModelSpec:
     return SyntheticModelSpec(
         d_in=args.d_in,
         d_out=args.d_out,
-        m_targets=args.targets,
+        m_targets=m_targets,
         m_preserved=args.preserved,
         similarity=args.similarity,
         noise_scale=args.noise,
@@ -273,7 +273,7 @@ def _model_spec_from_args(args) -> SyntheticModelSpec:
 
 def cmd_gen(args) -> int:
     with _config_errors():
-        spec = _model_spec_from_args(args)
+        spec = _model_spec_from_args(args, args.targets)
         cfg = EditConfig(beta=args.beta, target_mode=args.target_mode)
         model = generate_model(spec, cfg.target_mode)  # an infeasible spec fails before drawing
     out = Path(args.out_dir)
@@ -319,8 +319,10 @@ def cmd_gen(args) -> int:
 
 def cmd_sweep(args) -> int:
     with _config_errors():
-        base = _model_spec_from_args(args)
+        if args.targets is not None:
+            raise ValueError("sweep takes its target counts from --counts, not --targets")
         counts = sweep_counts(args.counts.split(","))
+        base = _model_spec_from_args(args, counts[0])  # each row sets its own count
         cfg = EditConfig(beta=args.beta, target_mode=args.target_mode)
     t0 = time.perf_counter()
     rows = scaling_sweep(base, counts, cfg)
@@ -405,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scaling sweep over concept counts, CSV out")
     _add_model_flags(p)
+    p.set_defaults(targets=None)  # the counts come from --counts
     p.add_argument("--counts", default="5,10,25,50")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

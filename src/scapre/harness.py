@@ -136,6 +136,8 @@ def _edit_inputs(rng, spec, targets, anchor, target_mode):
     ``spec`` supplies the noise, embedding scale and token and sample counts.
     Draws from ``rng`` in a fixed order: every target's context tokens, then
     every target's samples, then as many neutral samples as target samples.
+    The samples are drawn and scaled in place in the one features array, so
+    they are held once.
     """
     d_in, m = targets.shape
     noise = spec.noise_scale * spec.embed_scale
@@ -143,20 +145,24 @@ def _edit_inputs(rng, spec, targets, anchor, target_mode):
         _tokens(rng, targets[:, k], spec.tokens_per_concept, noise, d_in) for k in range(m)
     ]
     per = spec.samples_per_concept
-    feats, labs = [], []
-    for k in range(m):
-        feats.append(
-            targets[:, k][None, :] + noise * rng.standard_normal((per, d_in)) / np.sqrt(d_in)
-        )
-        labs.append(np.full(per, k + 1))
-    feats.append(spec.embed_scale * rng.standard_normal((per * m, d_in)) / np.sqrt(d_in))
-    labs.append(np.zeros(per * m))
+    features = np.empty((2 * per * m, d_in))
+    near, neutral = features[: per * m], features[per * m :]
+    rng.standard_normal(out=near)
+    near *= noise
+    near /= np.sqrt(d_in)
+    by_concept = near.reshape(m, per, d_in)  # a view: concept k's samples are block k
+    by_concept += targets.T[:, None, :]
+    rng.standard_normal(out=neutral)
+    neutral *= spec.embed_scale
+    neutral /= np.sqrt(d_in)
+    labels = np.zeros(2 * per * m, dtype=np.int64)
+    labels[: per * m] = np.repeat(np.arange(1, m + 1), per)
     if target_mode == solver.ZERO_TARGET:
         erase = EraseSpec(targets, mode=solver.ZERO_TARGET)
     else:
         subs = np.tile(anchor[:, None], (1, m))
         erase = EraseSpec(targets, mode=solver.SUBSTITUTE_TARGET, substitutes=subs)
-    return erase, contexts, np.vstack(feats), np.concatenate(labs).astype(np.int64)
+    return erase, contexts, features, labels
 
 
 def generate_model(

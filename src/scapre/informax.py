@@ -194,9 +194,10 @@ def build_decoupler(w, features, labels, base: float | None = None) -> Decoupler
     # Active samples per (channel, label) pair; label 0 (neutral) sorts first
     # and takes what the concepts leave of each channel's active total.
     groups, sizes = np.unique(y, return_counts=True)
+    members = np.split(np.argsort(y, kind="stable"), np.cumsum(sizes)[:-1])
     on = np.empty((len(w_), len(groups)), dtype=np.int64)
-    for j, k in enumerate(groups[1:], 1):
-        on[:, j] = z[y == k].sum(axis=0)
+    for j, rows in enumerate(members[1:], 1):
+        on[:, j] = z[rows].sum(axis=0)
     on[:, 0] = np.count_nonzero(bits, axis=1) - on[:, 1:].sum(axis=1)
 
     per = np.empty((len(w_), len(groups) - 1))

@@ -7,15 +7,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SHAPE_KEYS = {
-    "d_in", "d_out", "m", "tokens_per_concept", "wall_s", "stage_ms", "traced_peak_mib",
-    "held_after_mib", "max_erasure_err", "median_preserve_err", "sylvester_residual",
-    "dense_residual", "alpha",
+    "d_in", "d_out", "m", "tokens_per_concept", "generate_peak_mib", "generate_held_mib",
+    "wall_s", "stage_ms", "traced_peak_mib", "held_after_mib", "max_erasure_err",
+    "median_preserve_err", "sylvester_residual", "dense_residual", "alpha",
 }  # fmt: skip
 STAGES = {"stabilizer", "informax", "solver", "geometry", "metrics"}
 CLI_KEYS = {
-    "d_in", "d_out", "m", "beta", "wall_s", "stage_ms", "traced_peak_mib",
-    "decoupler_array_peak_mib", "decoupler_file_peak_mib", "max_erasure_err",
-    "median_preserve_err", "sylvester_residual", "dense_residual",
+    "d_in", "d_out", "m", "beta", "generate_peak_mib", "generate_held_mib", "wall_s",
+    "stage_ms", "traced_peak_mib", "decoupler_array_peak_mib", "decoupler_file_peak_mib",
+    "max_erasure_err", "median_preserve_err", "sylvester_residual", "dense_residual",
 }  # fmt: skip
 FRONTIER_KEYS = {"config", "shapes", "rule_pick", "chosen_lam_scale"}
 POINT_KEYS = {"lam_scale", "beta", "max_erasure_err", "median_preserve_err", "sylvester_residual"}
@@ -61,6 +61,8 @@ def test_stage_bench_at_tiny_sizes(tmp_path, capsys):
     assert doc["config"]["size"] == "tiny" and doc["config"]["runs"] == 2
     assert {"numpy", "blas", "OPENBLAS_NUM_THREADS"} <= set(doc["environment"])
     assert len(doc["shapes"]) == len(stages.SHAPES["tiny"])
+    for shape in [*doc["shapes"], doc["cli_edit"]]:
+        assert 0.0 < shape["generate_held_mib"] <= shape["generate_peak_mib"]
     for shape in doc["shapes"]:
         assert set(shape) == SHAPE_KEYS
         assert set(shape["stage_ms"]) == STAGES

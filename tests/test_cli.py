@@ -371,6 +371,7 @@ class TestSweepCommand:
         ["sweep", "--counts", "0"],
         ["sweep", "--similarity", "1.5"],
         ["sweep", "--beta", "1.5"],
+        ["sweep", "--targets", "999"],
         ["gen", "--targets", "0"],
         ["gen", "--d-in", "8", "--targets", "10"],
         ["gen", "--beta", "1.5"],
@@ -389,8 +390,12 @@ def test_model_flags_default_to_the_spec(argv, monkeypatch):
     # default, and --beta EditConfig's: a changed default shows
     monkeypatch.setattr(EditConfig, "beta", 0.25)
     args = build_parser().parse_args(argv)
-    sizes = {"d_in": args.d_in, "d_out": args.d_out, "m_targets": args.targets}
-    assert _model_spec_from_args(args) == SyntheticModelSpec(**sizes, m_preserved=args.preserved)
+    # gen draws --targets concepts; sweep has no count of its own, each row
+    # takes one from --counts
+    m = args.targets if argv[0] == "gen" else 7
+    assert (args.targets is None) == (argv[0] == "sweep")
+    sizes = {"d_in": args.d_in, "d_out": args.d_out, "m_targets": m}
+    assert _model_spec_from_args(args, m) == SyntheticModelSpec(**sizes, m_preserved=args.preserved)
     assert args.beta == 0.25
 
 

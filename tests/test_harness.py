@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from scapre import harness
 from scapre.harness import (
     SyntheticModelSpec,
     confuse_benchmark,
@@ -11,7 +13,7 @@ from scapre.harness import (
 )
 from scapre.pipeline import EditConfig
 from scapre.smatio import CSV_COLUMNS
-from scapre.solver import ZERO_TARGET
+from scapre.solver import SUBSTITUTE_TARGET, ZERO_TARGET, EraseSpec
 
 
 def cosines(columns):
@@ -20,7 +22,75 @@ def cosines(columns):
     return gram[np.triu_indices_from(gram, k=1)]
 
 
+def per_concept_edit_inputs(rng, spec, targets, anchor, target_mode):
+    """``harness._edit_inputs`` as it drew the samples one concept at a time.
+
+    Each concept's samples and the neutral samples are separate arrays,
+    stacked at the end; the reference the in-place draw must equal.
+    """
+    d_in, m = targets.shape
+    noise = spec.noise_scale * spec.embed_scale
+    contexts = [
+        harness._tokens(rng, targets[:, k], spec.tokens_per_concept, noise, d_in)
+        for k in range(m)
+    ]
+    per = spec.samples_per_concept
+    feats, labs = [], []
+    for k in range(m):
+        feats.append(
+            targets[:, k][None, :] + noise * rng.standard_normal((per, d_in)) / np.sqrt(d_in)
+        )
+        labs.append(np.full(per, k + 1))
+    feats.append(spec.embed_scale * rng.standard_normal((per * m, d_in)) / np.sqrt(d_in))
+    labs.append(np.zeros(per * m))
+    if target_mode == ZERO_TARGET:
+        erase = EraseSpec(targets, mode=ZERO_TARGET)
+    else:
+        subs = np.tile(anchor[:, None], (1, m))
+        erase = EraseSpec(targets, mode=SUBSTITUTE_TARGET, substitutes=subs)
+    return erase, contexts, np.vstack(feats), np.concatenate(labs).astype(np.int64)
+
+
+DRAW_SPECS = [
+    SyntheticModelSpec(2048, 1024, 100, 10, tokens_per_concept=4, seed=42),
+    SyntheticModelSpec(
+        768, 320, 10, 10, similarity=0.5, n_groups=2, tokens_per_concept=3,
+        samples_per_concept=5, seed=7,
+    ),
+    SyntheticModelSpec(512, 64, 300, seed=3),
+    SyntheticModelSpec(768, 1280, 600, seed=42),
+]  # fmt: skip
+
+
 class TestGenerateModel:
+    @pytest.mark.parametrize("mode", [SUBSTITUTE_TARGET, ZERO_TARGET])
+    @pytest.mark.parametrize("spec", DRAW_SPECS, ids=lambda s: f"{s.d_in}x{s.d_out}-m{s.m_targets}")
+    def test_samples_equal_the_per_concept_draw(self, spec, mode, monkeypatch):
+        model = generate_model(spec, mode)
+        monkeypatch.setattr(harness, "_edit_inputs", per_concept_edit_inputs)
+        ref = generate_model(spec, mode)
+        assert model.labels.dtype == ref.labels.dtype == np.int64
+        assert model.labels.tobytes() == ref.labels.tobytes()
+        assert model.features.shape == ref.features.shape
+        assert model.features.tobytes() == ref.features.tobytes()
+        assert len(model.contexts) == len(ref.contexts)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(model.contexts, ref.contexts))
+
+    def test_samples_are_held_once(self):
+        # the draw's scratch beside what it returns stays under a quarter of
+        # the samples: the per-concept draw held them twice (20 MiB here)
+        spec = SyntheticModelSpec(512, 64, 300, seed=3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            model = generate_model(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - before >= model.features.nbytes
+        assert peak - held < model.features.nbytes / 4
+
     def test_orthogonal_design(self):
         spec = SyntheticModelSpec(d_in=32, d_out=16, m_targets=5, m_preserved=3)
         model = generate_model(spec)
